@@ -47,7 +47,10 @@ def _out_path(cfg: ExperimentConfig, args, name: str) -> str:
 
 
 def _precision(cfg: ExperimentConfig) -> int:
-    return cfg.get_int("output", "precision", "17")
+    precision = cfg.get_int("output", "precision", "17")
+    if precision < 1:
+        raise ValidationError(f"[output] precision must be at least 1, got {precision}")
+    return precision
 
 
 def _solver(cfg: ExperimentConfig):
@@ -56,6 +59,37 @@ def _solver(cfg: ExperimentConfig):
         "m_max": cfg.get_int("solver", "m_max", "16"),
         "k_per_mode": cfg.get_int("solver", "k_per_mode", "32"),
     }
+
+
+def _fiber_L(cfg: ExperimentConfig, args) -> float:
+    """--L, else [sweep] L."""
+    if args.L is None:
+        return cfg.get_float("sweep", "L", "100.0")
+    if not math.isfinite(args.L):
+        raise ValidationError(f"--L must be a finite number, got {args.L}")
+    return args.L
+
+
+def _grid(cfg: ExperimentConfig, flag_value, flag: str, section: str, key: str,
+          default=None):
+    """Grid from a flag when given, else from the config."""
+    if not flag_value:
+        return cfg.get_grid(section, key, default)
+    try:
+        return parse_grid(flag_value)
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
+def _window(raw: str, name: str) -> tuple[float, float]:
+    """Fit window ``lo,hi`` with 0 <= lo < hi < inf."""
+    try:
+        lo, hi = (float(p) for p in raw.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not 0 <= lo < hi < math.inf:
+        raise ValidationError(f"{name} must be lo,hi with 0 <= lo < hi, got {raw!r}")
+    return lo, hi
 
 
 # -- commands -----------------------------------------------------------------
@@ -97,7 +131,7 @@ SPECTRUM_COLUMNS = ["L", "s", "k", "m", "lambda", "lambda_times_L", "gap",
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
-    L = args.L if args.L is not None else cfg.get_float("sweep", "L", "100.0")
+    L = _fiber_L(cfg, args)
     text = render_csv(SPECTRUM_COLUMNS, _spectrum_rows(cfg, L),
                       config_hash=cfg.hash(), precision=_precision(cfg))
     path = _out_path(cfg, args, "spectrum.csv")
@@ -108,7 +142,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep_spectrum(args) -> int:
     cfg = load_config(args.config)
-    grid = parse_grid(args.L_grid) if args.L_grid else cfg.get_grid("sweep", "L_grid")
+    grid = _grid(cfg, args.L_grid, "--L-grid", "sweep", "L_grid")
     rows = []
     for L in np.sort(grid):
         rows.extend(_spectrum_rows(cfg, float(L)))
@@ -123,7 +157,7 @@ def cmd_sweep_spectrum(args) -> int:
 def cmd_modelfns(args) -> int:
     cfg = load_config(args.config)
     solver = _solver(cfg)
-    L = args.L if args.L is not None else cfg.get_float("sweep", "L", "100.0")
+    L = _fiber_L(cfg, args)
     chain = build_chain(cfg.family(), L, resolution=solver["resolution"])
     mfs = model_functions(chain)
     rows = [
@@ -147,8 +181,7 @@ def cmd_modelfns(args) -> int:
 def cmd_green(args) -> int:
     cfg = load_config(args.config)
     solver = _solver(cfg)
-    grid = parse_grid(args.L_grid) if args.L_grid else cfg.get_grid(
-        "sweep", "L_grid", "20:200:4")
+    grid = _grid(cfg, args.L_grid, "--L-grid", "sweep", "L_grid", "20:200:4")
     cutoff = (cfg.get_float("solver", "green_cutoff")
               if cfg.has("solver", "green_cutoff") else None)
     tail = cfg.get_int("solver", "tail_count", "24")
@@ -174,7 +207,7 @@ def cmd_green(args) -> int:
 def cmd_potential(args) -> int:
     cfg = load_config(args.config)
     solver = _solver(cfg)
-    L = args.L if args.L is not None else cfg.get_float("sweep", "L", "100.0")
+    L = _fiber_L(cfg, args)
     family = cfg.family()
     chain = build_chain(family, L, resolution=solver["resolution"])
     builder = cfg.density_builder("alpha")
@@ -218,13 +251,11 @@ def cmd_pairing(args) -> int:
     cfg = load_config(args.config)
     solver = _solver(cfg)
     family = cfg.family()
-    grid = parse_grid(args.L_grid) if args.L_grid else cfg.get_grid(
-        "sweep", "L_grid", "50:200:12")
+    grid = _grid(cfg, args.L_grid, "--L-grid", "sweep", "L_grid", "50:200:12")
     if args.fit_window:
-        lo, hi = (float(p) for p in args.fit_window.split(","))
+        lo, hi = _window(args.fit_window, "--fit-window")
     else:
-        window = cfg.get_floats("sweep", "fit_window", "50,200")
-        lo, hi = window[0], window[1]
+        lo, hi = _window(cfg.get("sweep", "fit_window", "50,200"), "[sweep] fit_window")
     a_builder = cfg.density_builder("alpha")
     b_builder = cfg.density_builder("beta")
     curve = pairing_sweep(family, a_builder, b_builder, grid,
@@ -411,8 +442,7 @@ def cmd_node_integral(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig({})
     raw_eta = args.eta or cfg.get("node", "eta", "22:1:0,0,0,0")
     eta = parse_eta(raw_eta)
-    grid = parse_grid(args.t_grid) if args.t_grid else cfg.get_grid(
-        "node", "t_grid", "1e-6:1e-2:9")
+    grid = _grid(cfg, args.t_grid, "--t-grid", "node", "t_grid", "1e-6:1e-2:9")
     per_decade = cfg.get_int("node", "radial_per_decade", "32")
     angular = cfg.get_int("node", "angular", "64")
     curve = nodeintegral.sample_curve(eta, grid, per_decade, angular)

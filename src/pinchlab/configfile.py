@@ -82,11 +82,18 @@ class ExperimentConfig:
                 raise ValidationError(f"missing required key [{section}] {key}")
             return default
 
+    def _typed(self, section, key, default, convert, what):
+        raw = self.get(section, key, default)
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValidationError(f"[{section}] {key} must be {what}, got {raw!r}") from None
+
     def get_float(self, section, key, default=None) -> float:
-        return float(self.get(section, key, default))
+        return self._typed(section, key, default, _finite_float, "a finite number")
 
     def get_int(self, section, key, default=None) -> int:
-        return int(self.get(section, key, default))
+        return self._typed(section, key, default, int, "an integer")
 
     def get_bool(self, section, key, default=None) -> bool:
         raw = self.get(section, key, default).strip().lower()
@@ -97,21 +104,25 @@ class ExperimentConfig:
         raise ValidationError(f"[{section}] {key} must be a boolean, got {raw!r}")
 
     def get_floats(self, section, key, default=None) -> tuple[float, ...]:
-        raw = self.get(section, key, default)
-        return tuple(float(p) for p in raw.split(",") if p.strip())
+        return self._typed(section, key, default, lambda raw: tuple(
+            _finite_float(p) for p in raw.split(",") if p.strip()), "a list of finite numbers")
 
     def get_complexes(self, section, key, default=None) -> tuple[complex, ...]:
-        raw = self.get(section, key, default)
-        return tuple(complex(p.strip().replace(" ", "")) for p in raw.split(",") if p.strip())
+        return self._typed(section, key, default, lambda raw: tuple(
+            complex(p.strip().replace(" ", "")) for p in raw.split(",") if p.strip()),
+            "a list of complex numbers")
 
     def get_ints(self, section, key, default=None) -> tuple[int, ...]:
-        raw = self.get(section, key, default)
-        return tuple(int(p) for p in raw.split(",") if p.strip())
+        return self._typed(section, key, default, lambda raw: tuple(
+            int(p) for p in raw.split(",") if p.strip()), "a list of integers")
 
     def get_grid(self, section, key, default=None) -> np.ndarray:
         """Grid syntax: comma list, or ``lo:hi:count`` geometric range."""
         raw = self.get(section, key, default)
-        return parse_grid(raw)
+        try:
+            return parse_grid(raw)
+        except ValidationError as exc:
+            raise ValidationError(f"[{section}] {key}: {exc}") from None
 
     # -- typed builders -----------------------------------------------------
 
@@ -120,7 +131,7 @@ class ExperimentConfig:
         areas = None
         if self.has("family", "areas"):
             areas = self.get_floats("family", "areas")
-        return FamilyConfig(
+        fields = dict(
             n_components=n,
             areas=areas,
             neck_length=self.get_float("family", "neck_length", "1.0"),
@@ -130,6 +141,10 @@ class ExperimentConfig:
             smoothing_width=self.get_float("family", "smoothing_width", "0.0"),
             no_neck=self.get_bool("family", "no_neck", "false"),
         )
+        try:
+            return FamilyConfig(**fields)
+        except ValidationError as exc:
+            raise ValidationError(f"[family] {exc}") from None
 
     def density_builder(self, which: str):
         """Builder chain -> DensityField for [density.alpha] or [density.beta]."""
@@ -143,7 +158,7 @@ class ExperimentConfig:
                 project = self.get_bool(section, "project")
                 continue
             head, idx = key.split(".")
-            value = float(raw)
+            value = self.get_float(section, key)
             if head == "fat":
                 fat.append((int(idx), value))
             elif head == "neck":
@@ -191,17 +206,30 @@ class ExperimentConfig:
         return self.get_int("solver", "seed")
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {raw!r}")
+    return value
+
+
 def parse_grid(raw: str) -> np.ndarray:
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid range must be lo:hi:count, got {raw!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2 or lo <= 0 or hi <= lo:
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValidationError(f"bad grid range {raw!r}") from None
+        if count < 2 or not 0 < lo < hi < math.inf:
             raise ValidationError(f"bad grid range {raw!r}")
         return np.geomspace(lo, hi, count)
-    vals = np.array([float(p) for p in raw.split(",") if p.strip()])
+    try:
+        vals = np.array([_finite_float(p) for p in raw.split(",") if p.strip()])
+    except ValueError:
+        raise ValidationError(f"grid entries must be finite numbers, got {raw!r}") from None
     if vals.size == 0:
         raise ValidationError("empty grid")
     return vals

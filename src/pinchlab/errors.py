@@ -10,4 +10,15 @@ class StructureError(ValidationError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical routine failed to converge; carries diagnostics in args."""
+    """A numerical routine failed to converge; carries its diagnostics.
+
+    Prints as the message followed by the diagnostics as ``key=value``.
+    """
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        self.message = message
+        self.diagnostics = dict(diagnostics or {})
+        super().__init__(message, self.diagnostics)
+
+    def __str__(self) -> str:
+        return " ".join([self.message, *(f"{k}={v!r}" for k, v in self.diagnostics.items())])

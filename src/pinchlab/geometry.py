@@ -46,14 +46,17 @@ class FamilyConfig:
             raise ValidationError("need at least one component")
         if self.areas is not None and len(self.areas) != self.n_components:
             raise ValidationError("areas length must equal n_components")
-        if self.areas is not None and any(a <= 0 for a in self.areas):
-            raise ValidationError("all component areas must be positive")
-        if self.neck_length <= 0:
-            raise ValidationError("neck_length must be positive")
-        if self.fat_circumference <= 0:
-            raise ValidationError("fat_circumference must be positive")
-        if self.smoothing_width < 0:
-            raise ValidationError("smoothing_width must be nonnegative")
+        if self.areas is not None and not all(0 < a < math.inf for a in self.areas):
+            raise ValidationError("all component areas must be positive and finite")
+        if not 0 < self.neck_length < math.inf:
+            raise ValidationError("neck_length must be positive and finite, "
+                                  f"got {self.neck_length}")
+        if not 0 < self.fat_circumference < math.inf:
+            raise ValidationError("fat_circumference must be positive and finite, "
+                                  f"got {self.fat_circumference}")
+        if not 0 <= self.smoothing_width < math.inf:
+            raise ValidationError("smoothing_width must be nonnegative and finite, "
+                                  f"got {self.smoothing_width}")
         if self.no_neck and self.n_components != 1:
             raise ValidationError("the no-neck degenerate family requires N = 1")
 
@@ -160,8 +163,8 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
     """
     if resolution < 8:
         raise ValidationError("resolution must be at least 8 nodes per unit length")
-    if L <= 0:
-        raise ValidationError("L must be positive")
+    if not 0 < L < math.inf:
+        raise ValidationError(f"L must be positive and finite, got {L}")
     c_thin = cfg.neck_length / L
     if not cfg.no_neck and c_thin >= cfg.fat_circumference:
         raise ValidationError(

@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dualgraph import DualGraph, build_intersection_matrix, pairing_constant, pseudoinverse
 from .errors import ValidationError
 from .geometry import DensityField, FamilyConfig, WarpedChain, build_chain
-from .potential import FOUR_PI, _load_vector, solve_direct
-from .spectral import assemble_mode_operator
+from .potential import FOUR_PI, PoissonSystem, _load_vector, solve_direct
+from .spectral import chain_operators
 
 
 def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField,
@@ -29,13 +28,15 @@ def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField
     """Pairing of two densities on one fiber: integral(phi_a * b dA).
 
     With ``check_symmetry`` the value is recomputed with the roles swapped
-    and the two numbers must agree to 1e-10.
+    and the two numbers must agree to 1e-10; both solves share one
+    factorization.
     """
-    pot_a = solve_direct(chain, dens_a)
+    system = PoissonSystem(chain)
+    pot_a = solve_direct(chain, dens_a, system=system)
     q_b = _load_vector(chain, dens_b)
     value = float(pot_a.phi @ q_b)
     if check_symmetry:
-        pot_b = solve_direct(chain, dens_b)
+        pot_b = solve_direct(chain, dens_b, system=system)
         q_a = _load_vector(chain, dens_a)
         other = float(pot_b.phi @ q_a)
         if abs(value - other) > 1e-10 * (1.0 + abs(value)):
@@ -53,8 +54,8 @@ def pairing_energy(chain: WarpedChain, dens_a: DensityField) -> tuple[float, flo
     pot = solve_direct(chain, dens_a)
     q = _load_vector(chain, dens_a)
     value = float(pot.phi @ q)
-    S, _ = assemble_mode_operator(chain, 0)
-    energy = float(pot.phi @ S @ pot.phi) / FOUR_PI
+    S = chain_operators(chain).gradient
+    energy = float(pot.phi @ (S @ pot.phi)) / FOUR_PI
     return value, energy
 
 
@@ -230,6 +231,8 @@ def holder_probe(curve: PairingCurve) -> HolderProbe:
     Output is exploratory data, never a pass/fail: the sharp modulus of
     continuity of the extension is an open question.
     """
+    import scipy.optimize  # slow to import; this is its only user
+
     L = curve.L
     y = curve.values
     if L.size < 5:

@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import ValidationError
 from .geometry import TWO_PI, DensityField, WarpedChain, build_chain
-from .spectral import EigenSystem, assemble_mode_operator, solve_modes
+from .spectral import EigenSystem, chain_operators
 
 FOUR_PI = 2.0 * TWO_PI
 
@@ -52,15 +53,13 @@ def _require_mean_zero(dens: DensityField):
 
 @dataclass(frozen=True)
 class PreferredPotential:
-    """Mean-zero potential of a density, with optional frequency split."""
+    """Mean-zero potential of a density."""
 
     chain: WarpedChain
     phi: np.ndarray
     mean: float
     source: DensityField
     method: str                    # "direct" or "spectral"
-    low_part: np.ndarray | None = None
-    high_part: np.ndarray | None = None
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.phi)))
@@ -76,31 +75,54 @@ class SpectralCoefficients:
     truncation_index: int
 
 
-def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
+class PoissonSystem:
+    """Sparse LU of a chain's mode-0 Poisson system, bordered by the mean row.
+
+    [[S, w], [w^T, 0]] with w = M 1 keeps the system symmetric and avoids
+    pinning a grid point; one factorization serves any number of densities.
+    """
+
+    def __init__(self, chain: WarpedChain):
+        ops = chain_operators(chain)
+        n = chain.n_nodes
+        self.chain = chain
+        self.S = ops.gradient
+        self.w = ops.mass @ np.ones(n)
+        S = self.S.tocoo()
+        nodes, last = np.arange(n), np.full(n, n)
+        K = scipy.sparse.csc_array(
+            (np.concatenate([S.data, self.w, self.w]),
+             (np.concatenate([S.row, nodes, last]), np.concatenate([S.col, last, nodes]))),
+            shape=(n + 1, n + 1))
+        self.lu = scipy.sparse.linalg.splu(K)
+
+    def solve(self, dens: DensityField) -> PreferredPotential:
+        """Potential of ``dens``; the residual of the unconstrained equation is checked."""
+        _require_mean_zero(dens)
+        n = self.chain.n_nodes
+        rhs = FOUR_PI * _load_vector(self.chain, dens)
+        sol = self.lu.solve(np.append(rhs, 0.0))
+        phi = sol[:n]
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        resid = float(np.linalg.norm(self.S @ phi - rhs + sol[n] * self.w))
+        if resid > 1e-8 * scale * n:
+            raise ValidationError(f"direct solve residual {resid:.3e} out of tolerance")
+        mean = float(phi @ self.w / np.sum(self.w))
+        return PreferredPotential(chain=self.chain, phi=phi, mean=mean,
+                                  source=dens, method="direct")
+
+
+def solve_direct(chain: WarpedChain, dens: DensityField, *,
+                 system: PoissonSystem | None = None) -> PreferredPotential:
     """Weighted Poisson solve with the mean constraint as a multiplier row.
 
-    Augmenting the system keeps it symmetric and avoids pinning a grid point;
-    the residual of the unconstrained equation is checked afterwards.
+    ``system`` reuses a factorization of this chain's Poisson system.
     """
-    _require_mean_zero(dens)
-    S, M = assemble_mode_operator(chain, 0)
-    n = chain.n_nodes
-    q = _load_vector(chain, dens)
-    rhs = FOUR_PI * q
-    w = M @ np.ones(n)
-    K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = S
-    K[:n, n] = w
-    K[n, :n] = w
-    sol = scipy.linalg.solve(K, np.append(rhs, 0.0), assume_a="sym")
-    phi = sol[:n]
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    resid = float(np.linalg.norm(S @ phi - rhs + sol[n] * w))
-    if resid > 1e-8 * scale * n:
-        raise ValidationError(f"direct solve residual {resid:.3e} out of tolerance")
-    mean = float(phi @ w / np.sum(w))
-    return PreferredPotential(chain=chain, phi=phi, mean=mean,
-                              source=dens, method="direct")
+    if system is None:
+        system = PoissonSystem(chain)
+    elif system.chain is not chain:
+        raise ValidationError("Poisson system belongs to another chain")
+    return system.solve(dens)
 
 
 def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
@@ -128,8 +150,7 @@ def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
     b = basis @ q
     c = b / lam if lam.size else b
     phi = FOUR_PI * (c @ basis) if lam.size else np.zeros(chain.n_nodes)
-    _, M = assemble_mode_operator(chain, 0)
-    w = M @ np.ones(chain.n_nodes)
+    w = chain_operators(chain).mass @ np.ones(chain.n_nodes)
     mean = float(phi @ w / np.sum(w))
     pot = PreferredPotential(chain=chain, phi=phi, mean=mean,
                              source=dens, method="spectral")
@@ -144,24 +165,15 @@ def split_low_high(pot: PreferredPotential, eigsys: EigenSystem):
     low lies in span{Phi_1 .. Phi_{N-1}}, high is orthogonal to the constant
     and the low span; low + high + mean = phi exactly.
     """
-    chain = pot.chain
-    _, M = assemble_mode_operator(chain, 0)
+    M = chain_operators(pot.chain).mass
+    Mphi = M @ pot.phi
     low = np.zeros_like(pot.phi)
     for entry in eigsys.low_entries():
-        coeff = float(pot.phi @ M @ entry.vec)
+        coeff = float(Mphi @ entry.vec)
         low += coeff * entry.vec
-    ones = np.ones(chain.n_nodes)
-    volume = float(ones @ M @ ones)
-    mean = float(pot.phi @ M @ ones / volume)
+    mean = float(np.sum(Mphi) / M.sum())
     high = pot.phi - low - mean
     return low, high
-
-
-def with_split(pot: PreferredPotential, eigsys: EigenSystem) -> PreferredPotential:
-    low, high = split_low_high(pot, eigsys)
-    return PreferredPotential(chain=pot.chain, phi=pot.phi, mean=pot.mean,
-                              source=pot.source, method=pot.method,
-                              low_part=low, high_part=high)
 
 
 def flux_report(chain: WarpedChain, pot: PreferredPotential) -> np.ndarray:

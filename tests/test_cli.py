@@ -1,13 +1,17 @@
 """Config parsing, command driver, exit codes, and output determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pinchlab.cli import main, parse_eta
 from pinchlab.configfile import parse_config, parse_grid
-from pinchlab.errors import ValidationError
+from pinchlab.errors import ConvergenceError, ValidationError
 from pinchlab.geometry import build_chain
 
 BASE_CFG = """
@@ -193,3 +197,36 @@ directory = {out}
         assert main(["dynamics", "growth", "--config", cfg_path]) == 0
         stdout = capsys.readouterr().out
         assert "exponent=2.000" in stdout
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("command, edit, extra, named", [
+        ("spectrum", ("resolution = 24", "resolution = abc"), [], "[solver] resolution"),
+        ("spectrum", ("n_components = 2", "n_components = 2\nneck_length = nan"), [],
+         "[family] neck_length"),
+        ("spectrum", None, ["--L", "nan"], "--L"),
+        ("spectrum", None, ["--L", "inf"], "--L"),
+        ("pairing", None, ["--fit-window", "50"], "--fit-window"),
+        ("spectrum", ("k_per_mode = 16", "k_per_mode = 0"), [], "k_per_mode"),
+        ("spectrum", ("precision = 17", "precision = -3"), [], "[output] precision"),
+        ("green", ("k_per_mode = 16", "k_per_mode = 16\ntail_count = -3"), [], "tail_count"),
+    ])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
+        text = BASE_CFG.replace(*edit) if edit else BASE_CFG
+        cfg_path, _ = write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_convergence_error_prints_key_value(self):
+        exc = ConvergenceError("eigen residual beyond tolerance", {"mode": 3, "n": 576})
+        assert str(exc) == "eigen residual beyond tolerance mode=3 n=576"
+
+
+def test_cli_import_skips_scipy_optimize():
+    code = "import sys, pinchlab.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,0 +1,161 @@
+"""The sparse operator layer: shift-invert eigensolves, their inertia
+certificate, the bordered Poisson LU and the GEMM Green kernel, each checked
+against the dense computation it replaces."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+
+from pinchlab import spectral
+from pinchlab.errors import ValidationError
+from pinchlab.geometry import FamilyConfig, build_chain, density_from_spec, step_density_spec
+from pinchlab.pairing import pairing_value
+from pinchlab.potential import FOUR_PI, PoissonSystem, _load_vector, solve_direct
+from pinchlab.spectral import (
+    assemble_mode_operator,
+    chain_operators,
+    full_spectrum,
+    solve_modes,
+    truncated_green_min,
+)
+
+I2 = FamilyConfig(n_components=2)
+I2S = FamilyConfig(n_components=2, neck_length=0.25)
+
+
+def _forbid(monkeypatch, module, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{module.__name__}.{name} called")
+    monkeypatch.setattr(module, name, fail)
+
+
+@pytest.fixture(scope="module")
+def fine_chain():
+    chain = build_chain(I2, 100.0, resolution=192)
+    assert chain.n_nodes == 576  # above the shift-invert crossover
+    return chain
+
+
+class TestAssembly:
+    def test_csr_forms_match_dense_mode_operator(self):
+        chain = build_chain(I2, 60.0, resolution=16)
+        ops = chain_operators(chain)
+        for m in (0, 1, 3):
+            S, M = assemble_mode_operator(chain, m)
+            np.testing.assert_allclose(ops.stiffness(m).toarray(), S, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(ops.mass.toarray(), M)
+            assert ops.stiffness(m).nnz == 3 * chain.n_nodes
+
+    def test_negative_mode_rejected(self):
+        chain = build_chain(I2, 60.0, resolution=16)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            chain_operators(chain).stiffness(-1)
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_matches_dense(self, fine_chain, monkeypatch, m):
+        S, M = assemble_mode_operator(fine_chain, m)
+        want = scipy.linalg.eigh(S, M, eigvals_only=True)[:10]
+        _forbid(monkeypatch, scipy.linalg, "eigh")  # must take the sparse path
+        lam, vecs = solve_modes(fine_chain, m, 10)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.max(np.abs(lam - want) / scale) <= 1e-10
+        np.testing.assert_allclose(vecs.T @ M @ vecs, np.eye(10), atol=1e-10)
+
+    def test_dropped_pair_trips_inertia_and_falls_back(self, fine_chain, monkeypatch):
+        eigsh, eigh = scipy.sparse.linalg.eigsh, scipy.linalg.eigh
+        calls = {"eigsh": 0, "eigh": 0}
+
+        def lossy_eigsh(*args, **kwargs):
+            calls["eigsh"] += 1
+            lam, vecs = eigsh(*args, **kwargs)
+            order = np.argsort(lam)
+            keep = np.delete(order, 3)  # lose the fourth pair
+            return lam[keep], vecs[:, keep]
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lossy_eigsh)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        lam, _ = solve_modes(fine_chain, 0, 8)
+        assert calls == {"eigsh": 1, "eigh": 1}
+        S, M = assemble_mode_operator(fine_chain, 0)
+        np.testing.assert_allclose(lam, eigh(S, M, eigvals_only=True)[:8],
+                                   rtol=1e-12, atol=1e-9)
+
+    def test_inertia_counts_eigenvalues_below_shift(self):
+        chain = build_chain(I2, 40.0, resolution=16)
+        ops = chain_operators(chain)
+        S, M = ops.stiffness(1), ops.mass
+        lam = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+        gaps = [j for j in range(lam.size - 1) if lam[j + 1] - lam[j] > 1e-6 * lam[j + 1]]
+        assert len(gaps) > 10
+        for j in gaps:
+            assert spectral._negative_count(S, M, 0.5 * (lam[j] + lam[j + 1])) == j + 1
+
+    def test_small_grid_stays_dense(self, monkeypatch):
+        _forbid(monkeypatch, scipy.sparse.linalg, "eigsh")
+        chain = build_chain(I2, 100.0, resolution=48)
+        solve_modes(chain, 0, 8)
+
+
+def test_green_kernel_matches_per_pair_loop(monkeypatch):
+    chain = build_chain(I2S, 60.0, resolution=32)
+    eigsys = full_spectrum(chain, m_max=4, k_per_mode=24)
+    _forbid(monkeypatch, np, "outer")  # no rank-one update per pair
+    rep = truncated_green_min(chain, eigsys, lambda_cutoff=500.0)
+    monkeypatch.undo()
+
+    low = {id(e) for e in eigsys.low_entries()}
+    n = chain.n_nodes
+    f0, habs, included = np.zeros((n, n)), np.zeros((n, n)), 0
+    for e in eigsys.entries:
+        if not e.certified or e.lam <= 1e-8 or id(e) in low or e.lam > 500.0:
+            continue
+        outer = np.outer(e.vec, e.vec) / e.lam
+        if e.mode == 0:
+            f0 += outer
+            included += 1
+        else:
+            habs += 2.0 * np.abs(outer)
+            included += 2
+    assert included == rep.included_expanded > 0
+    assert rep.min_value == pytest.approx(float((f0 - habs).min()), rel=1e-12)
+    assert rep.diag_min == pytest.approx(float((np.diag(f0) + np.diag(habs)).min()), rel=1e-12)
+
+
+class TestPoisson:
+    def test_sparse_solve_matches_dense_bordered_solve(self, monkeypatch):
+        chain = build_chain(I2, 80.0, resolution=32)
+        dens = density_from_spec(step_density_spec([1.5, -1.5]), chain)
+        S, M = assemble_mode_operator(chain, 0)
+        n = chain.n_nodes
+        w = M @ np.ones(n)
+        K = np.block([[S, w[:, None]], [w[None, :], np.zeros((1, 1))]])
+        rhs = np.append(FOUR_PI * _load_vector(chain, dens), 0.0)
+        dense = scipy.linalg.solve(K, rhs, assume_a="sym")[:n]
+        _forbid(monkeypatch, scipy.linalg, "solve")
+        phi = solve_direct(chain, dens).phi
+        assert np.max(np.abs(phi - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_symmetry_check_factors_once(self, monkeypatch):
+        chain = build_chain(I2, 80.0, resolution=32)
+        a = density_from_spec(step_density_spec([1.0, -1.0]), chain)
+        b = density_from_spec(step_density_spec([-0.5, 0.5]), chain)
+        splu, calls = scipy.sparse.linalg.splu, []
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *args, **kw: calls.append(1) or splu(*args, **kw))
+        value = pairing_value(chain, a, b, check_symmetry=True)
+        assert len(calls) == 1
+        assert value == pytest.approx(-0.5 * pairing_value(chain, a, a), rel=1e-12)
+
+    def test_system_of_another_chain_rejected(self):
+        chain = build_chain(I2, 80.0, resolution=32)
+        other = build_chain(I2, 90.0, resolution=32)
+        dens = density_from_spec(step_density_spec([1.0, -1.0]), chain)
+        with pytest.raises(ValidationError, match="another chain"):
+            solve_direct(chain, dens, system=PoissonSystem(other))
