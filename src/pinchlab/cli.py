@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 failed verification, 2 validation error (bad input
 or config, with the violated condition named), 3 numerical non-convergence.
 All state comes from the config file and flags; identical inputs produce
 byte-identical CSV artifacts.
+
+Every CSV-writing command is a function ``(cfg, args) -> Run`` listed in
+``COMMANDS``, from which the parser is built.  ``run_command`` loads the
+config, replaces each flag by its parsed value or that of the config key it
+overrides, writes each table of the run, prints one ``wrote <path>`` line
+per file and then the run's summary lines.
 """
 
 from __future__ import annotations
@@ -12,45 +18,39 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import astuple, dataclass, field, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import acceptance, dualgraph, nodeintegral
+from . import acceptance, dualgraph, dynamics, nodeintegral
 from .configfile import ExperimentConfig, load_config, parse_grid
-from .dynamics import (
-    TorusFibration,
-    annulus_samples,
-    birkhoff_limit,
-    flat_potential_identity,
-    limit_potential_relation,
-    pushforward_growth,
-    synthesize_invariant_observable,
-)
 from .errors import ConvergenceError, ValidationError
-from .geometry import build_chain
+from .geometry import TWO_PI, build_chain
+from .nodeintegral import parse_eta
 from .pairing import fit_log_asymptote, pairing_sweep, predicted_constant
-from .potential import estimate_report, solve_direct, split_low_high
+from .potential import EstimateRow, estimate_report, solve_direct, split_low_high
 from .reporting import render_csv, write_text
-from .spectral import (
-    correlation_matrix,
-    full_spectrum,
-    model_functions,
-    truncated_green_min,
-)
-
-TWO_PI = 2.0 * math.pi
+from .spectral import full_spectrum, model_functions, truncated_green_min
 
 
-def _out_path(cfg: ExperimentConfig, args, name: str) -> str:
-    directory = args.out or cfg.get("output", "directory", "out")
-    return os.path.join(directory, name)
+@dataclass(frozen=True)
+class Table:
+    """One CSV file: name, header, rows, and values for ``# key=value`` lines."""
+
+    filename: str
+    columns: Sequence[str]
+    rows: Sequence[tuple]
+    comments: dict = field(default_factory=dict)
 
 
-def _precision(cfg: ExperimentConfig) -> int:
-    precision = cfg.get_int("output", "precision", "17")
-    if precision < 1:
-        raise ValidationError(f"[output] precision must be at least 1, got {precision}")
-    return precision
+@dataclass(frozen=True)
+class Run:
+    """Tables to write, lines to print after them, and the exit code (1 = failed verify)."""
+
+    tables: Sequence[Table]
+    summary: Sequence[str] = ()
+    exit_code: int = 0
 
 
 def _solver(cfg: ExperimentConfig):
@@ -61,34 +61,24 @@ def _solver(cfg: ExperimentConfig):
     }
 
 
-def _fiber_L(cfg: ExperimentConfig, args) -> float:
-    """--L, else [sweep] L."""
-    if args.L is None:
-        return cfg.get_float("sweep", "L", "100.0")
-    if not math.isfinite(args.L):
-        raise ValidationError(f"--L must be a finite number, got {args.L}")
-    return args.L
-
-
-def _grid(cfg: ExperimentConfig, flag_value, flag: str, section: str, key: str,
-          default=None):
-    """Grid from a flag when given, else from the config."""
-    if not flag_value:
-        return cfg.get_grid(section, key, default)
+def _finite(raw: str) -> float:
     try:
-        return parse_grid(flag_value)
-    except ValidationError as exc:
-        raise ValidationError(f"{flag}: {exc}") from None
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
 
 
-def _window(raw: str, name: str) -> tuple[float, float]:
+def _window(raw: str) -> tuple[float, float]:
     """Fit window ``lo,hi`` with 0 <= lo < hi < inf."""
     try:
         lo, hi = (float(p) for p in raw.split(","))
     except ValueError:
         lo = hi = math.nan
     if not 0 <= lo < hi < math.inf:
-        raise ValidationError(f"{name} must be lo,hi with 0 <= lo < hi, got {raw!r}")
+        raise ValueError(f"must be lo,hi with 0 <= lo < hi, got {raw!r}")
     return lo, hi
 
 
@@ -116,12 +106,10 @@ def _spectrum_rows(cfg: ExperimentConfig, L: float):
     eigsys = full_spectrum(chain, m_max=solver["m_max"],
                            k_per_mode=solver["k_per_mode"])
     rows = []
-    k_index = 0
     for e in eigsys.entries:
         for _ in range(e.multiplicity):
-            rows.append((L, chain.s, k_index, e.mode, e.lam, e.lam * L,
+            rows.append((L, chain.s, len(rows), e.mode, e.lam, e.lam * L,
                          eigsys.gap_value, e.certified))
-            k_index += 1
     return rows
 
 
@@ -129,64 +117,36 @@ SPECTRUM_COLUMNS = ["L", "s", "k", "m", "lambda", "lambda_times_L", "gap",
                     "certified"]
 
 
-def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    L = _fiber_L(cfg, args)
-    text = render_csv(SPECTRUM_COLUMNS, _spectrum_rows(cfg, L),
-                      config_hash=cfg.hash(), precision=_precision(cfg))
-    path = _out_path(cfg, args, "spectrum.csv")
-    write_text(path, text)
-    print(f"wrote {path}")
-    return 0
+def cmd_spectrum(cfg: ExperimentConfig, args) -> Run:
+    rows = _spectrum_rows(cfg, args.L)
+    return Run([Table("spectrum.csv", SPECTRUM_COLUMNS, rows)])
 
 
-def cmd_sweep_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    grid = _grid(cfg, args.L_grid, "--L-grid", "sweep", "L_grid")
-    rows = []
-    for L in np.sort(grid):
-        rows.extend(_spectrum_rows(cfg, float(L)))
-    text = render_csv(SPECTRUM_COLUMNS, rows, config_hash=cfg.hash(),
-                      precision=_precision(cfg))
-    path = _out_path(cfg, args, "sweep_spectrum.csv")
-    write_text(path, text)
-    print(f"wrote {path}")
-    return 0
+def cmd_sweep_spectrum(cfg: ExperimentConfig, args) -> Run:
+    rows = [row for L in np.sort(args.L_grid) for row in _spectrum_rows(cfg, float(L))]
+    return Run([Table("sweep_spectrum.csv", SPECTRUM_COLUMNS, rows)])
 
 
-def cmd_modelfns(args) -> int:
-    cfg = load_config(args.config)
-    solver = _solver(cfg)
-    L = _fiber_L(cfg, args)
-    chain = build_chain(cfg.family(), L, resolution=solver["resolution"])
+def cmd_modelfns(cfg: ExperimentConfig, args) -> Run:
+    chain = build_chain(cfg.family(), args.L, resolution=_solver(cfg)["resolution"])
     mfs = model_functions(chain)
-    rows = [
-        (i, mfs.energies[i], mfs.energies[i] * L, mfs.norms[i],
-         mfs.supports[i][0], mfs.supports[i][1])
-        for i in range(len(mfs.norms))
-    ]
-    text = render_csv(
+    rows = [(i, energy, energy * args.L, norm, start, end) for i, (energy, norm, (start, end))
+            in enumerate(zip(mfs.energies, mfs.norms, mfs.supports))]
+    return Run([Table(
+        "modelfns.csv",
         ["component", "energy", "energy_times_L", "norm_sq",
          "support_start", "support_end"],
-        rows, config_hash=cfg.hash(),
-        comments=[f"overlap_sup={mfs.overlap_sup!r}"],
-        precision=_precision(cfg),
-    )
-    path = _out_path(cfg, args, "modelfns.csv")
-    write_text(path, text)
-    print(f"wrote {path}")
-    return 0
+        rows, {"overlap_sup": mfs.overlap_sup},
+    )])
 
 
-def cmd_green(args) -> int:
-    cfg = load_config(args.config)
+def cmd_green(cfg: ExperimentConfig, args) -> Run:
     solver = _solver(cfg)
-    grid = _grid(cfg, args.L_grid, "--L-grid", "sweep", "L_grid", "20:200:4")
     cutoff = (cfg.get_float("solver", "green_cutoff")
               if cfg.has("solver", "green_cutoff") else None)
     tail = cfg.get_int("solver", "tail_count", "24")
     rows = []
-    for L in np.sort(grid):
+    for L in np.sort(args.L_grid):
         chain = build_chain(cfg.family(), float(L), resolution=solver["resolution"])
         eigsys = full_spectrum(chain, m_max=solver["m_max"],
                                k_per_mode=solver["k_per_mode"])
@@ -194,74 +154,44 @@ def cmd_green(args) -> int:
                                   lambda_cutoff=cutoff)
         rows.append((float(L), chain.s, rep.min_value, rep.diag_min,
                      rep.cutoff, rep.tail_bound))
-    text = render_csv(
-        ["L", "s", "green_min", "diag_min", "cutoff", "tail_bound"],
-        rows, config_hash=cfg.hash(), precision=_precision(cfg),
-    )
-    path = _out_path(cfg, args, "green.csv")
-    write_text(path, text)
-    print(f"wrote {path}")
-    return 0
+    return Run([Table(
+        "green.csv", ["L", "s", "green_min", "diag_min", "cutoff", "tail_bound"], rows,
+    )])
 
 
-def cmd_potential(args) -> int:
-    cfg = load_config(args.config)
+def cmd_potential(cfg: ExperimentConfig, args) -> Run:
     solver = _solver(cfg)
-    L = _fiber_L(cfg, args)
     family = cfg.family()
-    chain = build_chain(family, L, resolution=solver["resolution"])
+    chain = build_chain(family, args.L, resolution=solver["resolution"])
     builder = cfg.density_builder("alpha")
     dens = builder(chain)
     eigsys = full_spectrum(chain, m_max=2, k_per_mode=solver["k_per_mode"])
     pot = solve_direct(chain, dens)
     low, high = split_low_high(pot, eigsys)
-    rows = [(x, pot.phi[i], low[i], high[i])
-            for i, x in enumerate(chain.nodes)]
-    text = render_csv(["x", "phi", "phi_low", "phi_high"], rows,
-                      config_hash=cfg.hash(), precision=_precision(cfg))
-    path = _out_path(cfg, args, "potential.csv")
-    write_text(path, text)
+    rows = list(zip(chain.nodes, pot.phi, low, high))
 
     grid = cfg.get_grid("sweep", "estimate_L_grid", "20:200:4")
     table = estimate_report(family, grid, builder,
                             resolution=solver["resolution"])
-    est_rows = [
-        (r.L, r.sup_high, r.sup_low, r.sup_low_over_L, r.sup_low_over_sqrtL,
-         r.sup_a, r.l1_a_fat, r.l1_a_full)
-        for r in table.rows
-    ]
-    est_text = render_csv(
-        ["L", "sup_high", "sup_low", "sup_low_over_L", "sup_low_over_sqrtL",
-         "sup_a", "l1_a_fat", "l1_a_full"],
-        est_rows, config_hash=cfg.hash(),
-        comments=[
-            f"high_bounded={table.high_bounded}",
-            f"low_over_sqrtL_decreasing={table.low_over_sqrtL_decreasing}",
-        ],
-        precision=_precision(cfg),
-    )
-    est_path = _out_path(cfg, args, "potential_estimates.csv")
-    write_text(est_path, est_text)
-    print(f"wrote {path}")
-    print(f"wrote {est_path}")
-    return 0
+    return Run([
+        Table("potential.csv", ["x", "phi", "phi_low", "phi_high"], rows),
+        Table("potential_estimates.csv", [f.name for f in fields(EstimateRow)],
+              [astuple(r) for r in table.rows],
+              {"high_bounded": table.high_bounded,
+               "low_over_sqrtL_decreasing": table.low_over_sqrtL_decreasing}),
+    ])
 
 
-def cmd_pairing(args) -> int:
-    cfg = load_config(args.config)
+def cmd_pairing(cfg: ExperimentConfig, args) -> Run:
     solver = _solver(cfg)
     family = cfg.family()
-    grid = _grid(cfg, args.L_grid, "--L-grid", "sweep", "L_grid", "50:200:12")
-    if args.fit_window:
-        lo, hi = _window(args.fit_window, "--fit-window")
-    else:
-        lo, hi = _window(cfg.get("sweep", "fit_window", "50,200"), "[sweep] fit_window")
+    lo, hi = args.fit_window
     a_builder = cfg.density_builder("alpha")
     b_builder = cfg.density_builder("beta")
-    curve = pairing_sweep(family, a_builder, b_builder, grid,
+    curve = pairing_sweep(family, a_builder, b_builder, args.L_grid,
                           resolution=solver["resolution"])
     fit = fit_log_asymptote(curve, (lo, hi))
-    ref_chain = build_chain(family, float(np.max(grid)),
+    ref_chain = build_chain(family, float(np.max(args.L_grid)),
                             resolution=solver["resolution"])
     predicted = predicted_constant(
         dualgraph.cycle_graph(family.area_vector()),
@@ -272,31 +202,20 @@ def cmd_pairing(args) -> int:
     for L, s, v in zip(curve.L, curve.s, curve.values):
         fitted = fit.intercept + fit.c_fit * (-2.0 * L)
         rows.append((L, s, v, fitted, v - fitted))
-    text = render_csv(
-        ["L", "s", "value", "fitted", "residual"], rows,
-        config_hash=cfg.hash(),
-        comments=[
-            f"c_fit={fit.c_fit!r}",
-            f"c_predicted={predicted!r}",
-            f"relative_error={rel_err!r}",
-            f"intercept={fit.intercept!r}",
-            f"fit_window={lo},{hi}",
-        ],
-        precision=_precision(cfg),
+    comments = {"c_fit": fit.c_fit, "c_predicted": predicted, "relative_error": rel_err,
+                "intercept": fit.intercept, "fit_window": f"{lo},{hi}"}
+    return Run(
+        [Table("pairing.csv", ["L", "s", "value", "fitted", "residual"], rows, comments)],
+        [f"c_fit={fit.c_fit:.12g}",
+         f"c_predicted={predicted:.12g}",
+         f"relative_error={rel_err:.3e}"],
     )
-    path = _out_path(cfg, args, "pairing.csv")
-    write_text(path, text)
-    print(f"wrote {path}")
-    print(f"c_fit={fit.c_fit:.12g}")
-    print(f"c_predicted={predicted:.12g}")
-    print(f"relative_error={rel_err:.3e}")
-    return 0
 
 
-def _fibration(cfg: ExperimentConfig) -> TorusFibration:
-    return TorusFibration(
+def _fibration(cfg: ExperimentConfig) -> dynamics.TorusFibration:
+    return dynamics.TorusFibration(
         t_coeffs=cfg.get_complexes("dynamics", "t_poly", "0,1"),
-        s_samples=annulus_samples(
+        s_samples=dynamics.annulus_samples(
             cfg.get_float("dynamics", "base_r_min", "0.5"),
             cfg.get_float("dynamics", "base_r_max", "1.5"),
             cfg.get_int("dynamics", "base_n_r", "2"),
@@ -324,176 +243,184 @@ _FIBER_PRESETS = {
 }
 
 
-def _preset(table, name, what):
+def _preset(cfg: ExperimentConfig, table, key: str, default: str):
+    """The ``table`` entry named by ``[dynamics] key``."""
+    name = cfg.get("dynamics", key, default)
     try:
         return table[name]
     except KeyError:
         raise ValidationError(
-            f"unknown {what} preset {name!r}; choose from {sorted(table)}"
+            f"[dynamics] {key}: unknown preset {name!r}; choose from {sorted(table)}"
         ) from None
 
 
-def cmd_dynamics(args) -> int:
-    cfg = load_config(args.config)
+def _fiber_field(cfg: ExperimentConfig, prefix: str, preset: str, amplitude: str):
+    """Fiber function from ``[dynamics] <prefix>_preset`` and ``<prefix>_amplitude``."""
+    make = _preset(cfg, _FIBER_PRESETS, f"{prefix}_preset", preset)
+    return make(cfg.get_float("dynamics", f"{prefix}_amplitude", amplitude))
+
+
+def dynamics_birkhoff(cfg: ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
-    precision = _precision(cfg)
-    sub = args.experiment
-    if sub == "birkhoff":
-        u = _preset(_U_PRESETS, cfg.get("dynamics", "u_preset", "re_s"), "u")
-        phi = _preset(_FIBER_PRESETS, cfg.get("dynamics", "phi_preset", "sinxcosy"),
-                      "phi")(cfg.get_float("dynamics", "phi_amplitude", "0.3"))
-        f, sup_phi = synthesize_invariant_observable(fib, u, phi)
-        run = birkhoff_limit(fib, f, cfg.get_int("dynamics", "k_max", "10000"),
-                             u_ref=u, phi_sup=sup_phi)
-        rows = [
-            (k, float(np.max(run.sup_deviation[i])), 2.0 * sup_phi / k,
-             float(np.max(run.constancy_defect[i])))
-            for i, k in enumerate(run.ks)
-        ]
-        text = render_csv(["k", "sup_deviation", "bound", "constancy_defect"],
-                          rows, config_hash=cfg.hash(),
-                          comments=[f"tate_bound_ok={run.tate_bound_ok}"],
-                          precision=precision)
-        path = _out_path(cfg, args, "birkhoff.csv")
-    elif sub == "growth":
-        rho = _preset(_FIBER_PRESETS,
-                      cfg.get("dynamics", "growth_rho_preset", "sinxsiny"),
-                      "rho")(cfg.get_float("dynamics", "growth_rho_amplitude", "1.0"))
-        s0 = cfg.get_complexes("dynamics", "s0", "1")[0]
-        rep = pushforward_growth(
-            fib, rho, cfg.get_ints("dynamics", "n_list", "64,128,256,512,1024"),
-            s0)
-        rows = [(n, rep.sup_values[i], rep.error_floors[i])
-                for i, n in enumerate(rep.n_list)]
-        text = render_csv(["n", "sup_value", "error_floor"], rows,
-                          config_hash=cfg.hash(),
-                          comments=[
-                              f"exponent={rep.exponent!r}",
-                              f"coefficient={rep.coefficient!r}",
-                              f"expected_coefficient={rep.expected_coefficient!r}",
-                              f"stable={rep.stable}",
-                          ],
-                          precision=precision)
-        path = _out_path(cfg, args, "growth.csv")
-        print(f"exponent={rep.exponent:.4f} coefficient={rep.coefficient:.6g} "
-              f"expected={rep.expected_coefficient:.6g}")
-    elif sub == "flat-identity":
-        rho = _preset(_FIBER_PRESETS, cfg.get("dynamics", "rho_preset", "cosx"),
-                      "rho")(cfg.get_float("dynamics", "rho_amplitude", "0.1"))
-        defect = flat_potential_identity(fib, rho)
-        text = render_csv(["metric", "value"],
-                          [("max_relative_defect", defect)],
-                          config_hash=cfg.hash(), precision=precision)
-        path = _out_path(cfg, args, "flat_identity.csv")
-        print(f"max_relative_defect={defect:.3e}")
-    elif sub == "limit-potential":
-        alpha = _preset(_FIBER_PRESETS, cfg.get("dynamics", "alpha_preset", "cosx"),
-                        "alpha")(cfg.get_float("dynamics", "alpha_amplitude", "1.0"))
-        rho = _preset(_FIBER_PRESETS, cfg.get("dynamics", "rho_preset", "cosxy"),
-                      "rho")(cfg.get_float("dynamics", "rho_amplitude", "0.04"))
-        mean = _preset(_U_PRESETS, cfg.get("dynamics", "f_mean_preset", "re_s"),
-                       "f_mean")
-        rep = limit_potential_relation(fib, alpha, rho, f_fiber_mean=mean)
-        rows = [(s.real, s.imag, rep.u_samples[i])
-                for i, s in enumerate(fib.s_samples)]
-        text = render_csv(["s_re", "s_im", "u"], rows, config_hash=cfg.hash(),
-                          comments=[
-                              f"max_discrepancy={rep.max_discrepancy!r}",
-                              f"constancy_defect={rep.constancy_defect!r}",
-                              f"max_adjacent_jump={rep.max_adjacent_jump!r}",
-                          ],
-                          precision=precision)
-        path = _out_path(cfg, args, "limit_potential.csv")
-        print(f"max_discrepancy={rep.max_discrepancy:.3e}")
-    else:
-        raise ValidationError(f"unknown dynamics experiment {sub!r}")
-    write_text(path, text)
-    print(f"wrote {path}")
-    return 0
+    u = _preset(cfg, _U_PRESETS, "u_preset", "re_s")
+    phi = _fiber_field(cfg, "phi", "sinxcosy", "0.3")
+    f, sup_phi = dynamics.synthesize_invariant_observable(fib, u, phi)
+    limit = dynamics.birkhoff_limit(fib, f, cfg.get_int("dynamics", "k_max", "10000"),
+                                    u_ref=u, phi_sup=sup_phi)
+    rows = [
+        (k, float(np.max(limit.sup_deviation[i])), 2.0 * sup_phi / k,
+         float(np.max(limit.constancy_defect[i])))
+        for i, k in enumerate(limit.ks)
+    ]
+    return Run([Table("birkhoff.csv", ["k", "sup_deviation", "bound", "constancy_defect"],
+                      rows, {"tate_bound_ok": limit.tate_bound_ok})])
 
 
-def parse_eta(raw: str) -> nodeintegral.EtaSpec:
-    """Inline density spec: ``kl:coeff:a1,b1,a2,b2`` terms joined by ';'.
-
-    Example: ``22:1:0,0,0,0`` is the constant density in the second slot;
-    off-diagonal slots must come in conjugate pairs.
-    """
-    coeffs: dict[tuple[int, int], list] = {}
-    for term in raw.split(";"):
-        term = term.strip()
-        if not term:
-            continue
-        parts = term.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"eta term must be kl:coeff:powers, got {term!r}")
-        slot = parts[0].strip()
-        if len(slot) != 2 or slot[0] not in "12" or slot[1] not in "12":
-            raise ValidationError(f"bad eta slot {slot!r}")
-        powers = [int(p) for p in parts[2].split(",")]
-        if len(powers) != 4 or any(p < 0 for p in powers):
-            raise ValidationError(f"bad power list in {term!r}")
-        coeff = complex(parts[1].replace(" ", ""))
-        key = (int(slot[0]), int(slot[1]))
-        coeffs.setdefault(key, []).append((*powers, coeff))
-    return nodeintegral.EtaSpec({k: tuple(v) for k, v in coeffs.items()})
+def dynamics_growth(cfg: ExperimentConfig, args) -> Run:
+    fib = _fibration(cfg)
+    rho = _fiber_field(cfg, "growth_rho", "sinxsiny", "1.0")
+    s0 = cfg.get_complexes("dynamics", "s0", "1")[0]
+    rep = dynamics.pushforward_growth(
+        fib, rho, cfg.get_ints("dynamics", "n_list", "64,128,256,512,1024"), s0)
+    rows = list(zip(rep.n_list, rep.sup_values, rep.error_floors))
+    comments = {"exponent": rep.exponent, "coefficient": rep.coefficient,
+                "expected_coefficient": rep.expected_coefficient, "stable": rep.stable}
+    return Run(
+        [Table("growth.csv", ["n", "sup_value", "error_floor"], rows, comments)],
+        [f"exponent={rep.exponent:.4f} coefficient={rep.coefficient:.6g} "
+         f"expected={rep.expected_coefficient:.6g}"],
+    )
 
 
-def cmd_node_integral(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig({})
-    raw_eta = args.eta or cfg.get("node", "eta", "22:1:0,0,0,0")
-    eta = parse_eta(raw_eta)
-    grid = _grid(cfg, args.t_grid, "--t-grid", "node", "t_grid", "1e-6:1e-2:9")
+def dynamics_flat_identity(cfg: ExperimentConfig, args) -> Run:
+    fib = _fibration(cfg)
+    defect = dynamics.flat_potential_identity(fib, _fiber_field(cfg, "rho", "cosx", "0.1"))
+    return Run(
+        [Table("flat_identity.csv", ["metric", "value"], [("max_relative_defect", defect)])],
+        [f"max_relative_defect={defect:.3e}"],
+    )
+
+
+def dynamics_limit_potential(cfg: ExperimentConfig, args) -> Run:
+    fib = _fibration(cfg)
+    alpha = _fiber_field(cfg, "alpha", "cosx", "1.0")
+    rho = _fiber_field(cfg, "rho", "cosxy", "0.04")
+    mean = _preset(cfg, _U_PRESETS, "f_mean_preset", "re_s")
+    rep = dynamics.limit_potential_relation(fib, alpha, rho, f_fiber_mean=mean)
+    rows = [(s.real, s.imag, u) for s, u in zip(fib.s_samples, rep.u_samples)]
+    comments = {"max_discrepancy": rep.max_discrepancy,
+                "constancy_defect": rep.constancy_defect,
+                "max_adjacent_jump": rep.max_adjacent_jump}
+    return Run([Table("limit_potential.csv", ["s_re", "s_im", "u"], rows, comments)],
+               [f"max_discrepancy={rep.max_discrepancy:.3e}"])
+
+
+def cmd_node_integral(cfg: ExperimentConfig, args) -> Run:
     per_decade = cfg.get_int("node", "radial_per_decade", "32")
     angular = cfg.get_int("node", "angular", "64")
-    curve = nodeintegral.sample_curve(eta, grid, per_decade, angular)
-    fit = nodeintegral.asymptote_fit(curve, eta)
+    curve = nodeintegral.sample_curve(args.eta, args.t_grid, per_decade, angular)
+    fit = nodeintegral.asymptote_fit(curve, args.eta)
     rows = []
     for i, t in enumerate(curve.t):
         at = abs(t)
         fitted = fit.A_fit * math.log(at**2) + fit.B_fit
         rows.append((at, curve.values[i], fitted, curve.values[i] - fitted,
                      fit.remainder_ratios[i]))
-    text = render_csv(
-        ["t", "integral", "fitted", "remainder", "ratio"], rows,
-        config_hash=cfg.hash(),
-        comments=[
-            f"A_fit={fit.A_fit!r}",
-            f"A_ref={fit.A_ref!r}",
-            f"remainder_bounded={fit.remainder_bounded}",
-        ],
-        precision=_precision(cfg),
+    comments = {"A_fit": fit.A_fit, "A_ref": fit.A_ref,
+                "remainder_bounded": fit.remainder_bounded}
+    return Run(
+        [Table("node_integral.csv", ["t", "integral", "fitted", "remainder", "ratio"],
+               rows, comments)],
+        [f"A_fit={fit.A_fit:.12g} A_ref={fit.A_ref:.12g}"],
     )
-    path = _out_path(cfg, args, "node_integral.csv")
-    write_text(path, text)
-    print(f"wrote {path}")
-    print(f"A_fit={fit.A_fit:.12g} A_ref={fit.A_ref:.12g}")
-    return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    seed = cfg.require_seed()
-    results = acceptance.run_all(seed)
-    rows = [(r.cid, r.name, r.measured, r.threshold, r.passed, r.seconds)
+def cmd_verify(cfg: ExperimentConfig, args) -> Run:
+    results = acceptance.run_all(cfg.require_seed())
+    rows = [(r.cid, r.name, r.measured.replace(",", ";"),
+             r.threshold.replace(",", ";"), r.passed, r.seconds)
             for r in results]
-    text = render_csv(
-        ["criterion", "name", "measured", "threshold", "passed", "seconds"],
-        [(cid, name,
-          measured.replace(",", ";"), threshold.replace(",", ";"),
-          passed, secs)
-         for cid, name, measured, threshold, passed, secs in rows],
-        config_hash=cfg.hash(), precision=_precision(cfg),
+    summary = [f"[{'PASS' if r.passed else 'FAIL'}] {r.cid:2d} {r.name}: {r.measured}"
+               for r in results]
+    all_ok = all(r.passed for r in results)
+    summary.append("verification " + ("PASSED" if all_ok else "FAILED"))
+    return Run(
+        [Table("verify.csv",
+               ["criterion", "name", "measured", "threshold", "passed", "seconds"], rows)],
+        summary, 0 if all_ok else 1,
     )
-    path = _out_path(cfg, args, "verify.csv")
-    write_text(path, text)
-    all_ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.cid:2d} {r.name}: {r.measured}")
-        all_ok = all_ok and r.passed
-    print(f"wrote {path}")
-    print("verification " + ("PASSED" if all_ok else "FAILED"))
-    return 0 if all_ok else 1
+
+
+# -- command table ------------------------------------------------------------
+
+# Each flag overrides one config key: flag -> (section, key, parser).
+_FLAGS = {
+    "--L": ("sweep", "L", _finite),
+    "--L-grid": ("sweep", "L_grid", parse_grid),
+    "--fit-window": ("sweep", "fit_window", _window),
+    "--eta": ("node", "eta", parse_eta),
+    "--t-grid": ("node", "t_grid", parse_grid),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[ExperimentConfig, argparse.Namespace], Run]
+    # flag -> default of the key it overrides (None: the key is required)
+    flags: dict = field(default_factory=dict)
+    config_required: bool = True
+    help: str | None = None
+
+
+# "dynamics <experiment>" entries share one subparser with a positional
+# experiment argument.
+COMMANDS = {
+    "spectrum": Command(cmd_spectrum, {"--L": "100.0"}),
+    "sweep-spectrum": Command(cmd_sweep_spectrum, {"--L-grid": None}),
+    "modelfns": Command(cmd_modelfns, {"--L": "100.0"}),
+    "green": Command(cmd_green, {"--L-grid": "20:200:4"}),
+    "potential": Command(cmd_potential, {"--L": "100.0"}),
+    "pairing": Command(cmd_pairing, {"--L-grid": "50:200:12", "--fit-window": "50,200"}),
+    "dynamics birkhoff": Command(dynamics_birkhoff),
+    "dynamics growth": Command(dynamics_growth),
+    "dynamics flat-identity": Command(dynamics_flat_identity),
+    "dynamics limit-potential": Command(dynamics_limit_potential),
+    "node-integral": Command(cmd_node_integral,
+                             {"--eta": "22:1:0,0,0,0", "--t-grid": "1e-6:1e-2:9"},
+                             config_required=False),
+    "verify": Command(cmd_verify, help="run the full acceptance suite"),
+}
+
+
+def run_command(command: Command, args) -> int:
+    """Load the config, resolve the flags, run the command, write its tables and
+    print its summary."""
+    cfg = load_config(args.config) if args.config else ExperimentConfig({})
+    precision = cfg.get_int("output", "precision", "17")
+    if precision < 1:
+        raise ValidationError(f"[output] precision must be at least 1, got {precision}")
+    for flag, default in command.flags.items():
+        section, key, parse = _FLAGS[flag]
+        dest = flag[2:].replace("-", "_")  # argparse's attribute for the flag
+        raw, source = getattr(args, dest), flag
+        if not raw:  # absent or empty
+            raw, source = cfg.get(section, key, default), f"[{section}] {key}"
+        try:
+            setattr(args, dest, parse(raw))
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"{source}: {exc}") from None
+    run = command.run(cfg, args)
+    directory = args.out or cfg.get("output", "directory", "out")
+    for table in run.tables:
+        path = os.path.join(directory, table.filename)
+        # str() of a Python float is its shortest round-trip repr
+        comments = [f"{key}={value}" for key, value in table.comments.items()]
+        write_text(path, render_csv(table.columns, table.rows, config_hash=cfg.hash(),
+                                    comments=comments, precision=precision))
+        print(f"wrote {path}")
+    for line in run.summary:
+        print(line)
+    return run.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,62 +432,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kodaira", help="print catalog intersection data")
     p.add_argument("--type", required=True, help="fiber tag, e.g. I_4 or I_0*")
-    p.set_defaults(func=cmd_kodaira)
 
-    for name, func, with_L in [
-        ("spectrum", cmd_spectrum, True),
-        ("modelfns", cmd_modelfns, True),
-        ("potential", cmd_potential, True),
-    ]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        if with_L:
-            p.add_argument("--L", type=float, default=None)
-        p.set_defaults(func=func)
-
-    for name, func in [("sweep-spectrum", cmd_sweep_spectrum),
-                       ("green", cmd_green)]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--L-grid", dest="L_grid", default=None)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("pairing")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--L-grid", dest="L_grid", default=None)
-    p.add_argument("--fit-window", dest="fit_window", default=None)
-    p.set_defaults(func=cmd_pairing)
-
-    p = sub.add_parser("dynamics")
-    p.add_argument("experiment",
-                   choices=["birkhoff", "growth", "flat-identity",
-                            "limit-potential"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dynamics)
-
-    p = sub.add_parser("node-integral")
-    p.add_argument("--config", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--t-grid", dest="t_grid", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_node_integral)
-
-    p = sub.add_parser("verify", help="run the full acceptance suite")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    for name, command in COMMANDS.items():
+        head = name.partition(" ")[0]
+        if head in sub.choices:
+            continue
+        p = sub.add_parser(head, help=command.help)
+        experiments = [n.partition(" ")[2] for n in COMMANDS if n.startswith(head + " ")]
+        if experiments:
+            p.add_argument("experiment", choices=experiments)
+        p.add_argument("--config", required=command.config_required)
+        p.add_argument("--out")
+        for flag in command.flags:
+            p.add_argument(flag)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "kodaira":
+            return cmd_kodaira(args)
+        name = f"{args.command} {args.experiment}" if "experiment" in args else args.command
+        return run_command(COMMANDS[name], args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

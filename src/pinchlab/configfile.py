@@ -42,7 +42,7 @@ _SCHEMA: dict[str, set[str] | str] = {
         "resolution", "m_max", "k_per_mode", "seed", "tail_count",
         "green_cutoff",
     },
-    "sweep": {"L", "L_grid", "estimate_L_grid", "fit_window", "t_grid"},
+    "sweep": {"L", "L_grid", "estimate_L_grid", "fit_window"},
     "dynamics": {
         "t_poly", "s0", "fiber_n", "k_max", "n_list", "u_preset",
         "phi_preset", "phi_amplitude", "rho_preset", "rho_amplitude",
@@ -50,7 +50,7 @@ _SCHEMA: dict[str, set[str] | str] = {
         "alpha_amplitude", "f_mean_preset", "base_r_min", "base_r_max",
         "base_n_r", "base_n_arg",
     },
-    "node": {"eta", "t_grid", "radial_per_decade", "angular", "split_factor"},
+    "node": {"eta", "t_grid", "radial_per_decade", "angular"},
     "output": {"directory", "precision"},
 }
 

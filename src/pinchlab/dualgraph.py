@@ -99,6 +99,21 @@ def _is_connected(n: int, edges) -> bool:
     return all(seen)
 
 
+def edge_counts(n: int, edges) -> np.ndarray:
+    """Symmetric count of the edges between distinct vertices.
+
+    Self-loops carry no coupling and count nothing.  With D the diagonal of
+    row sums, D - counts is the graph Laplacian L_G; for a reduced graph it
+    equals minus the intersection matrix.
+    """
+    counts = np.zeros((n, n))
+    for i, j in edges:
+        if i != j:
+            counts[i, j] += 1
+            counts[j, i] += 1
+    return counts
+
+
 def build_intersection_matrix(g: DualGraph) -> np.ndarray:
     """Intersection matrix of the components of a degenerate fiber.
 
@@ -108,17 +123,11 @@ def build_intersection_matrix(g: DualGraph) -> np.ndarray:
     cancelled by the +2 self-intersection of the nodal component (the fiber
     class squares to zero, cf. the single-vertex loop graph with M = [0]).
     """
-    n = g.n
     m = g.multiplicities
-    M = np.zeros((n, n))
-    counts = np.zeros((n, n), dtype=int)
-    for i, j in g.edges:
-        if i != j:
-            counts[i, j] += 1
-            counts[j, i] += 1
-    M += counts
-    for i in range(n):
-        M[i, i] = -float(np.dot(counts[i], m)) / m[i]
+    M = edge_counts(g.n, g.edges)
+    # written into M, not subtracted as a diagonal matrix: an isolated vertex
+    # keeps the -0.0 that the catalog printout shows for I_1 and II
+    np.fill_diagonal(M, -(M @ m) / m)
     return M
 
 
@@ -244,14 +253,7 @@ def kodaira_catalog(fiber_type: str) -> DualGraph:
         n = int(tag[1:])
         if n < 1:
             raise ValidationError(f"unknown fiber type {fiber_type!r}")
-        comps = tuple(Component(f"C{k+1}", 1.0 / n) for k in range(n))
-        if n == 1:
-            edges = ((0, 0),)
-        elif n == 2:
-            edges = ((0, 1), (0, 1))
-        else:
-            edges = tuple((k, (k + 1) % n) for k in range(n))
-        return DualGraph(comps, edges)
+        return cycle_graph(np.full(n, 1.0 / n))
     raise ValidationError(f"unknown fiber type {fiber_type!r}")
 
 

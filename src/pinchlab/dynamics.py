@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI = 2.0 * TWO_PI
+from .geometry import FOUR_PI, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -128,23 +126,23 @@ def birkhoff_hat(fhat: np.ndarray, p: float, q: float, k_iters: int) -> np.ndarr
     return fhat * kernel
 
 
-def dzdzbar_hat(fhat: np.ndarray, tau: complex) -> np.ndarray:
-    """Spectral d/dz d/dzbar (one quarter of the flat fiber Laplacian)."""
-    n = fhat.shape[0]
+def _dzdzbar_symbol(n: int, tau: complex) -> np.ndarray:
+    """Fourier multiplier of d/dz d/dzbar on the n x n fiber grid."""
     k = _freqs(n)
-    mult = -(math.pi**2) * (
+    return -(math.pi**2) * (
         np.abs(k[None, :] - tau * k[:, None]) ** 2
     ) / (tau.imag**2)
-    return fhat * mult
+
+
+def dzdzbar_hat(fhat: np.ndarray, tau: complex) -> np.ndarray:
+    """Spectral d/dz d/dzbar (one quarter of the flat fiber Laplacian)."""
+    return fhat * _dzdzbar_symbol(fhat.shape[0], tau)
 
 
 def fiber_poisson(rhs_values: np.ndarray, tau: complex) -> np.ndarray:
     """Mean-zero solution of laplace(phi) = -4*pi*rhs on the fiber."""
     rhs_hat = np.fft.fft2(rhs_values)
-    n = rhs_hat.shape[0]
-    k = _freqs(n)
-    lap = 4.0 * (-(math.pi**2) * np.abs(k[None, :] - tau * k[:, None]) ** 2
-                 / (tau.imag**2))
+    lap = 4.0 * _dzdzbar_symbol(rhs_hat.shape[0], tau)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_hat = -FOUR_PI * rhs_hat / lap
     phi_hat[0, 0] = 0.0

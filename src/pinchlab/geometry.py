@@ -24,10 +24,12 @@ import numpy as np
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI = 2.0 * TWO_PI
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for the piecewise-constant
 # data used here and far beyond tolerance for the low trigonometric terms.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+# The node integrals use the same rule on their radial panels.
+GL_X, GL_W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,8 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
         resolution=resolution,
     )
     h = chain.cell_lengths
-    qx = nodes_arr[:, None] + (0.5 * (_GL_X + 1.0))[None, :] * h[:, None]
-    qw = (0.5 * _GL_W)[None, :] * h[:, None]
+    qx = nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None]
+    qw = (0.5 * GL_W)[None, :] * h[:, None]
     qc = chain.circumference(qx.ravel()).reshape(qx.shape)
     return replace(chain, quad_x=qx, quad_w=qw, quad_c=qc)
 

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .geometry import GL_W, GL_X
 
 # monomial: (a1, b1, a2, b2, coefficient) for z1^a1 conj(z1)^b1 z2^a2 conj(z2)^b2
 Monomial = tuple[int, int, int, int, complex]
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,36 @@ class EtaSpec:
         return out
 
 
+def parse_eta(raw: str) -> EtaSpec:
+    """Inline density spec: ``kl:coeff:a1,b1,a2,b2`` terms joined by ';'.
+
+    Example: ``22:1:0,0,0,0`` is the constant density in the second slot;
+    off-diagonal slots must come in conjugate pairs.
+    """
+    coeffs: dict[tuple[int, int], list] = {}
+    for term in raw.split(";"):
+        term = term.strip()
+        if not term:
+            continue
+        parts = term.split(":")
+        if len(parts) != 3:
+            raise ValidationError(f"eta term must be kl:coeff:powers, got {term!r}")
+        slot = parts[0].strip()
+        if len(slot) != 2 or slot[0] not in "12" or slot[1] not in "12":
+            raise ValidationError(f"bad eta slot {slot!r}")
+        try:
+            powers = [int(p) for p in parts[2].split(",")]
+            coeff = complex(parts[1].replace(" ", ""))
+        except ValueError:
+            raise ValidationError(f"eta term {term!r} needs a numeric coefficient "
+                                  "and integer powers") from None
+        if len(powers) != 4 or any(p < 0 for p in powers):
+            raise ValidationError(f"bad power list in {term!r}")
+        key = (int(slot[0]), int(slot[1]))
+        coeffs.setdefault(key, []).append((*powers, coeff))
+    return EtaSpec({k: tuple(v) for k, v in coeffs.items()})
+
+
 def _conjugate(monos) -> tuple[Monomial, ...]:
     return tuple((b1, a1, b2, a2, complex(c).conjugate())
                  for a1, b1, a2, b2, c in monos)
@@ -84,8 +113,8 @@ def _log_radial_nodes(r_in: float, r_out: float, per_decade: int):
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    r = (mid + half * _GL_X[None, :]).ravel()
-    w = (half * _GL_W[None, :]).ravel()
+    r = (mid + half * GL_X[None, :]).ravel()
+    w = (half * GL_W[None, :]).ravel()
     return r, w
 
 
@@ -187,8 +216,8 @@ def divisor_integral(eta: EtaSpec, n_r: int = 96, n_theta: int = 128) -> float:
     edges = np.linspace(0.0, 1.0, n_r + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    r = (mid + half * _GL_X[None, :]).ravel()
-    w = (half * _GL_W[None, :]).ravel()
+    r = (mid + half * GL_X[None, :]).ravel()
+    w = (half * GL_W[None, :]).ravel()
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     z2 = r[:, None] * np.exp(1j * theta[None, :])
     vals = eta.evaluate(2, 2, np.zeros_like(z2), z2).real * r[:, None]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .dualgraph import DualGraph, build_intersection_matrix, pairing_constant, pseudoinverse
 from .errors import ValidationError
-from .geometry import DensityField, FamilyConfig, WarpedChain, build_chain
-from .potential import FOUR_PI, PoissonSystem, _load_vector, solve_direct
+from .geometry import FOUR_PI, DensityField, FamilyConfig, WarpedChain, build_chain
+from .potential import PoissonSystem, _load_vector, solve_direct
 from .spectral import chain_operators
 
 

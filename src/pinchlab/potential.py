@@ -22,11 +22,10 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .dualgraph import edge_counts
 from .errors import ValidationError
-from .geometry import TWO_PI, DensityField, WarpedChain, build_chain
-from .spectral import EigenSystem, chain_operators
-
-FOUR_PI = 2.0 * TWO_PI
+from .geometry import FOUR_PI, TWO_PI, DensityField, WarpedChain, build_chain
+from .spectral import EigenSystem, chain_operators, full_spectrum
 
 
 def _load_vector(chain: WarpedChain, dens: DensityField) -> np.ndarray:
@@ -232,8 +231,6 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48,
     L_values = sorted(float(L) for L in L_values)
     if len(L_values) < 4 or L_values[-1] / L_values[0] < 8.0:
         raise ValidationError("sweep needs >= 4 values spanning a factor >= 8")
-    from .spectral import full_spectrum  # local import to avoid cycle at module load
-
     rows = []
     for L in L_values:
         chain = build_chain(cfg, L, resolution=resolution)
@@ -287,15 +284,8 @@ def circuit_potentials(g_areas, edges, conductance: float, v: np.ndarray) -> np.
     against the areas), the collapsed limit of the chain Poisson problem.
     """
     areas = np.asarray(g_areas, dtype=float)
-    n = areas.size
-    L_G = np.zeros((n, n))
-    for i, j in edges:
-        if i == j:
-            continue
-        L_G[i, i] += conductance
-        L_G[j, j] += conductance
-        L_G[i, j] -= conductance
-        L_G[j, i] -= conductance
+    counts = edge_counts(areas.size, edges)
+    L_G = conductance * (np.diag(counts.sum(axis=1)) - counts)
     phi = np.linalg.pinv(L_G) @ (FOUR_PI * np.asarray(v, dtype=float))
     phi -= np.dot(phi, areas) / areas.sum()
     return phi

@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dualgraph import DualGraph
+from .dualgraph import DualGraph, build_intersection_matrix
 from .errors import ConvergenceError, StructureError, ValidationError
 from .geometry import TWO_PI, WarpedChain
 
@@ -301,16 +301,7 @@ def graph_limit_eigs(g: DualGraph, L: float) -> np.ndarray:
     """
     if not g.reduced:
         raise ValidationError("graph-limit prediction requires a reduced graph")
-    n = g.n
-    kappa = TWO_PI / L
-    L_G = np.zeros((n, n))
-    for i, j in g.edges:
-        if i == j:
-            continue  # self-loops carry no coupling
-        L_G[i, i] += kappa
-        L_G[j, j] += kappa
-        L_G[i, j] -= kappa
-        L_G[j, i] -= kappa
+    L_G = -(TWO_PI / L) * build_intersection_matrix(g)  # L_G = -M on reduced graphs
     lam = scipy.linalg.eigh(L_G, np.diag(g.areas))[0]
     return np.sort(lam)[1:]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchlab.cli import main, parse_eta
+from pinchlab.cli import COMMANDS, main, parse_eta
 from pinchlab.configfile import parse_config, parse_grid
 from pinchlab.errors import ConvergenceError, ValidationError
 from pinchlab.geometry import build_chain
@@ -210,6 +210,14 @@ class TestExitContract:
         ("spectrum", ("k_per_mode = 16", "k_per_mode = 0"), [], "k_per_mode"),
         ("spectrum", ("precision = 17", "precision = -3"), [], "[output] precision"),
         ("green", ("k_per_mode = 16", "k_per_mode = 16\ntail_count = -3"), [], "tail_count"),
+        ("spectrum", ("precision = 17", "precision = 17\n[node]\nsplit_factor = 5.0"), [],
+         "split_factor"),
+        ("spectrum", ("fit_window = 50, 200", "fit_window = 50, 200\nt_grid = 1e-3:1e-1:3"), [],
+         "'t_grid' in [sweep]"),
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nphi_preset = banana"),
+         ["birkhoff"], "[dynamics] phi_preset"),
+        ("node-integral", None, ["--eta", "22:abc:0,0,0,0"], "eta term"),
+        ("node-integral", None, ["--eta", "22:1:0,x,0,0"], "eta term"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG
@@ -230,3 +238,46 @@ def test_cli_import_skips_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# every section a table command reads, at sizes that keep each command well under a second
+TABLE_CFG = BASE_CFG + """
+[dynamics]
+fiber_n = 16
+k_max = 100
+n_list = 64, 128
+
+[node]
+t_grid = 1e-6:1e-2:7
+radial_per_decade = 8
+angular = 16
+"""
+
+
+def readme_schemas() -> dict:
+    """command -> {file: header row} from the README "CSV schemas" table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### CSV schemas", 1)[1].split("\n## ", 1)[0]
+    schemas = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[1].startswith("`"):
+            header = cells[2].split("`")[1].replace(" ", "")
+            schemas.setdefault(cells[0], {})[cells[1].strip("`")] = header
+    return schemas
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if name != "verify"])
+def test_command_table_writes_readme_schemas(tmp_path, capsys, name):
+    expected = readme_schemas()[name]
+    cfg_path, _ = write_cfg(tmp_path, TABLE_CFG)
+    out = tmp_path / "table_out"
+    assert main([*name.split(), "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for filename, header in expected.items():
+        lines = (out / filename).read_text().splitlines()
+        assert [ln for ln in lines if not ln.startswith("#")][0] == header
+    stdout = capsys.readouterr().out.splitlines()
+    wrote = [f"wrote {os.path.join(str(out), filename)}" for filename in expected]
+    assert stdout[:len(wrote)] == wrote
+    assert not any(ln.startswith("wrote ") for ln in stdout[len(wrote):])

@@ -8,6 +8,7 @@ from pinchlab.dualgraph import (
     DualGraph,
     build_intersection_matrix,
     cycle_graph,
+    edge_counts,
     format_graph,
     format_matrix,
     kodaira_catalog,
@@ -62,6 +63,19 @@ class TestIntersectionMatrix:
             M = build_intersection_matrix(g)
             m = g.multiplicities.astype(float)
             np.testing.assert_array_equal(M @ m, np.zeros(g.n))
+
+    def test_isolated_vertex_keeps_negative_zero(self):
+        # `pinchlab kodaira` prints this diagonal entry as "-0" for I_1 and II
+        for tag in ("I_1", "II"):
+            M = build_intersection_matrix(kodaira_catalog(tag))
+            assert M[0, 0] == 0.0 and np.signbit(M[0, 0])
+
+    def test_graph_laplacian_is_minus_m_on_reduced_graphs(self):
+        for k in range(20):
+            g = random_reduced_graph(6, seed=k)
+            counts = edge_counts(g.n, g.edges)
+            np.testing.assert_array_equal(np.diag(counts.sum(axis=1)) - counts,
+                                          -build_intersection_matrix(g))
 
     def test_disconnected_graph_rejected(self):
         comps = (Component("A", 1.0), Component("B", 1.0))
