@@ -338,7 +338,7 @@ def cmd_node_integral(cfg: ExperimentConfig, args) -> Run:
 def cmd_verify(cfg: ExperimentConfig, args) -> Run:
     results = acceptance.run_all(cfg.require_seed())
     rows = [(r.cid, r.name, r.measured.replace(",", ";"),
-             r.threshold.replace(",", ";"), r.passed, r.seconds)
+             r.threshold.replace(",", ";"), r.passed, f"{r.seconds:.3f}")
             for r in results]
     summary = [f"[{'PASS' if r.passed else 'FAIL'}] {r.cid:2d} {r.name}: {r.measured}"
                for r in results]

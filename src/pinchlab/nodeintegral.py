@@ -324,7 +324,7 @@ def smooth_fiber_continuity(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
     J = np.array([fiber_integral(eta, t, radial_per_decade, n_theta) for t in ts])
     at = np.abs(np.asarray(ts))
     d1, d2, d3 = J[-3], J[-2], J[-1]
-    denom = (d2 - d1) - (d3 - d2)
+    denom = (d3 - d2) - (d2 - d1)  # Aitken's second difference
     limit = d3 if abs(denom) < 1e-300 else d1 - (d2 - d1) ** 2 / denom
     diffs = np.abs(J - limit)
     mask = diffs > 1e-13 * max(1.0, np.abs(J).max())

@@ -14,6 +14,8 @@ spectrum below an explicit threshold.
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,20 @@ _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
 _GAP_RTOL = 1e-8       # Ritz values closer than this count as one cluster
+
+# full_spectrum solves the modes of a chain with n > _SPARSE_MIN_NODES in a
+# persistent pool of forked workers, one per usable CPU, each with every
+# loaded OpenBLAS pinned to one thread.  A loaded BLAS library matching
+# _BLAS_LIBRARY that exports none of these (setter, getter) pairs keeps the
+# solves serial, since its threads would compete with the other workers.
+_BLAS_LIBRARY = re.compile(r"lib.*(blas|mkl|blis)", re.IGNORECASE)
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),  # numpy wheels
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),        # scipy wheels
+    ("openblas_set_num_threads", "openblas_get_num_threads"),                    # a plain OpenBLAS
+)
+_POOL = None        # (owner pid, executor or None when this process stays serial)
+_IN_WORKER = False  # set in the workers: they never fork a pool of their own
 
 
 @dataclass(frozen=True)
@@ -257,10 +273,15 @@ def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> 
     excluded_bound = (m_max + 1) ** 2 / c_max**2
 
     ops = chain_operators(chain)
+    modes = range(m_max + 1)
+    pool = _pool() if n > _SPARSE_MIN_NODES else None
+    if pool is None:
+        solved = [solve_modes(chain, m, k, operators=ops) for m in modes]
+    else:
+        solved = _solve_in_pool(pool, ops, modes, k)
     records: list[EigenEntry] = []
     per_mode_top = []
-    for m in range(m_max + 1):
-        lam, vecs = solve_modes(chain, m, k, operators=ops)
+    for m, (lam, vecs) in zip(modes, solved):
         per_mode_top.append(lam[-1])
         mult = 1 if m == 0 else 2
         for idx in range(lam.size):
@@ -290,6 +311,104 @@ def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> 
         certified_below=float(certified_below),
         certification_limited_by_k=bool(limited),
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return 1
+
+
+def _pool():
+    """This process's mode-solving pool, made on first use; None to run serially."""
+    global _POOL
+    cpus = _usable_cpus()
+    if _IN_WORKER or cpus < 2:
+        return None
+    if _POOL is None or _POOL[0] != os.getpid():  # none yet, or inherited through a fork
+        _POOL = (os.getpid(), _make_pool(cpus))
+    return _POOL[1]
+
+
+def _make_pool(workers: int):
+    """A fork pool whose workers run every loaded OpenBLAS on one thread.
+
+    None when ``fork`` is unavailable or a loaded BLAS cannot be pinned.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    blas = _openblas_libraries()
+    if blas is None:
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(blas,))
+
+
+def _openblas_libraries():
+    """(path, setter, getter) of each loaded BLAS library; None if one has no setter."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:  # the shared objects mapped into this process
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6}
+    except OSError:
+        return None
+    found = []
+    for path in sorted(p for p in paths if _BLAS_LIBRARY.match(os.path.basename(p))):
+        lib = ctypes.CDLL(path)
+        names = next((pair for pair in _OPENBLAS_THREADS
+                      if all(hasattr(lib, name) for name in pair)), None)
+        if names is None:
+            return None
+        found.append((path, *names))
+    return found
+
+
+def _init_worker(blas):
+    global _IN_WORKER
+    import ctypes
+
+    _IN_WORKER = True
+    for path, setter, _ in blas:
+        getattr(ctypes.CDLL(path), setter)(1)
+
+
+def _solve_mode(ops: ChainOperators, m: int, k: int):
+    # the forms hold everything solve_modes reads from a chain
+    return solve_modes(None, m, k, operators=ops)
+
+
+def _solve_in_pool(pool, ops: ChainOperators, modes, k: int) -> list:
+    """solve_modes for each mode in the pool, in mode order.
+
+    A worker's exception is raised here, that of the lowest mode first, as
+    the serial loop would; a dead worker raises BrokenProcessPool and the
+    pool is dropped, so that the next call forks a fresh one.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = [pool.submit(_solve_mode, ops, m, k) for m in modes]
+    try:
+        return [f.result() for f in futures]
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
+    finally:
+        for f in futures:
+            f.cancel()
+
+
+def _shutdown_pool():
+    """Stop this process's pool; the next parallel call forks a fresh one."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid() and _POOL[1] is not None:
+        _POOL[1].shutdown(cancel_futures=True)
+    _POOL = None
 
 
 def graph_limit_eigs(g: DualGraph, L: float) -> np.ndarray:

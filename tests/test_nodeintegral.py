@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pinchlab import nodeintegral
 from pinchlab.errors import ValidationError
 from pinchlab.nodeintegral import (
     EtaSpec,
@@ -158,6 +159,19 @@ class TestSmoothFiberContinuity:
         assert rep.cauchy
         assert 0 < rep.exponent <= 1.0
         assert rep.limit_estimate == pytest.approx(PI, abs=1e-6)
+
+    def test_aitken_limit_of_a_geometric_sequence(self, monkeypatch):
+        # J = 5 + |t| at |t| = 2, 1, 0.5, 0.25: the last three are 6, 5.5, 5.25
+        monkeypatch.setattr(nodeintegral, "fiber_integral", lambda eta, t, *args: 5.0 + abs(t))
+        rep = smooth_fiber_continuity(constant_eta(), [2.0, 1.0, 0.5, 0.25])
+        assert rep.limit_estimate == pytest.approx(5.0, abs=1e-12)
+        assert rep.raw_exponent == pytest.approx(1.0, abs=1e-9)
+
+    def test_constant_eta_exponent_two(self):
+        # J(t) = pi - pi |t|^2 on the constant density
+        rep = smooth_fiber_continuity(constant_eta(), np.geomspace(1e-2, 1e-6, 7))
+        assert rep.raw_exponent == pytest.approx(2.0, abs=0.01)
+        assert rep.limit_estimate == pytest.approx(PI, abs=1e-11)
 
     def test_refinement_stability(self):
         a = fiber_integral(constant_eta(), 1e-3, 32, 64)
