@@ -54,6 +54,7 @@ from .potential import (
 from .spectral import (
     EigenSystem,
     correlation_matrix,
+    full_spectra,
     full_spectrum,
     graph_limit_eigs,
     model_functions,

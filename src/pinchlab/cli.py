@@ -31,7 +31,7 @@ from .nodeintegral import parse_eta
 from .pairing import fit_log_asymptote, pairing_sweep, predicted_constant
 from .potential import EstimateRow, estimate_report, solve_direct, split_low_high
 from .reporting import render_csv, write_text
-from .spectral import full_spectrum, model_functions, truncated_green_min
+from .spectral import full_spectra, full_spectrum, model_functions, truncated_green_min
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,24 @@ def cmd_kodaira(args) -> int:
     return 0
 
 
-def _spectrum_rows(cfg: ExperimentConfig, L: float):
+def _spectra(cfg: ExperimentConfig, L_values):
+    """(L, chain, eigsys) at each L in ascending order; the chains are built
+    here, the spectra may come from the worker pool, one chain per task."""
     solver = _solver(cfg)
-    chain = build_chain(cfg.family(), L, resolution=solver["resolution"])
-    eigsys = full_spectrum(chain, m_max=solver["m_max"],
-                           k_per_mode=solver["k_per_mode"])
+    Ls = [float(L) for L in np.sort(L_values)]
+    chains = [build_chain(cfg.family(), L, resolution=solver["resolution"]) for L in Ls]
+    spectra = full_spectra(chains, m_max=solver["m_max"], k_per_mode=solver["k_per_mode"])
+    return zip(Ls, chains, spectra)
+
+
+def _spectrum_rows(cfg: ExperimentConfig, L_values):
     rows = []
-    for e in eigsys.entries:
-        for _ in range(e.multiplicity):
-            rows.append((L, chain.s, len(rows), e.mode, e.lam, e.lam * L,
-                         eigsys.gap_value, e.certified))
+    for L, chain, eigsys in _spectra(cfg, L_values):
+        start = len(rows)
+        for e in eigsys.entries:
+            for _ in range(e.multiplicity):
+                rows.append((L, chain.s, len(rows) - start, e.mode, e.lam, e.lam * L,
+                             eigsys.gap_value, e.certified))
     return rows
 
 
@@ -118,12 +126,12 @@ SPECTRUM_COLUMNS = ["L", "s", "k", "m", "lambda", "lambda_times_L", "gap",
 
 
 def cmd_spectrum(cfg: ExperimentConfig, args) -> Run:
-    rows = _spectrum_rows(cfg, args.L)
+    rows = _spectrum_rows(cfg, [args.L])
     return Run([Table("spectrum.csv", SPECTRUM_COLUMNS, rows)])
 
 
 def cmd_sweep_spectrum(cfg: ExperimentConfig, args) -> Run:
-    rows = [row for L in np.sort(args.L_grid) for row in _spectrum_rows(cfg, float(L))]
+    rows = _spectrum_rows(cfg, args.L_grid)
     return Run([Table("sweep_spectrum.csv", SPECTRUM_COLUMNS, rows)])
 
 
@@ -141,18 +149,14 @@ def cmd_modelfns(cfg: ExperimentConfig, args) -> Run:
 
 
 def cmd_green(cfg: ExperimentConfig, args) -> Run:
-    solver = _solver(cfg)
     cutoff = (cfg.get_float("solver", "green_cutoff")
               if cfg.has("solver", "green_cutoff") else None)
     tail = cfg.get_int("solver", "tail_count", "24")
     rows = []
-    for L in np.sort(args.L_grid):
-        chain = build_chain(cfg.family(), float(L), resolution=solver["resolution"])
-        eigsys = full_spectrum(chain, m_max=solver["m_max"],
-                               k_per_mode=solver["k_per_mode"])
+    for L, chain, eigsys in _spectra(cfg, args.L_grid):
         rep = truncated_green_min(chain, eigsys, tail_count=tail,
                                   lambda_cutoff=cutoff)
-        rows.append((float(L), chain.s, rep.min_value, rep.diag_min,
+        rows.append((L, chain.s, rep.min_value, rep.diag_min,
                      rep.cutoff, rep.tail_bound))
     return Run([Table(
         "green.csv", ["L", "s", "green_min", "diag_min", "cutoff", "tail_bound"], rows,

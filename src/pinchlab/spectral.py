@@ -14,8 +14,12 @@ spectrum below an explicit threshold.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import re
+import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +42,12 @@ _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
 _GAP_RTOL = 1e-8       # Ritz values closer than this count as one cluster
 
-# full_spectrum solves the modes of a chain with n > _SPARSE_MIN_NODES in a
-# persistent pool of forked workers, one per usable CPU, each with every
-# loaded OpenBLAS pinned to one thread.  A loaded BLAS library matching
-# _BLAS_LIBRARY that exports none of these (setter, getter) pairs keeps the
-# solves serial, since its threads would compete with the other workers.
+# A persistent pool of forked workers, one per usable CPU, each with every
+# loaded OpenBLAS pinned to one thread, solves the modes of a chain with
+# n > _SPARSE_MIN_NODES (full_spectrum) and the chains of a sweep, one task
+# per chain (full_spectra).  A loaded BLAS library matching _BLAS_LIBRARY that
+# exports none of these (setter, getter) pairs keeps the solves serial, since
+# its threads would compete with the other workers.
 _BLAS_LIBRARY = re.compile(r"lib.*(blas|mkl|blis)", re.IGNORECASE)
 _OPENBLAS_THREADS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),  # numpy wheels
@@ -51,6 +56,8 @@ _OPENBLAS_THREADS = (
 )
 _POOL = None        # (owner pid, executor or None when this process stays serial)
 _IN_WORKER = False  # set in the workers: they never fork a pool of their own
+_TASKS_PER_WORKER = 2  # pool tasks outstanding per worker; results wait for the caller
+_PARENT_POLL_S = 0.5   # a worker checks this often whether its parent is gone
 
 
 @dataclass(frozen=True)
@@ -241,10 +248,7 @@ class EigenSystem:
     certification_limited_by_k: bool
 
     def expanded_eigenvalues(self) -> np.ndarray:
-        out = []
-        for e in self.entries:
-            out.extend([e.lam] * e.multiplicity)
-        return np.sort(np.array(out))
+        return _expanded(self.entries)
 
     def low_entries(self) -> list[EigenEntry]:
         """The N-1 small positive eigenpairs (all in mode 0)."""
@@ -253,6 +257,11 @@ class EigenSystem:
 
     def mode0_entries(self) -> list[EigenEntry]:
         return [e for e in self.entries if e.mode == 0]
+
+
+def _expanded(entries) -> np.ndarray:
+    """Sorted eigenvalues of ``entries``, each repeated by its multiplicity."""
+    return np.sort(np.repeat([e.lam for e in entries], [e.multiplicity for e in entries]))
 
 
 def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> EigenSystem:
@@ -278,31 +287,22 @@ def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> 
     if pool is None:
         solved = [solve_modes(chain, m, k, operators=ops) for m in modes]
     else:
-        solved = _solve_in_pool(pool, ops, modes, k)
-    records: list[EigenEntry] = []
-    per_mode_top = []
-    for m, (lam, vecs) in zip(modes, solved):
-        per_mode_top.append(lam[-1])
-        mult = 1 if m == 0 else 2
-        for idx in range(lam.size):
-            records.append(EigenEntry(float(lam[idx]), m, vecs[:, idx], mult, False))
-    certified_below = min(excluded_bound, min(per_mode_top))
-    limited = min(per_mode_top) < excluded_bound
+        solved = list(_solve_in_pool(pool, functools.partial(_solve_mode, ops, k), modes))
+    lowest_top = min(lam[-1] for lam, _ in solved)
+    certified_below = min(excluded_bound, lowest_top)
     records = [
-        EigenEntry(e.lam, e.mode, e.vec, e.multiplicity, e.lam <= certified_below)
-        for e in records
+        EigenEntry(lam_i, m, vecs[:, idx], 1 if m == 0 else 2, lam_i <= certified_below)
+        for m, (lam, vecs) in zip(modes, solved)
+        for idx, lam_i in enumerate(map(float, lam))
     ]
     records.sort(key=lambda e: (e.lam, e.mode))
 
     N = chain.cfg.n_components
-    expanded = []
-    for e in records:
-        expanded.extend([e.lam] * e.multiplicity)
-    expanded = np.sort(np.array(expanded))
+    expanded = _expanded(records)
     if expanded[0] > 1e-8:
         raise ConvergenceError("missing zero eigenvalue", {"lambda0": expanded[0]})
     gap_value = float(expanded[N]) if expanded.size > N else float("nan")
-    limited = limited or gap_value > certified_below
+    limited = lowest_top < excluded_bound or gap_value > certified_below
     return EigenSystem(
         chain=chain,
         entries=tuple(records),
@@ -313,6 +313,21 @@ def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> 
     )
 
 
+def full_spectra(chains, m_max: int = 16, k_per_mode: int = 32):
+    """``full_spectrum`` of each chain, yielded in order.
+
+    With more than one chain and a pool, each chain is one pool task, whose
+    modes its worker solves serially; otherwise the chains are solved here,
+    one after another.
+    """
+    chains = list(chains)
+    pool = _pool() if len(chains) > 1 else None
+    if pool is None:
+        return (full_spectrum(chain, m_max, k_per_mode) for chain in chains)
+    return _solve_in_pool(pool, functools.partial(full_spectrum, m_max=m_max,
+                                                  k_per_mode=k_per_mode), chains)
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -321,7 +336,7 @@ def _usable_cpus() -> int:
 
 
 def _pool():
-    """This process's mode-solving pool, made on first use; None to run serially."""
+    """This process's solver pool, made on first use; None to run serially."""
     global _POOL
     cpus = _usable_cpus()
     if _IN_WORKER or cpus < 2:
@@ -345,7 +360,7 @@ def _make_pool(workers: int):
     if blas is None:
         return None
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(blas,))
+                               initializer=_init_worker, initargs=(blas, os.getpid()))
 
 
 def _openblas_libraries():
@@ -369,37 +384,56 @@ def _openblas_libraries():
     return found
 
 
-def _init_worker(blas):
+def _init_worker(blas, parent: int):
     global _IN_WORKER
     import ctypes
+    import threading
 
     _IN_WORKER = True
     for path, setter, _ in blas:
         getattr(ctypes.CDLL(path), setter)(1)
+    # a worker holds its own end of the call queue, so it never sees EOF
+    # when its parent is killed: it watches for the parent to go instead
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
 
 
-def _solve_mode(ops: ChainOperators, m: int, k: int):
+def _exit_with_parent(parent: int):
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _solve_mode(ops: ChainOperators, k: int, m: int):
     # the forms hold everything solve_modes reads from a chain
     return solve_modes(None, m, k, operators=ops)
 
 
-def _solve_in_pool(pool, ops: ChainOperators, modes, k: int) -> list:
-    """solve_modes for each mode in the pool, in mode order.
+def _solve_in_pool(pool, fn, items):
+    """fn(item) for each item, run in the pool and yielded in item order.
 
-    A worker's exception is raised here, that of the lowest mode first, as
-    the serial loop would; a dead worker raises BrokenProcessPool and the
-    pool is dropped, so that the next call forks a fresh one.
+    At most _TASKS_PER_WORKER tasks per worker are outstanding, so a result
+    is held only until the caller takes it.  A worker's exception is raised
+    when its item's turn comes, as the serial loop would raise it; a dead
+    worker raises BrokenProcessPool and the pool is dropped, so that the next
+    call forks a fresh one.
     """
     from concurrent.futures.process import BrokenProcessPool
 
-    futures = [pool.submit(_solve_mode, ops, m, k) for m in modes]
+    items = iter(items)
+    window = _TASKS_PER_WORKER * _usable_cpus()  # the pool has one worker per CPU
+    pending = deque()
     try:
-        return [f.result() for f in futures]
+        while True:
+            pending.extend(pool.submit(fn, item)
+                           for item in itertools.islice(items, window - len(pending)))
+            if not pending:
+                return
+            yield pending.popleft().result()
     except BrokenProcessPool:
         _shutdown_pool()
         raise
     finally:
-        for f in futures:
+        for f in pending:
             f.cancel()
 
 
@@ -589,10 +623,7 @@ def truncated_green_min(chain: WarpedChain, eigsys: EigenSystem,
         e for e in eigsys.entries
         if e.certified and e.lam > 1e-8 and id(e) not in low
     ]
-    expanded = []
-    for e in tail_entries:
-        expanded.extend([e.lam] * e.multiplicity)
-    expanded.sort()
+    expanded = _expanded(tail_entries)
     if lambda_cutoff is None:
         if tail_count < 1:
             raise ValidationError(f"tail_count must be at least 1, got {tail_count}")

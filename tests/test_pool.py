@@ -1,11 +1,14 @@
-"""The worker pool that solves a large chain's angular modes in parallel:
-same spectrum as the serial loop, one BLAS thread per worker, worker errors
-raised in the parent, and serial runs wherever the rules call for them."""
+"""The worker pool that solves a large chain's angular modes, and a sweep's
+chains, in parallel: same spectrum as the serial loop, one BLAS thread per
+worker, worker errors raised in the parent, workers that end with their
+owner, and serial runs wherever the rules call for them."""
 
 import ctypes
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -145,3 +148,118 @@ def test_small_grid_and_import_never_load_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# -- a sweep's chains, one pool task per chain ---------------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SWEEP_CSV = {"sweep-spectrum": "sweep_spectrum.csv", "green": "green.csv"}
+
+
+def python_env() -> dict:
+    """Environment for a child Python that imports this checkout's pinchlab."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+def run_cli(argv, capsys):
+    """Exit code, stderr and the bytes of each CSV written by ``main(argv)``."""
+    out = Path(argv[argv.index("--out") + 1])
+    code = main(argv)
+    return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+
+@pytest.mark.parametrize("config", ["i2_step", "i3_bump"])
+@pytest.mark.parametrize("command", sorted(SWEEP_CSV))
+def test_sweep_csvs_match_serial(tmp_path, monkeypatch, capsys, command, config):
+    calls = []
+    solve_in_pool = spectral._solve_in_pool
+
+    def spy(pool, fn, items):
+        calls.append(fn.func)
+        return solve_in_pool(pool, fn, items)
+
+    monkeypatch.setattr(spectral, "_solve_in_pool", spy)
+    argv = [command, "--config", str(CONFIGS / f"{config}.cfg")]
+    parallel = run_cli(argv + ["--out", str(tmp_path / "pool")], capsys)
+    assert calls == [spectral.full_spectrum]  # one call, one task per chain
+    one_cpu(monkeypatch)
+    monkeypatch.setattr(spectral, "_solve_in_pool", None)  # calling it would raise
+    serial = run_cli(argv + ["--out", str(tmp_path / "serial")], capsys)
+    assert parallel == serial
+    assert parallel[0] == 0 and list(parallel[2]) == [SWEEP_CSV[command]]
+
+
+def test_worker_convergence_error_in_green_exits_3(tmp_path, monkeypatch, capsys, fresh_pool):
+    monkeypatch.setattr(spectral, "_residuals",
+                        lambda S, M, lam, vecs: (np.ones(lam.size), np.zeros(lam.size)))
+    argv = ["green", "--config", str(CONFIGS / "i2_step.cfg"), "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert spectral._POOL[1] is not None  # the error came from a worker
+    parallel = capsys.readouterr().err
+    one_cpu(monkeypatch)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == parallel
+    assert parallel == ("numerical non-convergence: eigen residual beyond tolerance "
+                        "mode=0 worst_residual=1.0 n=144\n")
+
+
+@pytest.mark.parametrize("k_per_mode, code", [(0, 2), (1000, 0)])  # 1000 > n = 144: k = n
+def test_k_per_mode_outcome_matches_serial(tmp_path, monkeypatch, capsys, k_per_mode, code):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text((CONFIGS / "i2_step.cfg").read_text()
+                   .replace("k_per_mode = 32", f"k_per_mode = {k_per_mode}"))
+    argv = ["sweep-spectrum", "--config", str(cfg)]
+    parallel = run_cli(argv + ["--out", str(tmp_path / "pool")], capsys)
+    assert spectral._POOL[1] is not None
+    one_cpu(monkeypatch)
+    assert run_cli(argv + ["--out", str(tmp_path / "serial")], capsys) == parallel
+    assert parallel[0] == code
+    if code == 2:
+        assert parallel[1] == "validation error: k_per_mode must be at least 1\n"
+
+
+def test_one_L_spectrum_never_loads_multiprocessing(tmp_path):
+    code = ("import sys\n"
+            "from pinchlab.cli import main\n"
+            f"assert main(['spectrum', '--config', {str(CONFIGS / 'i2_step.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=python_env(), check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "spectrum.csv").read_text().count("\n") > 100  # n = 144, 9 modes
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie waiting to be reaped counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_when_their_owner_is_killed():
+    code = ("import multiprocessing, os, time\n"
+            "from pinchlab import spectral\n"
+            "spectral._pool().submit(os.getpid).result()\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "time.sleep(60)\n")
+    owner = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env=python_env())
+    workers = [int(pid) for pid in owner.stdout.readline().split()]
+    try:
+        assert len(workers) == spectral._usable_cpus()
+        assert all(alive(pid) for pid in workers)
+        owner.kill()
+        owner.wait()
+        deadline = time.monotonic() + 5.0
+        while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(alive(pid) for pid in workers)
+    finally:
+        owner.kill()
+        for pid in workers:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
