@@ -113,11 +113,11 @@ def _spectra(cfg: ExperimentConfig, L_values):
 def _spectrum_rows(cfg: ExperimentConfig, L_values):
     rows = []
     for L, chain, eigsys in _spectra(cfg, L_values):
-        start = len(rows)
-        for e in eigsys.entries:
-            for _ in range(e.multiplicity):
-                rows.append((L, chain.s, len(rows) - start, e.mode, e.lam, e.lam * L,
-                             eigsys.gap_value, e.certified))
+        # one row per eigenvalue counted with multiplicity, in (lam, mode) order
+        pairs = np.repeat(eigsys.order, eigsys.multiplicity[eigsys.order])
+        rows += [(L, chain.s, i, m, lam, lam * L, eigsys.gap_value, ok) for i, (m, lam, ok)
+                 in enumerate(zip(eigsys.modes[pairs].tolist(), eigsys.lam[pairs].tolist(),
+                                  eigsys.certified[pairs]))]
     return rows
 
 

@@ -152,8 +152,7 @@ def _chart_integral(eta: EtaSpec, t: complex, r, w_r, n_theta: int, chart: int):
 
 
 def fiber_annulus_integral(eta: EtaSpec, t: complex, radial_per_decade: int = 32,
-                           n_theta: int = 64, split_factor: float = 1.0,
-                           with_parts: bool = False):
+                           n_theta: int = 64, split_factor: float = 1.0) -> float:
     """I(t) = integral of log|z1|^2 eta over the fiber {z1 z2 = t}.
 
     The annulus |t| <= |z1| <= 1 is split at split_factor * sqrt|t|; the
@@ -173,11 +172,7 @@ def fiber_annulus_integral(eta: EtaSpec, t: complex, radial_per_decade: int = 32
     # inner region in the z2 chart: |z2| from at/split up to 1
     r2, w2 = _log_radial_nodes(at / split, 1.0, radial_per_decade)
     plain2, logged2 = _chart_integral(eta, t, r2, w2, n_theta, chart=2)
-    value = logged1 + math.log(at**2) * plain2 - logged2
-    if with_parts:
-        return value, {"outer_log": logged1, "inner_volume": plain2,
-                       "inner_log": logged2}
-    return value
+    return logged1 + math.log(at**2) * plain2 - logged2
 
 
 def fiber_integral(eta: EtaSpec, t: complex, radial_per_decade: int = 32,
@@ -230,7 +225,6 @@ class NodeIntegralCurve:
 
     t: np.ndarray
     values: np.ndarray
-    parts: tuple[dict, ...] = ()
 
     def __post_init__(self):
         if not np.all(np.diff(np.abs(self.t)) < 0):
@@ -242,14 +236,8 @@ class NodeIntegralCurve:
 def sample_curve(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
                  n_theta: int = 64) -> NodeIntegralCurve:
     ts = np.asarray(sorted((complex(t) for t in t_grid), key=abs, reverse=True))
-    values = []
-    parts = []
-    for t in ts:
-        v, p = fiber_annulus_integral(eta, t, radial_per_decade, n_theta,
-                                      with_parts=True)
-        values.append(v)
-        parts.append(p)
-    return NodeIntegralCurve(t=ts, values=np.asarray(values), parts=tuple(parts))
+    values = [fiber_annulus_integral(eta, t, radial_per_decade, n_theta) for t in ts]
+    return NodeIntegralCurve(t=ts, values=np.asarray(values))
 
 
 @dataclass(frozen=True)
@@ -302,6 +290,14 @@ def asymptote_fit(curve: NodeIntegralCurve, eta: EtaSpec) -> AsymptoteFit:
     )
 
 
+def aitken_limit(values) -> float:
+    """Aitken delta-squared limit of a sequence from its last three terms;
+    exact for geometric convergence."""
+    d1, d2, d3 = values[-3], values[-2], values[-1]
+    denom = (d3 - d2) - (d2 - d1)  # Aitken's second difference
+    return float(d3 if abs(denom) < 1e-300 else d1 - (d2 - d1) ** 2 / denom)
+
+
 @dataclass(frozen=True)
 class ContinuityReport:
     limit_estimate: float
@@ -323,9 +319,7 @@ def smooth_fiber_continuity(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
         raise ValidationError("need at least 4 samples")
     J = np.array([fiber_integral(eta, t, radial_per_decade, n_theta) for t in ts])
     at = np.abs(np.asarray(ts))
-    d1, d2, d3 = J[-3], J[-2], J[-1]
-    denom = (d3 - d2) - (d2 - d1)  # Aitken's second difference
-    limit = d3 if abs(denom) < 1e-300 else d1 - (d2 - d1) ** 2 / denom
+    limit = aitken_limit(J)
     diffs = np.abs(J - limit)
     mask = diffs > 1e-13 * max(1.0, np.abs(J).max())
     if int(mask.sum()) >= 2:
@@ -335,7 +329,7 @@ def smooth_fiber_continuity(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
     steps = np.abs(np.diff(J))
     cauchy = bool(steps[-1] <= steps[0] + 1e-13)
     return ContinuityReport(
-        limit_estimate=float(limit),
+        limit_estimate=limit,
         exponent=float(min(max(raw, 1e-6), 1.0)),
         raw_exponent=raw,
         cauchy=cauchy,

@@ -19,6 +19,7 @@ import numpy as np
 from .dualgraph import DualGraph, build_intersection_matrix, pairing_constant, pseudoinverse
 from .errors import ValidationError
 from .geometry import FOUR_PI, DensityField, FamilyConfig, WarpedChain, build_chain
+from .nodeintegral import aitken_limit
 from .potential import PoissonSystem, _load_vector, solve_direct
 from .spectral import chain_operators
 
@@ -220,55 +221,43 @@ class HolderProbe:
     limit_estimate: float
     best_family: str            # "power" or "exponential"
     power_exponent: float
-    power_rms: float
+    power_rms: float            # of the line fitted to log|value - limit|
     exp_rate: float
-    exp_rms: float
+    exp_rms: float              # likewise
 
 
 def holder_probe(curve: PairingCurve) -> HolderProbe:
     """Fit |value - limit| against power-law and exponential decay families.
 
-    Output is exploratory data, never a pass/fail: the sharp modulus of
-    continuity of the extension is an open question.
+    The limit is the Aitken extrapolation of the last three samples;
+    log|value - limit| is then fitted by a line in log L (power law) and in
+    L (exponential).  Output is exploratory data, never a pass/fail: the
+    sharp modulus of continuity of the extension is an open question.
     """
-    import scipy.optimize  # slow to import; this is its only user
-
     L = curve.L
     y = curve.values
     if L.size < 5:
         raise ValidationError("probe needs at least 5 samples")
     diffs = np.abs(np.diff(y))
     converged = bool(diffs[-1] <= diffs[0] + 1e-15)
-
-    def model_pow(Ls, v_inf, C, p):
-        return v_inf + C * Ls ** (-p)
-
-    def model_exp(Ls, v_inf, C, a):
-        return v_inf + C * np.exp(-a * Ls)
-
-    guess_vinf = float(y[-1])
-    guess_C = float(y[0] - y[-1]) * float(L[0])
-    results = {}
-    for name, model, p0 in (
-        ("power", model_pow, (guess_vinf, guess_C if guess_C != 0 else 1.0, 1.0)),
-        ("exponential", model_exp, (guess_vinf, float(y[0] - y[-1]) or 1.0, 0.1)),
-    ):
-        try:
-            popt, _ = scipy.optimize.curve_fit(model, L, y, p0=p0, maxfev=20000)
-            rms = float(np.sqrt(np.mean((y - model(L, *popt)) ** 2)))
-        except (RuntimeError, scipy.optimize.OptimizeWarning):
-            popt, rms = (guess_vinf, 0.0, 0.0), float("inf")
-        results[name] = (popt, rms)
-    (pow_opt, pow_rms) = results["power"]
-    (exp_opt, exp_rms) = results["exponential"]
-    best = "power" if pow_rms <= exp_rms else "exponential"
-    limit = pow_opt[0] if best == "power" else exp_opt[0]
+    limit = aitken_limit(y)
+    gap = np.abs(y - limit)
+    mask = gap > 1e-13 * max(1.0, float(np.abs(y).max()))
+    if int(mask.sum()) < 2:
+        raise ValidationError("probe needs 2 samples distinguishable from the limit")
+    log_gap = np.log(gap[mask])
+    fits = []
+    for x in (np.log(L[mask]), L[mask]):  # power law, then exponential
+        slope, intercept = np.polyfit(x, log_gap, 1)
+        resid = log_gap - (slope * x + intercept)
+        fits.append((-float(slope), float(np.sqrt(np.mean(resid**2)))))
+    (power_exponent, power_rms), (exp_rate, exp_rms) = fits
     return HolderProbe(
         converged=converged,
-        limit_estimate=float(limit),
-        best_family=best,
-        power_exponent=float(pow_opt[2]),
-        power_rms=pow_rms,
-        exp_rate=float(exp_opt[2]),
+        limit_estimate=limit,
+        best_family="power" if power_rms <= exp_rms else "exponential",
+        power_exponent=power_exponent,
+        power_rms=power_rms,
+        exp_rate=exp_rate,
         exp_rms=exp_rms,
     )

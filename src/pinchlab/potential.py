@@ -133,22 +133,21 @@ def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
     Returns (PreferredPotential, SpectralCoefficients).
     """
     _require_mean_zero(dens)
-    mode0 = eigsys.mode0_entries()
-    positives = [e for e in mode0 if e.lam > 1e-9]
+    positives = np.flatnonzero((eigsys.modes == 0) & (eigsys.lam > 1e-9))
     if k_trunc is None:
-        k_trunc = len(positives)
-    if k_trunc > len(positives):
+        k_trunc = positives.size
+    if k_trunc > positives.size:
         raise ValidationError(
-            f"truncation {k_trunc} exceeds the {len(positives)} available "
+            f"truncation {k_trunc} exceeds the {positives.size} available "
             "mode-0 eigenpairs"
         )
     q = _load_vector(chain, dens)
     used = positives[:k_trunc]
-    lam = np.array([e.lam for e in used])
-    basis = np.stack([e.vec for e in used]) if used else np.zeros((0, chain.n_nodes))
+    lam = eigsys.lam[used]
+    basis = eigsys.vecs[:, used].T
     b = basis @ q
-    c = b / lam if lam.size else b
-    phi = FOUR_PI * (c @ basis) if lam.size else np.zeros(chain.n_nodes)
+    c = b / lam
+    phi = FOUR_PI * (c @ basis)
     w = chain_operators(chain).mass @ np.ones(chain.n_nodes)
     mean = float(phi @ w / np.sum(w))
     pot = PreferredPotential(chain=chain, phi=phi, mean=mean,
@@ -167,9 +166,8 @@ def split_low_high(pot: PreferredPotential, eigsys: EigenSystem):
     M = chain_operators(pot.chain).mass
     Mphi = M @ pot.phi
     low = np.zeros_like(pot.phi)
-    for entry in eigsys.low_entries():
-        coeff = float(Mphi @ entry.vec)
-        low += coeff * entry.vec
+    for vec in eigsys.vecs[:, eigsys.low].T:
+        low += float(Mphi @ vec) * vec
     mean = float(np.sum(Mphi) / M.sum())
     high = pot.phi - low - mean
     return low, high

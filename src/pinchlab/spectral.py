@@ -224,6 +224,8 @@ def solve_modes(chain: WarpedChain, m: int, k: int, *,
 
 @dataclass(frozen=True)
 class EigenEntry:
+    """A pair in the ``EigenSystem.entries`` view, kept only because perfbench/ reads it."""
+
     lam: float
     mode: int
     vec: np.ndarray
@@ -235,33 +237,55 @@ class EigenEntry:
 class EigenSystem:
     """Merged spectrum with an explicit completeness certificate.
 
+    Pair j is (``lam[j]``, ``modes[j]``, ``vecs[:, j]``), in solve order: mode by
+    mode, ascending within a mode; ``order`` sorts the indices by (lam, mode).
     ``certified_below`` bounds the region where every eigenvalue (counted
     with angular multiplicity) is present; ``gap_value`` is the first
     eigenvalue above the N-1 collapsing ones.
     """
 
     chain: WarpedChain
-    entries: tuple[EigenEntry, ...]
+    lam: np.ndarray       # (K,)
+    modes: np.ndarray     # (K,)
+    vecs: np.ndarray      # (n, K)
     low_count: int
     gap_value: float
     certified_below: float
     certification_limited_by_k: bool
 
-    def expanded_eigenvalues(self) -> np.ndarray:
-        return _expanded(self.entries)
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """1 for mode 0, 2 for the cos/sin pair when m >= 1."""
+        return np.where(self.modes == 0, 1, 2)
 
-    def low_entries(self) -> list[EigenEntry]:
-        """The N-1 small positive eigenpairs (all in mode 0)."""
-        pos = [e for e in self.entries if e.mode == 0]
-        return pos[1 : 1 + self.low_count]
+    @property
+    def certified(self) -> np.ndarray:
+        return self.lam <= self.certified_below
+
+    @property
+    def order(self) -> np.ndarray:
+        """Pair indices sorted by (lam, mode)."""
+        return np.lexsort((self.modes, self.lam))
+
+    @property
+    def low(self) -> np.ndarray:
+        """Indices of the N-1 small positive eigenpairs (all in mode 0)."""
+        return np.flatnonzero(self.modes == 0)[1 : 1 + self.low_count]
+
+    def expanded_eigenvalues(self) -> np.ndarray:
+        """Sorted eigenvalues, each repeated by its multiplicity."""
+        return np.sort(np.repeat(self.lam, self.multiplicity))
+
+    @property
+    def entries(self) -> tuple[EigenEntry, ...]:
+        """Read view for the benchmark, built on access: the pairs in (lam, mode) order."""
+        multiplicity, certified = self.multiplicity, self.certified
+        return tuple(EigenEntry(float(self.lam[j]), int(self.modes[j]), self.vecs[:, j],
+                                int(multiplicity[j]), certified[j]) for j in self.order)
 
     def mode0_entries(self) -> list[EigenEntry]:
+        """Read view for the benchmark: the mode-0 ``entries``."""
         return [e for e in self.entries if e.mode == 0]
-
-
-def _expanded(entries) -> np.ndarray:
-    """Sorted eigenvalues of ``entries``, each repeated by its multiplicity."""
-    return np.sort(np.repeat([e.lam for e in entries], [e.multiplicity for e in entries]))
 
 
 def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> EigenSystem:
@@ -285,27 +309,30 @@ def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> 
     modes = range(m_max + 1)
     pool = _pool() if n > _SPARSE_MIN_NODES else None
     if pool is None:
-        solved = [solve_modes(chain, m, k, operators=ops) for m in modes]
+        solved = (solve_modes(chain, m, k, operators=ops) for m in modes)
     else:
-        solved = list(_solve_in_pool(pool, functools.partial(_solve_mode, ops, k), modes))
-    lowest_top = min(lam[-1] for lam, _ in solved)
+        solved = _solve_in_pool(pool, functools.partial(_solve_mode, ops, k), modes)
+    # each mode's block is copied into place, one contiguous (Fortran) stretch,
+    # as it arrives; sorting the columns would hold a second copy of every vector
+    lam = np.empty(len(modes) * k)
+    vecs = np.empty((n, lam.size), order="F")
+    for m, (lam_m, vecs_m) in zip(modes, solved):
+        lam[m * k:(m + 1) * k] = lam_m
+        vecs[:, m * k:(m + 1) * k] = vecs_m
+    lowest_top = lam[k - 1::k].min()
     certified_below = min(excluded_bound, lowest_top)
-    records = [
-        EigenEntry(lam_i, m, vecs[:, idx], 1 if m == 0 else 2, lam_i <= certified_below)
-        for m, (lam, vecs) in zip(modes, solved)
-        for idx, lam_i in enumerate(map(float, lam))
-    ]
-    records.sort(key=lambda e: (e.lam, e.mode))
 
     N = chain.cfg.n_components
-    expanded = _expanded(records)
+    expanded = np.sort(np.concatenate([lam, lam[k:]]))  # modes m >= 1 count twice
     if expanded[0] > 1e-8:
         raise ConvergenceError("missing zero eigenvalue", {"lambda0": expanded[0]})
     gap_value = float(expanded[N]) if expanded.size > N else float("nan")
     limited = lowest_top < excluded_bound or gap_value > certified_below
     return EigenSystem(
         chain=chain,
-        entries=tuple(records),
+        lam=lam,
+        modes=np.repeat(modes, k),
+        vecs=vecs,
         low_count=N - 1,
         gap_value=gap_value,
         certified_below=float(certified_below),
@@ -573,8 +600,8 @@ def correlation_matrix(chain: WarpedChain, eigsys: EigenSystem,
     volume = float(ops.mass.sum())
     phi = np.zeros((N, chain.n_nodes))
     phi[0] = 1.0 / np.sqrt(volume)
-    for j, entry in enumerate(eigsys.low_entries(), start=1):
-        phi[j] = entry.vec
+    low = eigsys.low
+    phi[1 : 1 + low.size] = eigsys.vecs[:, low].T
     C = mfs.functions @ (ops.mass @ phi.T)
     E = C @ C.T - np.eye(N)
     resid = phi[1:] - C[:, 1:].T @ mfs.functions
@@ -617,13 +644,10 @@ def truncated_green_min(chain: WarpedChain, eigsys: EigenSystem,
     alignment -2|u(x1) u(x2)|.  The reported minimum is that conservative
     lower envelope over all grid pairs.
     """
-    N = chain.cfg.n_components
-    low = {id(e) for e in eigsys.low_entries()}
-    tail_entries = [
-        e for e in eigsys.entries
-        if e.certified and e.lam > 1e-8 and id(e) not in low
-    ]
-    expanded = _expanded(tail_entries)
+    lam, modes = eigsys.lam, eigsys.modes
+    tail = eigsys.certified & (lam > 1e-8)
+    tail[eigsys.low] = False
+    expanded = np.sort(np.repeat(lam[tail], eigsys.multiplicity[tail]))
     if lambda_cutoff is None:
         if tail_count < 1:
             raise ValidationError(f"tail_count must be at least 1, got {tail_count}")
@@ -633,37 +657,31 @@ def truncated_green_min(chain: WarpedChain, eigsys: EigenSystem,
                 f"the low part, have {len(expanded)}"
             )
         # place the cutoff in a spectral gap so ties never straddle it
-        pos = tail_count - 1
-        while pos + 1 < len(expanded) and (
-            expanded[pos + 1] - expanded[pos] <= 1e-9 * expanded[pos]
-        ):
-            pos += 1
-        if pos + 1 >= len(expanded):
+        above = expanded[tail_count - 1:]
+        gaps = np.flatnonzero(np.diff(above) > 1e-9 * above[:-1])
+        if gaps.size == 0:
             raise ValidationError("no clean spectral gap for the requested tail")
+        pos = tail_count - 1 + int(gaps[0])
         lambda_cutoff = 0.5 * (expanded[pos] + expanded[pos + 1])
     if lambda_cutoff > eigsys.certified_below:
         raise ValidationError(
             "lambda cutoff exceeds the certified part of the spectrum"
         )
 
-    n = chain.n_nodes
-    used = [e for e in tail_entries if e.lam <= lambda_cutoff]
-
-    def columns(entries):
-        """Eigenvectors as columns, and the inverse eigenvalues."""
-        vecs = np.array([e.vec for e in entries]).reshape(len(entries), n).T
-        return vecs, 1.0 / np.array([e.lam for e in entries])
+    # the used pairs in (lam, mode) order, which fixes the GEMM summation order
+    order = eigsys.order
+    used = order[tail[order] & (lam[order] <= lambda_cutoff)]
+    zero, rest = used[modes[used] == 0], used[modes[used] != 0]
 
     # f0 = V0 diag(1/lam) V0^T over mode 0; each m >= 1 pair adds at worst
     # -2|u u^T|/lam, and |u_i u_j| = |u_i||u_j|, so their envelope is
     # 2|V| diag(1/lam) |V|^T: two GEMMs
-    V0, inv0 = columns([e for e in used if e.mode == 0])
-    V, inv = columns([e for e in used if e.mode != 0])
-    V, inv = np.abs(V), 2.0 * inv
+    V0, inv0 = eigsys.vecs[:, zero], 1.0 / lam[zero]
+    V, inv = np.abs(eigsys.vecs[:, rest]), 2.0 / lam[rest]
     lower = (V0 * inv0) @ V0.T - (V * inv) @ V.T
     diag = (V0**2) @ inv0 + (V**2) @ inv  # actual value at dtheta = 0
     included = V0.shape[1] + 2 * V.shape[1]
-    sup_u = max((float(np.max(np.abs(e.vec))) for e in used), default=0.0)
+    sup_u = float(max(np.abs(V0).max(initial=0.0), V.max(initial=0.0)))
     remaining = max(0, len(expanded) - included)
     return GreenReport(
         min_value=float(lower.min()),

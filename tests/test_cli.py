@@ -232,7 +232,12 @@ class TestExitContract:
 
 
 def test_cli_import_skips_scipy_optimize():
-    code = "import sys, pinchlab.cli; print('scipy.optimize' in sys.modules)"
+    # neither the CLI nor the holder probe, its last user, loads scipy.optimize
+    code = ("import sys, numpy as np, pinchlab.cli\n"
+            "from pinchlab.pairing import PairingCurve, holder_probe\n"
+            "L = np.geomspace(20, 300, 12)\n"
+            "holder_probe(PairingCurve(L=L, s=np.exp(-L), values=5.0 + 1.0 / L))\n"
+            "print('scipy.optimize' in sys.modules)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

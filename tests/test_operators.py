@@ -110,14 +110,15 @@ def test_green_kernel_matches_per_pair_loop(monkeypatch):
     rep = truncated_green_min(chain, eigsys, lambda_cutoff=500.0)
     monkeypatch.undo()
 
-    low = {id(e) for e in eigsys.low_entries()}
+    low = set(eigsys.low.tolist())
+    certified = eigsys.certified
     n = chain.n_nodes
     f0, habs, included = np.zeros((n, n)), np.zeros((n, n)), 0
-    for e in eigsys.entries:
-        if not e.certified or e.lam <= 1e-8 or id(e) in low or e.lam > 500.0:
+    for j, (lam, mode) in enumerate(zip(eigsys.lam, eigsys.modes)):
+        if not certified[j] or lam <= 1e-8 or j in low or lam > 500.0:
             continue
-        outer = np.outer(e.vec, e.vec) / e.lam
-        if e.mode == 0:
+        outer = np.outer(eigsys.vecs[:, j], eigsys.vecs[:, j]) / lam
+        if mode == 0:
             f0 += outer
             included += 1
         else:

@@ -184,7 +184,7 @@ class TestSplit:
     def test_low_span_input_has_zero_high(self):
         chain = build_chain(I2, 80.0, resolution=24)
         eigsys = full_spectrum(chain, m_max=1, k_per_mode=8)
-        phi1 = eigsys.low_entries()[0].vec
+        phi1 = eigsys.vecs[:, eigsys.low[0]]
         from pinchlab.potential import PreferredPotential
         dens = density_from_spec(DensitySpec(), chain)
         pot = PreferredPotential(chain=chain, phi=3.0 * phi1, mean=0.0,

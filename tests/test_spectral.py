@@ -1,5 +1,6 @@
 """Spectral solver against closed-form and network-limit oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,26 @@ class TestCertification:
             if e.certified:
                 assert e.lam <= eigsys.certified_below
 
+    def test_entries_view_matches_arrays(self):
+        # the benchmark reads this view: entries in (lam, mode) order, each
+        # with the fields of its pair's arrays
+        chain = build_chain(I3, 60.0, resolution=24)
+        eigsys = full_spectrum(chain, m_max=3, k_per_mode=10)
+        order = eigsys.order
+        entries = eigsys.entries
+        keys = [(e.lam, e.mode) for e in entries]
+        assert len(keys) == eigsys.lam.size and keys == sorted(keys)
+        assert [e.lam for e in entries] == eigsys.lam[order].tolist()
+        assert [e.mode for e in entries] == eigsys.modes[order].tolist()
+        assert [e.multiplicity for e in entries] == eigsys.multiplicity[order].tolist()
+        assert [e.certified for e in entries] == eigsys.certified[order].tolist()
+        assert not all(e.certified for e in entries)
+        for e, j in zip(entries, order):
+            np.testing.assert_array_equal(e.vec, eigsys.vecs[:, j])
+        mode0 = eigsys.mode0_entries()
+        assert [e.lam for e in mode0] == eigsys.lam[eigsys.modes == 0].tolist()
+        assert {e.mode for e in mode0} == {0}
+
     def test_orthonormality(self):
         chain = build_chain(I2, 60.0, resolution=24)
         lam, vecs = solve_modes(chain, 0, 8)
@@ -230,22 +251,9 @@ class TestCorrelation:
         eigsys = full_spectrum(chain, m_max=2, k_per_mode=10)
         mfs = model_functions(chain)
         rep = correlation_matrix(chain, eigsys, mfs)
-        flipped_entries = []
-        for e in eigsys.entries:
-            if e in eigsys.low_entries():
-                flipped_entries.append(
-                    type(e)(e.lam, e.mode, -e.vec, e.multiplicity, e.certified)
-                )
-            else:
-                flipped_entries.append(e)
-        flipped = type(eigsys)(
-            chain=chain,
-            entries=tuple(flipped_entries),
-            low_count=eigsys.low_count,
-            gap_value=eigsys.gap_value,
-            certified_below=eigsys.certified_below,
-            certification_limited_by_k=eigsys.certification_limited_by_k,
-        )
+        vecs = eigsys.vecs.copy()
+        vecs[:, eigsys.low] *= -1.0
+        flipped = dataclasses.replace(eigsys, vecs=vecs)
         rep2 = correlation_matrix(chain, flipped, mfs)
         assert rep2.E_fro == pytest.approx(rep.E_fro, abs=1e-12)
         np.testing.assert_allclose(rep2.residual_norms, rep.residual_norms, atol=1e-12)
