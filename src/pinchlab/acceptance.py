@@ -2,7 +2,7 @@
 
 Every criterion is a separate function returning a CriterionResult with the
 measured quantity, its fixed threshold, and a pass flag; ``run_all`` executes
-them in order.  Thresholds are pinned here, not configurable: loosening one
+and times them in order.  Thresholds are pinned here, not configurable: loosening one
 is a code change, not a config change.
 """
 
@@ -75,12 +75,10 @@ class CriterionResult:
     measured: str
     threshold: str
     passed: bool
-    seconds: float
 
 
-def _result(cid, name, measured, threshold, passed, t0) -> CriterionResult:
-    return CriterionResult(cid, name, measured, threshold, bool(passed),
-                           round(time.perf_counter() - t0, 3))
+def _result(cid, name, measured, threshold, passed) -> CriterionResult:
+    return CriterionResult(cid, name, measured, threshold, bool(passed))
 
 
 def _graph_corpus(seed: int):
@@ -94,7 +92,6 @@ def _graph_corpus(seed: int):
 
 
 def criterion_1_zariski(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     worst_eig = -np.inf
     worst_res = 0.0
     ok = True
@@ -107,11 +104,10 @@ def criterion_1_zariski(seed: int) -> CriterionResult:
     return _result(1, "zariski_sign_and_kernel",
                    f"max_eig={worst_eig:.2e} kernel_res={worst_res:.2e}",
                    "max_eig<=1e-10 and kernel_res<=1e-10 and dim=1",
-                   ok and worst_eig <= 1e-10 and worst_res <= 1e-10, t0)
+                   ok and worst_eig <= 1e-10 and worst_res <= 1e-10)
 
 
 def criterion_2_pseudoinverse(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     worst = 0.0
     for g in _graph_corpus(seed):
         M = dualgraph.build_intersection_matrix(g)
@@ -130,11 +126,10 @@ def criterion_2_pseudoinverse(seed: int) -> CriterionResult:
     ok = worst <= 1e-10 and i2_err <= 1e-14
     return _result(2, "pseudoinverse_penrose",
                    f"penrose={worst:.2e} i2_closed_form={i2_err:.2e}",
-                   "penrose<=1e-10 and i2<=1e-14", ok, t0)
+                   "penrose<=1e-10 and i2<=1e-14", ok)
 
 
 def criterion_3_small_eigenvalues(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     ok = True
     detail = []
     for cfg in (I2S, I3S, I4S):
@@ -159,11 +154,10 @@ def criterion_3_small_eigenvalues(seed: int) -> CriterionResult:
         ok = ok and refine <= 0.005
         detail.append(f"N={cfg.n_components}:rel={errs[-1]:.3f},refine={refine:.1e}")
     return _result(3, "small_eigenvalue_law", " ".join(detail),
-                   "count=N-1, rel<=0.10 decreasing, refine<=0.5%", ok, t0)
+                   "count=N-1, rel<=0.10 decreasing, refine<=0.5%", ok)
 
 
 def criterion_4_spectral_gap(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     gaps = []
     for L in (20.0, 50.0, 110.0, 200.0):
         eigsys = full_spectrum(build_chain(I2S, L, resolution=48),
@@ -174,11 +168,10 @@ def criterion_4_spectral_gap(seed: int) -> CriterionResult:
     ok = bool(gaps.min() >= 30.0 and variation <= 0.10)
     return _result(4, "spectral_gap",
                    f"min_gap={gaps.min():.2f} variation={variation:.3f}",
-                   "gap>=30 and variation<=10%", ok, t0)
+                   "gap>=30 and variation<=10%", ok)
 
 
 def criterion_5_model_functions(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     ok = True
     worst_energy = 0.0
     for L in (25.0, 80.0, 200.0):
@@ -190,11 +183,10 @@ def criterion_5_model_functions(seed: int) -> CriterionResult:
             ok = ok and 1.0 <= nrm <= 1.0 + 8 * PI / L
     return _result(5, "model_function_estimates",
                    f"energy_rel={worst_energy:.2e}",
-                   "energy*L within 5% of 8*pi, norms in [1, 1+8pi/L]", ok, t0)
+                   "energy*L within 5% of 8*pi, norms in [1, 1+8pi/L]", ok)
 
 
 def criterion_6_correlation(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     efros, scaled = [], []
     for L in (25.0, 100.0, 400.0):
         chain = build_chain(I2, L, resolution=32)
@@ -205,11 +197,10 @@ def criterion_6_correlation(seed: int) -> CriterionResult:
     ok = efros[0] > efros[1] > efros[2] and scaled[-1] <= 1.5 * scaled[0]
     return _result(6, "eigenfunction_correlation",
                    f"E_fro={efros} R2L_ratio={scaled[-1] / scaled[0]:.2f}",
-                   "E_fro decreasing; ||R||^2 L final <= 1.5 x initial", ok, t0)
+                   "E_fro decreasing; ||R||^2 L final <= 1.5 x initial", ok)
 
 
 def criterion_7_truncated_green(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     mins = []
     for L in (20.0, 60.0, 120.0, 200.0):
         chain = build_chain(I2S, L, resolution=32)
@@ -244,11 +235,10 @@ def criterion_7_truncated_green(seed: int) -> CriterionResult:
     return _result(7, "truncated_green_bound",
                    f"sweep_mins={['%.3f' % v for v in mins]} torus={numeric:.3f}"
                    f" oracle={oracle:.3f}",
-                   "min >= -1.1|min(L=20)|; torus within 5% of closed form", ok, t0)
+                   "min >= -1.1|min(L=20)|; torus within 5% of closed form", ok)
 
 
 def criterion_8_potential_oracles(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     chain = build_chain(I3, 100.0, resolution=24)
     eigsys = full_spectrum(chain, m_max=1, k_per_mode=chain.n_nodes)
@@ -280,11 +270,10 @@ def criterion_8_potential_oracles(seed: int) -> CriterionResult:
     ok = spectral_ok and torus_ok and circuit_ok
     return _result(8, "potential_oracles",
                    f"spectral={worst:.2e} torus={torus_err:.2e} circuit={circuit_rel:.3f}",
-                   "spectral<=1e-6, torus<=1e-8, circuit within 10%", ok, t0)
+                   "spectral<=1e-6, torus<=1e-8, circuit within 10%", ok)
 
 
 def criterion_9_estimate_shapes(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     Ls = [20.0, 50.0, 100.0, 200.0]
     step_table = estimate_report(
         I2, Ls, lambda ch: density_from_spec(step_density_spec([2.0, -2.0]), ch),
@@ -300,11 +289,10 @@ def criterion_9_estimate_shapes(seed: int) -> CriterionResult:
     return _result(9, "potential_estimate_shapes",
                    f"high_ratio={high_ratio:.3f} "
                    f"low_sqrtL_ratio={bump_table.low_over_sqrtL_endpoint_ratio:.3f}",
-                   "high endpoint ratio<=1.25; low/sqrt(L) halves", ok, t0)
+                   "high endpoint ratio<=1.25; low/sqrt(L) halves", ok)
 
 
 def criterion_10_pairing_algebra(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     chain = build_chain(I2, 80.0, resolution=32)
     rng = np.random.default_rng(seed + 5)
     a = density_from_spec(random_step_spec(2, I2.area_vector(), rng), chain)
@@ -323,12 +311,10 @@ def criterion_10_pairing_algebra(seed: int) -> CriterionResult:
     ok = sym <= 1e-10 and bil <= 1e-10 and energy_rel <= 1e-8 and pos_ok
     return _result(10, "pairing_algebra",
                    f"sym={sym:.2e} bilin={bil:.2e} energy={energy_rel:.2e}",
-                   "symmetry/bilinearity<=1e-10, energy<=1e-8 rel, value>=-1e-12",
-                   ok, t0)
+                   "symmetry/bilinearity<=1e-10, energy<=1e-8 rel, value>=-1e-12", ok)
 
 
 def criterion_11_slope_law(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 11)
     ok = True
     worst = 0.0
@@ -360,12 +346,10 @@ def criterion_11_slope_law(seed: int) -> CriterionResult:
     ok = ok and hand_err <= 0.05
     return _result(11, "pairing_slope_law",
                    f"worst_random={worst:.2e} hand_c={hand_fit.c_fit:.6f}",
-                   "|c_fit - v^T M^+ v| <= 5% max(|pred|, 0.01); hand = -1/2",
-                   ok, t0)
+                   "|c_fit - v^T M^+ v| <= 5% max(|pred|, 0.01); hand = -1/2", ok)
 
 
 def criterion_12_continuity_law(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     builder = lambda ch: density_from_callable(cosine_bump_profile(ch, 0), ch)
     curve = pairing_sweep(I2, builder, builder, np.geomspace(40, 220, 12),
                           resolution=32)
@@ -377,11 +361,10 @@ def criterion_12_continuity_law(seed: int) -> CriterionResult:
     ok = slope <= 1e-3 * scale and stability <= 0.01
     return _result(12, "pairing_continuity_law",
                    f"slope/scale={slope / scale:.2e} intercept_change={stability:.2e}",
-                   "|c_fit|<=1e-3 scale; intercept stable to 1%", ok, t0)
+                   "|c_fit|<=1e-3 scale; intercept stable to 1%", ok)
 
 
 def criterion_13_base_change(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     spec = step_density_spec([2.0, -2.0])
     builder = lambda ch: density_from_spec(spec, ch)
     worst = 0.0
@@ -391,11 +374,10 @@ def criterion_13_base_change(seed: int) -> CriterionResult:
         worst = max(worst, rep.max_discrepancy)
     ok = worst <= 1e-12
     return _result(13, "base_change_consistency",
-                   f"max_discrepancy={worst:.2e}", "<=1e-12 for d in {2,3}", ok, t0)
+                   f"max_discrepancy={worst:.2e}", "<=1e-12 for d in {2,3}", ok)
 
 
 def criterion_14_dynamics(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     fib = TorusFibration(
         t_coeffs=(0, 1),
         s_samples=annulus_samples(0.5, 1.5, n_r=2, n_arg=4),
@@ -427,11 +409,10 @@ def criterion_14_dynamics(seed: int) -> CriterionResult:
                    f"coef={rep.coefficient:.3f}/{rep.expected_coefficient:.3f} "
                    f"flat={flat_defect:.2e}",
                    "|u_k-u|<=2 sup|phi|/k; exp in [1.95,2.05]; coef within 2%; "
-                   "flat<=1e-6", ok, t0)
+                   "flat<=1e-6", ok)
 
 
 def criterion_15_node_integral(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
     eta = nodeintegral.constant_eta()
     curve = nodeintegral.sample_curve(eta, np.geomspace(1e-2, 1e-6, 9))
     fit = nodeintegral.asymptote_fit(curve, eta)
@@ -444,12 +425,10 @@ def criterion_15_node_integral(seed: int) -> CriterionResult:
     return _result(15, "node_integral_asymptotics",
                    f"A_fit={fit.A_fit:.6f} split_change={split_change:.2e} "
                    f"bounded={fit.remainder_bounded}",
-                   "A within 1% of pi; remainder bounded; split<=1e-8", ok, t0)
+                   "A within 1% of pi; remainder bounded; split<=1e-8", ok)
 
 
 def criterion_16_determinism(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
-
     def emit() -> str:
         rng = np.random.default_rng(seed)
         spec = random_step_spec(2, I2.area_vector(), rng)
@@ -466,7 +445,7 @@ def criterion_16_determinism(seed: int) -> CriterionResult:
     ok = first == second
     return _result(16, "deterministic_output",
                    f"bytes_equal={ok} length={len(first)}",
-                   "byte-identical CSV on rerun with same seed", ok, t0)
+                   "byte-identical CSV on rerun with same seed", ok)
 
 
 ALL_CRITERIA = [
@@ -489,14 +468,16 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(seed: int) -> list[CriterionResult]:
+def run_all(seed: int) -> list[tuple[CriterionResult, float]]:
+    """(result, wall seconds) of each criterion, in order."""
     results = []
     for fn in ALL_CRITERIA:
+        t0 = time.perf_counter()
         try:
-            results.append(fn(seed))
+            result = fn(seed)
         except Exception as exc:  # a crashed criterion is a failed criterion
             cid = int(fn.__name__.split("_")[1])
-            results.append(CriterionResult(cid, fn.__name__, f"error: {exc}",
-                                           "criterion must run to completion",
-                                           False, 0.0))
+            result = CriterionResult(cid, fn.__name__, f"error: {exc}",
+                                     "criterion must run to completion", False)
+        results.append((result, time.perf_counter() - t0))
     return results

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import acceptance, dualgraph, dynamics, nodeintegral
-from .configfile import ExperimentConfig, load_config, parse_grid
+from .configfile import ExperimentConfig, finite_float, load_config, parse_grid
 from .errors import ConvergenceError, ValidationError
 from .geometry import TWO_PI, build_chain
 from .nodeintegral import parse_eta
@@ -59,16 +59,6 @@ def _solver(cfg: ExperimentConfig):
         "m_max": cfg.get_int("solver", "m_max", "16"),
         "k_per_mode": cfg.get_int("solver", "k_per_mode", "32"),
     }
-
-
-def _finite(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {raw!r}")
-    return value
 
 
 def _window(raw: str) -> tuple[float, float]:
@@ -340,17 +330,16 @@ def cmd_node_integral(cfg: ExperimentConfig, args) -> Run:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> Run:
-    results = acceptance.run_all(cfg.require_seed())
+    # the wall times go to stdout only, so that verify.csv is byte-deterministic
+    timed = acceptance.run_all(cfg.require_seed())
     rows = [(r.cid, r.name, r.measured.replace(",", ";"),
-             r.threshold.replace(",", ";"), r.passed, f"{r.seconds:.3f}")
-            for r in results]
+             r.threshold.replace(",", ";"), r.passed) for r, _ in timed]
     summary = [f"[{'PASS' if r.passed else 'FAIL'}] {r.cid:2d} {r.name}: {r.measured}"
-               for r in results]
-    all_ok = all(r.passed for r in results)
+               f" ({seconds:.3f} s)" for r, seconds in timed]
+    all_ok = all(r.passed for r, _ in timed)
     summary.append("verification " + ("PASSED" if all_ok else "FAILED"))
     return Run(
-        [Table("verify.csv",
-               ["criterion", "name", "measured", "threshold", "passed", "seconds"], rows)],
+        [Table("verify.csv", ["criterion", "name", "measured", "threshold", "passed"], rows)],
         summary, 0 if all_ok else 1,
     )
 
@@ -359,7 +348,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> Run:
 
 # Each flag overrides one config key: flag -> (section, key, parser).
 _FLAGS = {
-    "--L": ("sweep", "L", _finite),
+    "--L": ("sweep", "L", finite_float),
     "--L-grid": ("sweep", "L_grid", parse_grid),
     "--fit-window": ("sweep", "fit_window", _window),
     "--eta": ("node", "eta", parse_eta),

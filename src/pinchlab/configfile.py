@@ -60,7 +60,6 @@ _DENSITY_EXTRA = {"project"}
 @dataclass(frozen=True)
 class ExperimentConfig:
     sections: dict[str, dict[str, str]]
-    text: str = ""
 
     def hash(self) -> str:
         normalized = []
@@ -90,7 +89,7 @@ class ExperimentConfig:
             raise ValidationError(f"[{section}] {key} must be {what}, got {raw!r}") from None
 
     def get_float(self, section, key, default=None) -> float:
-        return self._typed(section, key, default, _finite_float, "a finite number")
+        return self._typed(section, key, default, finite_float, "a finite number")
 
     def get_int(self, section, key, default=None) -> int:
         return self._typed(section, key, default, int, "an integer")
@@ -105,7 +104,7 @@ class ExperimentConfig:
 
     def get_floats(self, section, key, default=None) -> tuple[float, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
-            _finite_float(p) for p in raw.split(",") if p.strip()), "a list of finite numbers")
+            finite_float(p) for p in raw.split(",") if p.strip()), "a list of finite numbers")
 
     def get_complexes(self, section, key, default=None) -> tuple[complex, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
@@ -194,7 +193,7 @@ class ExperimentConfig:
                     out = out + maker(chain, idx, amp)(x)
                 return out
 
-            return density_from_callable(profile, chain, project=project, spec=spec)
+            return density_from_callable(profile, chain, project=project)
 
         return build
 
@@ -206,10 +205,13 @@ class ExperimentConfig:
         return self.get_int("solver", "seed")
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
+def finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"not finite: {raw!r}")
+        raise ValueError(f"must be a finite number, got {raw!r}")
     return value
 
 
@@ -227,7 +229,7 @@ def parse_grid(raw: str) -> np.ndarray:
             raise ValidationError(f"bad grid range {raw!r}")
         return np.geomspace(lo, hi, count)
     try:
-        vals = np.array([_finite_float(p) for p in raw.split(",") if p.strip()])
+        vals = np.array([finite_float(p) for p in raw.split(",") if p.strip()])
     except ValueError:
         raise ValidationError(f"grid entries must be finite numbers, got {raw!r}") from None
     if vals.size == 0:
@@ -267,7 +269,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in sections[current]:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         sections[current][key] = value
-    return ExperimentConfig(sections=sections, text=text)
+    return ExperimentConfig(sections=sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

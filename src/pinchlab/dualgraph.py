@@ -138,7 +138,6 @@ class ZariskiReport:
     max_eigenvalue: float
     kernel_dimension: int
     kernel_residual: float
-    tol: float
     passed: bool
 
 
@@ -166,7 +165,6 @@ def validate_zariski(
         max_eigenvalue=float(eigvals[-1]),
         kernel_dimension=kernel_dim,
         kernel_residual=residual,
-        tol=tol,
         passed=passed,
     )
 

@@ -332,6 +332,15 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex,
 
 # -- flat metric potential identity ------------------------------------------
 
+def _perturbed_density(rho_vals: np.ndarray, tau: complex) -> np.ndarray:
+    """Density of omega = omega_flat - ddc(rho) against the flat area form."""
+    lap = 4.0 * np.fft.ifft2(dzdzbar_hat(np.fft.fft2(rho_vals), tau)).real
+    w = 1.0 - lap / FOUR_PI
+    if w.min() <= 0:
+        raise ValidationError("rho is too large: the perturbed fiber density is not positive")
+    return w
+
+
 def flat_potential_identity(fib: TorusFibration, rho) -> float:
     """Max relative defect of phi_pref(T_* omega - omega) = T_* rho - rho.
 
@@ -345,14 +354,7 @@ def flat_potential_identity(fib: TorusFibration, rho) -> float:
     scale = 0.0
     for s in fib.s_samples:
         vals = np.asarray(rho(s, A, B), dtype=float)
-        lap = 4.0 * np.fft.ifft2(
-            dzdzbar_hat(np.fft.fft2(vals), fib.tau)
-        ).real
-        w = 1.0 - lap / FOUR_PI
-        if w.min() <= 0:
-            raise ValidationError(
-                "rho is too large: the perturbed fiber density is not positive"
-            )
+        w = _perturbed_density(vals, fib.tau)
         p, q = fib.lattice_shift(fib.T(s))
         xi = translate(w, p, q) - w            # density of T_* omega - omega
         phi = fiber_poisson(xi, fib.tau)
@@ -396,11 +398,7 @@ def limit_potential_relation(fib: TorusFibration, alpha, rho,
     for s in fib.s_samples:
         a_vals = np.asarray(alpha(s, A, B), dtype=float)
         a_vals = a_vals - a_vals.mean()
-        rho_vals = np.asarray(rho(s, A, B), dtype=float)
-        lap_rho = 4.0 * np.fft.ifft2(dzdzbar_hat(np.fft.fft2(rho_vals), fib.tau)).real
-        w = 1.0 - lap_rho / FOUR_PI
-        if w.min() <= 0:
-            raise ValidationError("rho is too large for a positive density")
+        w = _perturbed_density(np.asarray(rho(s, A, B), dtype=float), fib.tau)
         p, q = fib.lattice_shift(fib.T(s))
 
         phi = fiber_poisson(a_vals, fib.tau)

@@ -16,6 +16,7 @@ with zero fiber integral.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -91,7 +92,6 @@ class WarpedChain:
     total_length: float
     nodes: np.ndarray          # strictly increasing, nodes[0] = 0, last < P
     cell_segment: np.ndarray   # segment index per cyclic cell
-    resolution: int
 
     # per-cell quadrature tables filled in by build_chain
     quad_x: np.ndarray = field(repr=False, default=None)
@@ -156,6 +156,23 @@ class WarpedChain:
         """Integral against dA = 2*pi*c(x) dx of samples on the quad table."""
         return TWO_PI * float(np.sum(values_at_quad * self.quad_c * self.quad_w))
 
+    @functools.cached_property
+    def _p1_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hat functions of node i and node i+1 mod n at cell i's quadrature points."""
+        xi = (self.quad_x - self.nodes[:, None]) / self.cell_lengths[:, None]
+        return 1.0 - xi, xi
+
+    @functools.cached_property
+    def operators(self) -> ChainOperators:
+        """``chain_operators(self)``, kept in the instance dict: a pickled chain carries it."""
+        return chain_operators(self)
+
+    def load_vector(self, values_at_quad: np.ndarray) -> np.ndarray:
+        """q[v] = integral(a * hat_v dA) of samples a on the quad table."""
+        psi_l, psi_r = self._p1_basis
+        common = TWO_PI * values_at_quad * self.quad_c * self.quad_w
+        return np.sum(common * psi_l, axis=1) + np.roll(np.sum(common * psi_r, axis=1), 1)
+
 
 def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChain:
     """Lay out the alternating fat/neck segments and the cyclic grid.
@@ -210,13 +227,68 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
         total_length=P,
         nodes=nodes_arr,
         cell_segment=np.asarray(cell_segment, dtype=int),
-        resolution=resolution,
     )
     h = chain.cell_lengths
     qx = nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None]
     qw = (0.5 * GL_W)[None, :] * h[:, None]
     qc = chain.circumference(qx.ravel()).reshape(qx.shape)
     return replace(chain, quad_x=qx, quad_w=qw, quad_c=qc)
+
+
+@dataclass(frozen=True)
+class ChainOperators:
+    """CSR weak forms of one chain, shared by every angular mode.
+
+    stiffness(m) = gradient + m^2 * potential with
+    gradient  = 2*pi * integral(c u' v'),
+    potential = 2*pi * integral((1/c) u v),
+    mass      = 2*pi * integral(c u v);
+    all three are symmetric and cyclic tridiagonal.
+    """
+
+    gradient: scipy.sparse.csr_array
+    potential: scipy.sparse.csr_array
+    mass: scipy.sparse.csr_array
+
+    def stiffness(self, m: int) -> scipy.sparse.csr_array:
+        if m < 0:
+            raise ValidationError("angular mode must be nonnegative")
+        return self.gradient if m == 0 else self.gradient + (m * m) * self.potential
+
+
+def _cyclic_tridiagonal(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray
+                        ) -> scipy.sparse.csr_array:
+    """Sum of the cell matrices [[ll, lr], [lr, rr]] over cells (i, i+1 mod n)."""
+    # imported on first use: a module-level import made a fresh
+    # `import pinchlab.cli` 15-20 ms slower (Python 3.11, 2-core Xeon)
+    import scipy.sparse
+    n = ll.size
+    i = np.arange(n)
+    # row i holds (i, i-1), (i, i), (i, i+1), cyclically
+    data = np.stack([np.roll(lr, 1), ll + np.roll(rr, 1), lr], axis=1).ravel()
+    cols = np.stack([(i - 1) % n, i, (i + 1) % n], axis=1).ravel()
+    A = scipy.sparse.csr_array((data, cols, 3 * np.arange(n + 1)), shape=(n, n))
+    A.sum_duplicates()  # sorts each row, and merges entries when n < 3
+    return A
+
+
+def chain_operators(chain: WarpedChain) -> ChainOperators:
+    """Assemble the gradient, potential and mass forms cell by cell."""
+    h = chain.cell_lengths
+    psi_l, psi_r = chain._p1_basis
+    w = chain.quad_w
+    c = chain.quad_c
+
+    g = TWO_PI * np.sum(c * w, axis=1) / h**2        # gradient coupling per cell
+
+    def cell_form(weight):
+        return _cyclic_tridiagonal(TWO_PI * np.sum(weight * psi_l * psi_l, axis=1),
+                                   TWO_PI * np.sum(weight * psi_l * psi_r, axis=1),
+                                   TWO_PI * np.sum(weight * psi_r * psi_r, axis=1))
+
+    return ChainOperators(gradient=_cyclic_tridiagonal(g, -g, g),
+                          potential=cell_form(w / c),
+                          mass=cell_form(c * w))
 
 
 @dataclass(frozen=True)
@@ -302,7 +374,6 @@ class DensityField:
     total_integral: float
     component_integrals: np.ndarray  # over fat segments only
     component_integrals_with_necks: np.ndarray
-    spec: DensitySpec | None = None
     profile: object = field(repr=False, default=None)  # raw callable, pre-shift
 
     def evaluate(self, x) -> np.ndarray:
@@ -318,8 +389,7 @@ class DensityField:
         return self.evaluate(qx.ravel()).reshape(qx.shape)
 
 
-def density_from_callable(f, chain: WarpedChain, project: bool = True,
-                          spec: DensitySpec | None = None) -> DensityField:
+def density_from_callable(f, chain: WarpedChain, project: bool = True) -> DensityField:
     """Sample a profile a(x) on a chain and enforce zero total integral.
 
     With ``project`` the constant component is removed (orthogonal projection
@@ -361,14 +431,12 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True,
         total_integral=float(chain.integrate_area(quad_vals)),
         component_integrals=comp,
         component_integrals_with_necks=comp_neck,
-        spec=spec,
         profile=f,
     )
 
 
 def density_from_spec(spec: DensitySpec, chain: WarpedChain) -> DensityField:
-    return density_from_callable(spec.profile(chain), chain,
-                                 project=spec.project, spec=spec)
+    return density_from_callable(spec.profile(chain), chain, project=spec.project)
 
 
 def step_density_spec(values, project: bool = True) -> DensitySpec:
@@ -394,17 +462,19 @@ def random_step_spec(n: int, areas, rng: np.random.Generator) -> DensitySpec:
             return step_density_spec(vals)
 
 
-def _segment_wave(chain: WarpedChain, segment: int, amplitude: float, wave):
-    fats = chain.fat_segments()
-    if segment >= len(fats):
-        raise ValidationError(f"no fat segment {segment}")
-    seg = fats[segment]
+def _segment_wave(chain: WarpedChain, kind: str, index: int, amplitude: float, wave,
+                  harmonic: int = 1):
+    """amplitude * wave(2*pi*harmonic*t), t in [0, 1) across one segment, else 0."""
+    segments = [s for s in chain.segments if s.kind == kind]
+    if index >= len(segments):
+        raise ValidationError(f"no {kind} segment {index}")
+    seg = segments[index]
 
     def f(x):
         x = np.mod(np.asarray(x, dtype=float), chain.total_length)
         out = np.zeros_like(x)
         mask = (x >= seg.x0) & (x < seg.x1)
-        out[mask] = amplitude * wave(TWO_PI * (x[mask] - seg.x0) / seg.length)
+        out[mask] = amplitude * wave(TWO_PI * harmonic * (x[mask] - seg.x0) / seg.length)
         return out
 
     return f
@@ -418,7 +488,7 @@ def sine_bump_profile(chain: WarpedChain, segment: int = 0, amplitude: float = 1
     Odd about the segment midpoint, so its collapsing-mode coefficients
     vanish by parity on symmetric chains.
     """
-    return _segment_wave(chain, segment, amplitude, np.sin)
+    return _segment_wave(chain, "fat", segment, amplitude, np.sin)
 
 
 def cosine_bump_profile(chain: WarpedChain, segment: int = 0, amplitude: float = 1.0):
@@ -427,7 +497,7 @@ def cosine_bump_profile(chain: WarpedChain, segment: int = 0, amplitude: float =
     Same zero component integrals as the sine bump, but even about the
     segment midpoint, so it excites the collapsing modes generically.
     """
-    return _segment_wave(chain, segment, amplitude, np.cos)
+    return _segment_wave(chain, "fat", segment, amplitude, np.cos)
 
 
 def neck_wave_profile(chain: WarpedChain, neck: int = 0, amplitude: float = 1.0,
@@ -438,18 +508,4 @@ def neck_wave_profile(chain: WarpedChain, neck: int = 0, amplitude: float = 1.0,
     density sees the collapsing weight, so pairings against it depend on L
     and decay as the neck area does.
     """
-    necks = chain.neck_segments()
-    if neck >= len(necks):
-        raise ValidationError(f"no neck segment {neck}")
-    seg = necks[neck]
-
-    def f(x):
-        x = np.mod(np.asarray(x, dtype=float), chain.total_length)
-        out = np.zeros_like(x)
-        mask = (x >= seg.x0) & (x < seg.x1)
-        out[mask] = amplitude * np.sin(
-            TWO_PI * harmonic * (x[mask] - seg.x0) / seg.length
-        )
-        return out
-
-    return f
+    return _segment_wave(chain, "neck", neck, amplitude, np.sin, harmonic)

@@ -151,41 +151,36 @@ def _chart_integral(eta: EtaSpec, t: complex, r, w_r, n_theta: int, chart: int):
     return plain, logged
 
 
-def fiber_annulus_integral(eta: EtaSpec, t: complex, radial_per_decade: int = 32,
-                           n_theta: int = 64, split_factor: float = 1.0) -> float:
-    """I(t) = integral of log|z1|^2 eta over the fiber {z1 z2 = t}.
-
-    The annulus |t| <= |z1| <= 1 is split at split_factor * sqrt|t|; the
-    outer part is integrated in the z1 chart, the inner part in the z2 chart
-    where log|z1|^2 = log|t|^2 - log|z2|^2.
-    """
+def _split_fiber(eta: EtaSpec, t: complex, radial_per_decade: int, n_theta: int,
+                 split_factor: float = 1.0):
+    """(plain, logged) of the z1 chart on |z1| >= split_factor * sqrt|t| and of
+    the z2 chart inside that circle, on the annulus |t| <= |z1| <= 1 over t."""
     at = abs(t)
     if not 0 < at < 1:
         raise ValidationError("need 0 < |t| < 1")
     split = split_factor * math.sqrt(at)
     if not at < split < 1:
         raise ValidationError("split radius must lie strictly inside the annulus")
-
     r1, w1 = _log_radial_nodes(split, 1.0, radial_per_decade)
-    _, logged1 = _chart_integral(eta, t, r1, w1, n_theta, chart=1)
-
     # inner region in the z2 chart: |z2| from at/split up to 1
     r2, w2 = _log_radial_nodes(at / split, 1.0, radial_per_decade)
-    plain2, logged2 = _chart_integral(eta, t, r2, w2, n_theta, chart=2)
-    return logged1 + math.log(at**2) * plain2 - logged2
+    return (_chart_integral(eta, t, r1, w1, n_theta, chart=1),
+            _chart_integral(eta, t, r2, w2, n_theta, chart=2))
+
+
+def fiber_annulus_integral(eta: EtaSpec, t: complex, radial_per_decade: int = 32,
+                           n_theta: int = 64, split_factor: float = 1.0) -> float:
+    """I(t) = integral of log|z1|^2 eta over the fiber {z1 z2 = t}; the inner
+    part is integrated in the z2 chart, where log|z1|^2 = log|t|^2 - log|z2|^2."""
+    (_, logged1), (plain2, logged2) = _split_fiber(eta, t, radial_per_decade, n_theta,
+                                                   split_factor)
+    return logged1 + math.log(abs(t) ** 2) * plain2 - logged2
 
 
 def fiber_integral(eta: EtaSpec, t: complex, radial_per_decade: int = 32,
                    n_theta: int = 64) -> float:
     """J(t) = integral of eta over the fiber (no logarithmic factor)."""
-    at = abs(t)
-    if not 0 < at < 1:
-        raise ValidationError("need 0 < |t| < 1")
-    split = math.sqrt(at)
-    r1, w1 = _log_radial_nodes(split, 1.0, radial_per_decade)
-    plain1, _ = _chart_integral(eta, t, r1, w1, n_theta, chart=1)
-    r2, w2 = _log_radial_nodes(at / split, 1.0, radial_per_decade)
-    plain2, _ = _chart_integral(eta, t, r2, w2, n_theta, chart=2)
+    (plain1, _), (plain2, _) = _split_fiber(eta, t, radial_per_decade, n_theta)
     return plain1 + plain2
 
 

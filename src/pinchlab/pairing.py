@@ -20,8 +20,7 @@ from .dualgraph import DualGraph, build_intersection_matrix, pairing_constant, p
 from .errors import ValidationError
 from .geometry import FOUR_PI, DensityField, FamilyConfig, WarpedChain, build_chain
 from .nodeintegral import aitken_limit
-from .potential import PoissonSystem, _load_vector, solve_direct
-from .spectral import chain_operators
+from .potential import PoissonSystem, solve_direct
 
 
 def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField,
@@ -34,11 +33,11 @@ def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField
     """
     system = PoissonSystem(chain)
     pot_a = solve_direct(chain, dens_a, system=system)
-    q_b = _load_vector(chain, dens_b)
+    q_b = chain.load_vector(dens_b.quad_values)
     value = float(pot_a.phi @ q_b)
     if check_symmetry:
         pot_b = solve_direct(chain, dens_b, system=system)
-        q_a = _load_vector(chain, dens_a)
+        q_a = chain.load_vector(dens_a.quad_values)
         other = float(pot_b.phi @ q_a)
         if abs(value - other) > 1e-10 * (1.0 + abs(value)):
             raise ValidationError(
@@ -53,22 +52,19 @@ def pairing_energy(chain: WarpedChain, dens_a: DensityField) -> tuple[float, flo
     The two must agree: the self-pairing is a positive quadratic form.
     """
     pot = solve_direct(chain, dens_a)
-    q = _load_vector(chain, dens_a)
+    q = chain.load_vector(dens_a.quad_values)
     value = float(pot.phi @ q)
-    S = chain_operators(chain).gradient
-    energy = float(pot.phi @ (S @ pot.phi)) / FOUR_PI
+    energy = float(pot.phi @ (chain.operators.gradient @ pot.phi)) / FOUR_PI
     return value, energy
 
 
 @dataclass(frozen=True)
 class PairingCurve:
-    """Sampled pairing over an L-grid, with provenance of both slots."""
+    """Sampled pairing over an L-grid."""
 
     L: np.ndarray
     s: np.ndarray
     values: np.ndarray
-    alpha_desc: str = ""
-    beta_desc: str = ""
 
     def __post_init__(self):
         if not np.all(np.diff(self.L) > 0):
@@ -78,8 +74,7 @@ class PairingCurve:
 
 
 def pairing_sweep(cfg: FamilyConfig, a_builder, b_builder, L_grid,
-                  resolution: int = 48, alpha_desc: str = "",
-                  beta_desc: str = "") -> PairingCurve:
+                  resolution: int = 48) -> PairingCurve:
     """Evaluate the pairing on each chain of an L-grid.
 
     ``a_builder(chain) -> DensityField`` rebuilds each slot per chain (the
@@ -91,13 +86,7 @@ def pairing_sweep(cfg: FamilyConfig, a_builder, b_builder, L_grid,
     for L in Ls:
         chain = build_chain(cfg, float(L), resolution=resolution)
         values.append(pairing_value(chain, a_builder(chain), b_builder(chain)))
-    return PairingCurve(
-        L=Ls,
-        s=np.exp(-Ls),
-        values=np.asarray(values),
-        alpha_desc=alpha_desc,
-        beta_desc=beta_desc,
-    )
+    return PairingCurve(L=Ls, s=np.exp(-Ls), values=np.asarray(values))
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,6 @@ class FitResult:
     c_fit: float
     intercept: float
     residual_rms: float
-    window: tuple[float, float]
     stability_delta: float   # max slope change when refitting window halves
 
 
@@ -137,7 +125,6 @@ def fit_log_asymptote(curve: PairingCurve, window: tuple[float, float] = (50.0, 
         c_fit=float(slope),
         intercept=float(intercept),
         residual_rms=rms,
-        window=(float(lo), float(hi)),
         stability_delta=float(max(deltas)) if deltas else 0.0,
     )
 

@@ -25,21 +25,7 @@ import scipy.sparse.linalg
 from .dualgraph import edge_counts
 from .errors import ValidationError
 from .geometry import FOUR_PI, TWO_PI, DensityField, WarpedChain, build_chain
-from .spectral import EigenSystem, chain_operators, full_spectrum
-
-
-def _load_vector(chain: WarpedChain, dens: DensityField) -> np.ndarray:
-    """q[v] = integral(a * hat_v dA), assembled with the cell quadrature."""
-    n = chain.n_nodes
-    h = chain.cell_lengths
-    xi = (chain.quad_x - chain.nodes[:, None]) / h[:, None]
-    avals = dens.quad_values
-    common = TWO_PI * avals * chain.quad_c * chain.quad_w
-    q = np.zeros(n)
-    i = np.arange(n)
-    np.add.at(q, i, np.sum(common * (1.0 - xi), axis=1))
-    np.add.at(q, (i + 1) % n, np.sum(common * xi, axis=1))
-    return q
+from .spectral import EigenSystem, full_spectrum
 
 
 def _require_mean_zero(dens: DensityField):
@@ -71,7 +57,6 @@ class SpectralCoefficients:
     b: np.ndarray
     c: np.ndarray
     eigenvalues: np.ndarray
-    truncation_index: int
 
 
 class PoissonSystem:
@@ -82,11 +67,10 @@ class PoissonSystem:
     """
 
     def __init__(self, chain: WarpedChain):
-        ops = chain_operators(chain)
         n = chain.n_nodes
         self.chain = chain
-        self.S = ops.gradient
-        self.w = ops.mass @ np.ones(n)
+        self.S = chain.operators.gradient
+        self.w = chain.operators.mass @ np.ones(n)
         S = self.S.tocoo()
         nodes, last = np.arange(n), np.full(n, n)
         K = scipy.sparse.csc_array(
@@ -99,7 +83,7 @@ class PoissonSystem:
         """Potential of ``dens``; the residual of the unconstrained equation is checked."""
         _require_mean_zero(dens)
         n = self.chain.n_nodes
-        rhs = FOUR_PI * _load_vector(self.chain, dens)
+        rhs = FOUR_PI * self.chain.load_vector(dens.quad_values)
         sol = self.lu.solve(np.append(rhs, 0.0))
         phi = sol[:n]
         scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -141,19 +125,18 @@ def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
             f"truncation {k_trunc} exceeds the {positives.size} available "
             "mode-0 eigenpairs"
         )
-    q = _load_vector(chain, dens)
+    q = chain.load_vector(dens.quad_values)
     used = positives[:k_trunc]
     lam = eigsys.lam[used]
     basis = eigsys.vecs[:, used].T
     b = basis @ q
     c = b / lam
     phi = FOUR_PI * (c @ basis)
-    w = chain_operators(chain).mass @ np.ones(chain.n_nodes)
+    w = chain.operators.mass @ np.ones(chain.n_nodes)
     mean = float(phi @ w / np.sum(w))
     pot = PreferredPotential(chain=chain, phi=phi, mean=mean,
                              source=dens, method="spectral")
-    coeffs = SpectralCoefficients(b=b, c=c, eigenvalues=lam,
-                                  truncation_index=k_trunc)
+    coeffs = SpectralCoefficients(b=b, c=c, eigenvalues=lam)
     return pot, coeffs
 
 
@@ -163,7 +146,7 @@ def split_low_high(pot: PreferredPotential, eigsys: EigenSystem):
     low lies in span{Phi_1 .. Phi_{N-1}}, high is orthogonal to the constant
     and the low span; low + high + mean = phi exactly.
     """
-    M = chain_operators(pot.chain).mass
+    M = pot.chain.operators.mass
     Mphi = M @ pot.phi
     low = np.zeros_like(pot.phi)
     for vec in eigsys.vecs[:, eigsys.low].T:

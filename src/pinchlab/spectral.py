@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .dualgraph import DualGraph, build_intersection_matrix
@@ -60,69 +59,13 @@ _TASKS_PER_WORKER = 2  # pool tasks outstanding per worker; results wait for the
 _PARENT_POLL_S = 0.5   # a worker checks this often whether its parent is gone
 
 
-@dataclass(frozen=True)
-class ChainOperators:
-    """CSR weak forms of one chain, shared by every angular mode.
-
-    stiffness(m) = gradient + m^2 * potential with
-    gradient  = 2*pi * integral(c u' v'),
-    potential = 2*pi * integral((1/c) u v),
-    mass      = 2*pi * integral(c u v);
-    all three are symmetric and cyclic tridiagonal.
-    """
-
-    gradient: scipy.sparse.csr_array
-    potential: scipy.sparse.csr_array
-    mass: scipy.sparse.csr_array
-
-    def stiffness(self, m: int) -> scipy.sparse.csr_array:
-        if m < 0:
-            raise ValidationError("angular mode must be nonnegative")
-        return self.gradient if m == 0 else self.gradient + (m * m) * self.potential
-
-
-def _cyclic_tridiagonal(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray
-                        ) -> scipy.sparse.csr_array:
-    """Sum of the cell matrices [[ll, lr], [lr, rr]] over cells (i, i+1 mod n)."""
-    n = ll.size
-    i = np.arange(n)
-    # row i holds (i, i-1), (i, i), (i, i+1), cyclically
-    data = np.stack([np.roll(lr, 1), ll + np.roll(rr, 1), lr], axis=1).ravel()
-    cols = np.stack([(i - 1) % n, i, (i + 1) % n], axis=1).ravel()
-    A = scipy.sparse.csr_array((data, cols, 3 * np.arange(n + 1)), shape=(n, n))
-    A.sum_duplicates()  # sorts each row, and merges entries when n < 3
-    return A
-
-
-def chain_operators(chain: WarpedChain) -> ChainOperators:
-    """Assemble the gradient, potential and mass forms cell by cell."""
-    h = chain.cell_lengths
-    xi = (chain.quad_x - chain.nodes[:, None]) / h[:, None]
-    psi_l = 1.0 - xi
-    psi_r = xi
-    w = chain.quad_w
-    c = chain.quad_c
-
-    g = TWO_PI * np.sum(c * w, axis=1) / h**2        # gradient coupling per cell
-
-    def cell_form(weight):
-        return _cyclic_tridiagonal(TWO_PI * np.sum(weight * psi_l * psi_l, axis=1),
-                                   TWO_PI * np.sum(weight * psi_l * psi_r, axis=1),
-                                   TWO_PI * np.sum(weight * psi_r * psi_r, axis=1))
-
-    return ChainOperators(gradient=_cyclic_tridiagonal(g, -g, g),
-                          potential=cell_form(w / c),
-                          mass=cell_form(c * w))
-
-
 def assemble_mode_operator(chain: WarpedChain, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense stiffness and mass matrices of the angular-mode-m weak form.
 
-    The solvers use the CSR forms of ``chain_operators``; this dense copy is
+    The solvers use the CSR forms of ``chain.operators``; this dense copy is
     for inspection and small oracles.
     """
-    ops = chain_operators(chain)
-    return ops.stiffness(m).toarray(), ops.mass.toarray()
+    return chain.operators.stiffness(m).toarray(), chain.operators.mass.toarray()
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -188,19 +131,16 @@ def _shift_invert(S, M, k: int):
     return (lam, vecs) if np.all(resid <= bound) else None
 
 
-def solve_modes(chain: WarpedChain, m: int, k: int, *,
-                operators: ChainOperators | None = None):
+def solve_modes(chain: WarpedChain, m: int, k: int):
     """k smallest eigenpairs of the mode-m generalized problem.
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
     inertia count, with the dense solver as fallback when the certificate
-    fails; every other case uses the dense solver.  ``operators`` passes the
-    chain's forms when the caller already assembled them.  Returns
-    (lam, vecs) with vecs[:, j] mass-orthonormal.  Residuals beyond
-    tolerance raise ConvergenceError with diagnostics.
+    fails; every other case uses the dense solver.  Returns (lam, vecs) with
+    vecs[:, j] mass-orthonormal.  Residuals beyond tolerance raise
+    ConvergenceError with diagnostics.
     """
-    ops = operators if operators is not None else chain_operators(chain)
-    S, M = ops.stiffness(m), ops.mass
+    S, M = chain.operators.stiffness(m), chain.operators.mass
     n = S.shape[0]
     if k > n:
         raise ValidationError(f"requested {k} eigenpairs from an n = {n} grid")
@@ -305,13 +245,13 @@ def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> 
     c_max = max(seg.c for seg in chain.segments)
     excluded_bound = (m_max + 1) ** 2 / c_max**2
 
-    ops = chain_operators(chain)
     modes = range(m_max + 1)
     pool = _pool() if n > _SPARSE_MIN_NODES else None
     if pool is None:
-        solved = (solve_modes(chain, m, k, operators=ops) for m in modes)
+        solved = (solve_modes(chain, m, k) for m in modes)
     else:
-        solved = _solve_in_pool(pool, functools.partial(_solve_mode, ops, k), modes)
+        chain.operators  # assembled here, so that each task's pickled chain carries them
+        solved = _solve_in_pool(pool, functools.partial(_solve_mode, chain, k), modes)
     # each mode's block is copied into place, one contiguous (Fortran) stretch,
     # as it arrives; sorting the columns would hold a second copy of every vector
     lam = np.empty(len(modes) * k)
@@ -430,9 +370,11 @@ def _exit_with_parent(parent: int):
     os._exit(1)
 
 
-def _solve_mode(ops: ChainOperators, k: int, m: int):
-    # the forms hold everything solve_modes reads from a chain
-    return solve_modes(None, m, k, operators=ops)
+def _solve_mode(chain: WarpedChain, k: int, m: int):
+    # solve_modes is looked up when a task runs: a partial of it would pickle
+    # the function object, and a traced or monkeypatched solve_modes is a
+    # closure that cannot be pickled
+    return solve_modes(chain, m, k)
 
 
 def _solve_in_pool(pool, fn, items):
@@ -547,7 +489,7 @@ def model_functions(chain: WarpedChain) -> ModelFunctionSet:
         vals[mask] = height * (x[mask] - prv.x0) / prv.length
         funcs[i] = vals
         supports.append((prv.x0 % P, nxt.x1 % P))
-    ops = chain_operators(chain)
+    ops = chain.operators
     energies = _quadratic_forms(ops.gradient, funcs)
     norms = _quadratic_forms(ops.mass, funcs)
     overlap_sup = 0.0
@@ -596,7 +538,7 @@ def correlation_matrix(chain: WarpedChain, eigsys: EigenSystem,
     if eigsys.certification_limited_by_k and np.isnan(eigsys.gap_value):
         raise ValidationError("eigen system lacks a certified low part")
     N = chain.cfg.n_components
-    ops = chain_operators(chain)
+    ops = chain.operators
     volume = float(ops.mass.sum())
     phi = np.zeros((N, chain.n_nodes))
     phi[0] = 1.0 / np.sqrt(volume)

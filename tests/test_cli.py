@@ -1,14 +1,17 @@
 """Config parsing, command driver, exit codes, and output determinism."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pinchlab import acceptance
 from pinchlab.cli import COMMANDS, main, parse_eta
 from pinchlab.configfile import parse_config, parse_grid
 from pinchlab.errors import ConvergenceError, ValidationError
@@ -286,3 +289,24 @@ def test_command_table_writes_readme_schemas(tmp_path, capsys, name):
     wrote = [f"wrote {os.path.join(str(out), filename)}" for filename in expected]
     assert stdout[:len(wrote)] == wrote
     assert not any(ln.startswith("wrote ") for ln in stdout[len(wrote):])
+
+
+def test_verify_csv_is_readme_schema_and_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", acceptance.ALL_CRITERIA[:2])
+    # every interval of this clock differs, so a wall time written to the CSV
+    # would differ between the two runs
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: next(ticks) ** 2)
+    monkeypatch.setattr(acceptance, "time", clock)
+    cfg_path, _ = write_cfg(tmp_path, "[solver]\nseed = 5\n")
+    written = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 0
+        written.append((out / "verify.csv").read_bytes())
+    lines = written[0].decode().splitlines()
+    assert lines[1] == readme_schemas()["verify"]["verify.csv"]
+    assert len(lines) == 2 + 2
+    assert written[0] == written[1]
+    summary = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[PASS]")]
+    assert len(summary) == 4 and all(ln.endswith(" s)") for ln in summary)

@@ -180,6 +180,13 @@ class TestFlatPotentialIdentity:
 
 
 class TestLimitPotentialRelation:
+    def test_oversized_rho_rejected_as_in_flat_identity(self):
+        fib = make_fib(n=32)
+        rho = lambda s, A, B: 5.0 * np.cos(TWO_PI * A)
+        with pytest.raises(ValidationError, match="rho is too large: the perturbed fiber "
+                                                  "density is not positive"):
+            limit_potential_relation(fib, lambda s, A, B: np.cos(TWO_PI * A), rho)
+
     def test_zero_alpha_reduces_to_mean(self):
         fib = make_fib(n=32)
         rep = limit_potential_relation(

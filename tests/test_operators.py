@@ -2,19 +2,27 @@
 certificate, the bordered Poisson LU and the GEMM Green kernel, each checked
 against the dense computation it replaces."""
 
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from pinchlab import spectral
+from pinchlab import cli, geometry, spectral
 from pinchlab.errors import ValidationError
-from pinchlab.geometry import FamilyConfig, build_chain, density_from_spec, step_density_spec
+from pinchlab.geometry import (
+    FamilyConfig,
+    build_chain,
+    chain_operators,
+    density_from_spec,
+    step_density_spec,
+)
 from pinchlab.pairing import pairing_value
-from pinchlab.potential import FOUR_PI, PoissonSystem, _load_vector, solve_direct
+from pinchlab.potential import FOUR_PI, PoissonSystem, solve_direct
 from pinchlab.spectral import (
     assemble_mode_operator,
-    chain_operators,
     full_spectrum,
     solve_modes,
     truncated_green_min,
@@ -51,6 +59,36 @@ class TestAssembly:
         chain = build_chain(I2, 60.0, resolution=16)
         with pytest.raises(ValidationError, match="nonnegative"):
             chain_operators(chain).stiffness(-1)
+
+    def test_each_chain_assembles_its_forms_once(self, monkeypatch, tmp_path):
+        # potential on i2_step builds 5 chains: one at [sweep] L and one per L
+        # of the default estimate grid 20:200:4; each form is one call
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        tridiagonal, calls = geometry._cyclic_tridiagonal, []
+        monkeypatch.setattr(geometry, "_cyclic_tridiagonal",
+                            lambda *args: calls.append(1) or tridiagonal(*args))
+        config = Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg"
+        assert cli.main(["potential", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3 * 5
+
+    def test_load_vector_matches_scatter_add(self):
+        # the scatter it replaces: cell i adds to node i and node i+1 mod n
+        chain = build_chain(I2, 60.0, resolution=16)
+        a = density_from_spec(step_density_spec([1.5, -1.5]), chain).quad_values
+        xi = (chain.quad_x - chain.nodes[:, None]) / chain.cell_lengths[:, None]
+        common = geometry.TWO_PI * a * chain.quad_c * chain.quad_w
+        want, i = np.zeros(chain.n_nodes), np.arange(chain.n_nodes)
+        np.add.at(want, i, np.sum(common * (1.0 - xi), axis=1))
+        np.add.at(want, (i + 1) % chain.n_nodes, np.sum(common * xi, axis=1))
+        np.testing.assert_array_equal(chain.load_vector(a), want)
+
+    def test_forms_travel_with_a_pickled_chain(self):
+        chain = build_chain(I2, 60.0, resolution=16)
+        ops = chain.operators
+        assert chain.operators is ops
+        copy = pickle.loads(pickle.dumps(chain))
+        assert "operators" in vars(copy)
+        np.testing.assert_array_equal(copy.operators.mass.toarray(), ops.mass.toarray())
 
 
 class TestShiftInvert:
@@ -137,7 +175,7 @@ class TestPoisson:
         n = chain.n_nodes
         w = M @ np.ones(n)
         K = np.block([[S, w[:, None]], [w[None, :], np.zeros((1, 1))]])
-        rhs = np.append(FOUR_PI * _load_vector(chain, dens), 0.0)
+        rhs = np.append(FOUR_PI * chain.load_vector(dens.quad_values), 0.0)
         dense = scipy.linalg.solve(K, rhs, assume_a="sym")[:n]
         _forbid(monkeypatch, scipy.linalg, "solve")
         phi = solve_direct(chain, dens).phi

@@ -104,7 +104,7 @@ class TestDirectSolve:
         dens = density_from_spec(step_density_spec([2.0, -2.0]), chain)
         pot = solve_direct(chain, dens)
         import scipy.linalg
-        from pinchlab.potential import FOUR_PI, _load_vector
+        from pinchlab.potential import FOUR_PI
 
         S, M = assemble_mode_operator(chain, 0)
         n = chain.n_nodes
@@ -115,7 +115,7 @@ class TestDirectSolve:
         K[:n, :n] = S[np.ix_(perm, perm)]
         K[:n, n] = w[perm]
         K[n, :n] = w[perm]
-        rhs = np.append((FOUR_PI * _load_vector(chain, dens))[perm], 0.0)
+        rhs = np.append((FOUR_PI * chain.load_vector(dens.quad_values))[perm], 0.0)
         sol = scipy.linalg.solve(K, rhs, assume_a="sym")
         unpermuted = np.empty(n)
         unpermuted[perm] = sol[:n]
