@@ -31,7 +31,8 @@ from .nodeintegral import parse_eta
 from .pairing import fit_log_asymptote, pairing_sweep, predicted_constant
 from .potential import EstimateRow, estimate_report, solve_direct, split_low_high
 from .reporting import render_csv, write_text
-from .spectral import full_spectra, full_spectrum, model_functions, truncated_green_min
+from .spectral import (blas_threads, full_spectra, full_spectrum, model_functions,
+                       truncated_green_min)
 
 
 @dataclass(frozen=True)
@@ -443,6 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # one BLAS thread for the length of the command, unless the user chose a
+    # count: the dense solves are small, and default threads compete with the
+    # pool workers and with other processes for the cores
+    chosen = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
+    pinned = None if chosen else blas_threads(1)
     try:
         if args.command == "kodaira":
             return cmd_kodaira(args)
@@ -454,6 +460,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if pinned:
+            blas_threads(pinned)  # library callers keep their own threads
 
 
 if __name__ == "__main__":

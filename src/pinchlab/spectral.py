@@ -19,6 +19,7 @@ import itertools
 import os
 import re
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -35,7 +36,10 @@ RESIDUAL_TOL = 1e-8
 # k * _SPARSE_K_RATIO <= n.  Measured on a 2-core Xeon with OpenBLAS: at
 # k = n/12 shift-invert takes 0.2-0.6x the dense time for n = 576-1152 and
 # m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Grids of n <= 384 (every
-# shipped config and acceptance criterion) stay dense.
+# shipped config and acceptance criterion) stay dense, and their modes share
+# one factorization of M (_mass_factor).  Larger grids solve each mode's
+# (S, M) on its own: their modes are pool tasks, and a task that has to make
+# the factor too takes 43-45 ms at n = 576, against 39 ms for eigh(S, M).
 _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
@@ -46,13 +50,15 @@ _GAP_RTOL = 1e-8       # Ritz values closer than this count as one cluster
 # n > _SPARSE_MIN_NODES (full_spectrum) and the chains of a sweep, one task
 # per chain (full_spectra).  A loaded BLAS library matching _BLAS_LIBRARY that
 # exports none of these (setter, getter) pairs keeps the solves serial, since
-# its threads would compete with the other workers.
+# its threads would compete with the other workers.  ``blas_threads`` does
+# the pinning, for the workers and for the CLI's own process (cli.main).
 _BLAS_LIBRARY = re.compile(r"lib.*(blas|mkl|blis)", re.IGNORECASE)
 _OPENBLAS_THREADS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),  # numpy wheels
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),        # scipy wheels
     ("openblas_set_num_threads", "openblas_get_num_threads"),                    # a plain OpenBLAS
 )
+_FACTOR = None      # (weak reference to a chain, its _mass_factor): one slot
 _POOL = None        # (owner pid, executor or None when this process stays serial)
 _IN_WORKER = False  # set in the workers: they never fork a pool of their own
 _TASKS_PER_WORKER = 2  # pool tasks outstanding per worker; results wait for the caller
@@ -131,14 +137,37 @@ def _shift_invert(S, M, k: int):
     return (lam, vecs) if np.all(resid <= bound) else None
 
 
+def _mass_factor(chain: WarpedChain):
+    """(F, A, B) with M = F F^T, A = F^-1 gradient F^-T and B = F^-1 potential F^-T.
+
+    Every mode of a chain shares them: mode m is the standard problem
+    A + m^2 B, whose eigenvector y gives x = F^-T y.  These are the steps of
+    LAPACK's sygvd on the lower triangles (A and B hold only those), so mode
+    0 repeats ``eigh(S, M)`` bit for bit.  They are kept for the last chain
+    asked, by a weak reference, so they never travel with the chain (3n^2
+    doubles) when a pool worker sends its spectrum back.
+    """
+    global _FACTOR
+    if _FACTOR is None or _FACTOR[0]() is not chain:
+        ops = chain.operators
+        # scipy's LAPACK only: numpy's OpenBLAS is a second thread pool
+        F = scipy.linalg.cholesky(ops.mass.toarray(), lower=True)
+        A, B = (scipy.linalg.lapack.dsygst(form.toarray(), F, lower=1)[0]
+                for form in (ops.gradient, ops.potential))
+        _FACTOR = (weakref.ref(chain), (F, A, B))
+    return _FACTOR[1]
+
+
 def solve_modes(chain: WarpedChain, m: int, k: int):
     """k smallest eigenpairs of the mode-m generalized problem.
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
     inertia count, with the dense solver as fallback when the certificate
-    fails; every other case uses the dense solver.  Returns (lam, vecs) with
-    vecs[:, j] mass-orthonormal.  Residuals beyond tolerance raise
-    ConvergenceError with diagnostics.
+    fails; every other case uses the dense solver, which on grids of
+    n <= _SPARSE_MIN_NODES reduces the problem once per chain with the
+    shared mass factor.  Returns (lam, vecs) with vecs[:, j]
+    mass-orthonormal.  Residuals beyond tolerance raise ConvergenceError
+    with diagnostics.
     """
     S, M = chain.operators.stiffness(m), chain.operators.mass
     n = S.shape[0]
@@ -148,11 +177,16 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
         found = _shift_invert(S, M, k)
         if found is not None:
             return found
-    # exact dense path; slicing after a full solve keeps the basis LAPACK
+    # exact dense paths; slicing after a full solve keeps the basis LAPACK
     # picks inside degenerate eigenspaces independent of k
-    lam, vecs = scipy.linalg.eigh(S.toarray(), M.toarray())
-    lam = lam[:k]
-    vecs = _fix_signs(vecs[:, :k])
+    if n <= _SPARSE_MIN_NODES:
+        F, A, B = _mass_factor(chain)
+        lam, vecs = scipy.linalg.eigh(A + (m * m) * B, overwrite_a=True, driver="evd")
+        lam, vecs = lam[:k], scipy.linalg.solve_triangular(F, vecs[:, :k], trans="T", lower=True)
+    else:
+        lam, vecs = scipy.linalg.eigh(S.toarray(), M.toarray())
+        lam, vecs = lam[:k], vecs[:, :k]
+    vecs = _fix_signs(vecs)
     resid, bound = _residuals(S, M, lam, vecs)
     if np.any(resid > bound):
         raise ConvergenceError(
@@ -321,17 +355,19 @@ def _make_pool(workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    blas = _openblas_libraries()
-    if blas is None:
+    if "fork" not in multiprocessing.get_all_start_methods() or blas_threads() is None:
         return None
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(blas, os.getpid()))
+                               initializer=_init_worker, initargs=(os.getpid(),))
 
 
-def _openblas_libraries():
-    """(path, setter, getter) of each loaded BLAS library; None if one has no setter."""
+def blas_threads(threads=None) -> dict | None:
+    """Thread count of each loaded OpenBLAS by path, read before setting ``threads``.
+
+    ``threads`` is one count for every library, or the dict an earlier call
+    returned, which restores those counts.  Returns None, setting nothing,
+    when the loaded libraries cannot be listed or one has no thread setter.
+    """
     import ctypes
 
     try:
@@ -340,25 +376,31 @@ def _openblas_libraries():
                      if len(parts) == 6}
     except OSError:
         return None
-    found = []
+    found = {}
     for path in sorted(p for p in paths if _BLAS_LIBRARY.match(os.path.basename(p))):
         lib = ctypes.CDLL(path)
         names = next((pair for pair in _OPENBLAS_THREADS
                       if all(hasattr(lib, name) for name in pair)), None)
         if names is None:
             return None
-        found.append((path, *names))
-    return found
+        set_threads, get_threads = (getattr(lib, name) for name in names)
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        found[path] = set_threads, get_threads
+    previous = {path: get() for path, (_, get) in found.items()}
+    if threads is not None:
+        for path, (set_threads, _) in found.items():
+            set_threads(threads.get(path, previous[path]) if isinstance(threads, dict)
+                        else threads)
+    return previous
 
 
-def _init_worker(blas, parent: int):
+def _init_worker(parent: int):
     global _IN_WORKER
-    import ctypes
     import threading
 
     _IN_WORKER = True
-    for path, setter, _ in blas:
-        getattr(ctypes.CDLL(path), setter)(1)
+    blas_threads(1)
     # a worker holds its own end of the call queue, so it never sees EOF
     # when its parent is killed: it watches for the parent to go instead
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()

@@ -1,6 +1,7 @@
 """Config parsing, command driver, exit codes, and output determinism."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -310,3 +311,47 @@ def test_verify_csv_is_readme_schema_and_byte_identical(tmp_path, capsys, monkey
     assert written[0] == written[1]
     summary = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[PASS]")]
     assert len(summary) == 4 and all(ln.endswith(" s)") for ln in summary)
+
+
+# Run in a child process: every loaded OpenBLAS is first set to 2 threads,
+# then one spectrum (i2_step, n = 144) runs through an in-process main, and
+# the thread counts are read before, inside (when the spectra are asked for)
+# and after the command.
+BLAS_PROBE = """
+import json, sys
+from pinchlab import cli, spectral
+spectral.blas_threads(2)
+before = spectral.blas_threads()
+inside = []
+full_spectra = cli.full_spectra
+def probe(*args, **kwargs):
+    inside.append(spectral.blas_threads())
+    return full_spectra(*args, **kwargs)
+cli.full_spectra = probe
+code = cli.main(["spectrum", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "before": before, "inside": inside,
+                  "after": spectral.blas_threads(),
+                  "multiprocessing": "multiprocessing" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, variable):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                            "OMP_NUM_THREADS")}
+    if variable:
+        env[variable] = "2"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, config, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0 and not seen["multiprocessing"]
+    if seen["before"] is None or set(seen["before"].values()) == {1}:
+        pytest.skip("no OpenBLAS that runs more than one thread here")
+    assert seen["after"] == seen["before"]  # restored when main returns
+    if variable:
+        assert seen["inside"] == [seen["before"]]  # the user's count is left alone
+    else:
+        assert seen["inside"] == [dict.fromkeys(seen["before"], 1)]

@@ -3,7 +3,6 @@ chains, in parallel: same spectrum as the serial loop, one BLAS thread per
 worker, worker errors raised in the parent, workers that end with their
 owner, and serial runs wherever the rules call for them."""
 
-import ctypes
 import os
 import signal
 import subprocess
@@ -23,7 +22,7 @@ from pinchlab.spectral import full_spectrum
 I2 = FamilyConfig(n_components=2)
 
 pytestmark = pytest.mark.skipif(
-    spectral._usable_cpus() < 2 or spectral._openblas_libraries() is None,
+    spectral._usable_cpus() < 2 or spectral.blas_threads() is None,
     reason="the pool needs two usable CPUs and a BLAS it can pin to one thread")
 
 
@@ -44,12 +43,6 @@ def fresh_pool():
 
 def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def blas_threads() -> dict:
-    """Thread count of each OpenBLAS loaded in this process, by path."""
-    return {path: getattr(ctypes.CDLL(path), getter)()
-            for path, _, getter in spectral._openblas_libraries()}
 
 
 @pytest.mark.parametrize("k", [32, None])  # None: a full basis, k = n
@@ -74,7 +67,7 @@ def test_parallel_matches_serial(chain, monkeypatch, k):
 
 def test_workers_run_one_blas_thread(chain):
     full_spectrum(chain, m_max=1, k_per_mode=8)
-    threads = spectral._pool().submit(blas_threads).result()
+    threads = spectral._pool().submit(spectral.blas_threads).result()
     assert threads and set(threads.values()) == {1}, threads
     assert any("openblas" in os.path.basename(path) for path in threads)
 
@@ -129,7 +122,7 @@ def test_one_usable_cpu_runs_serially(chain, monkeypatch):
 
 def test_unpinnable_blas_stays_serial(chain, monkeypatch, fresh_pool):
     monkeypatch.setattr(spectral, "_OPENBLAS_THREADS", (("no_such_setter", "no_such_getter"),))
-    assert spectral._openblas_libraries() is None
+    assert spectral.blas_threads() is None
     assert spectral._pool() is None
     monkeypatch.setattr(spectral, "_solve_in_pool", None)
     assert full_spectrum(chain, m_max=2, k_per_mode=8).low_count == 1

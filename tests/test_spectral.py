@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pinchlab import spectral
+from pinchlab.configfile import load_config
 from pinchlab.dualgraph import cycle_graph, kodaira_catalog
-from pinchlab.errors import StructureError, ValidationError
+from pinchlab.errors import ConvergenceError, StructureError, ValidationError
 from pinchlab.geometry import FamilyConfig, build_chain
 from pinchlab.spectral import (
     assemble_mode_operator,
@@ -23,6 +28,7 @@ PI = math.pi
 I2 = FamilyConfig(n_components=2)
 I3 = FamilyConfig(n_components=3)
 TORUS = FamilyConfig(n_components=1, no_neck=True)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def torus_chain(resolution=96):
@@ -55,6 +61,63 @@ class TestAssembly:
         lam, _ = solve_modes(chain, 1, 5)
         c = chain.c_fat
         assert np.all(lam >= 1.0 / c**2 - 1e-8)
+
+
+def config_chain(name: str, L: float = 100.0):
+    return build_chain(load_config(str(CONFIGS / f"{name}.cfg")).family(), L, resolution=48)
+
+
+def seeded_four_component_chain():
+    areas = np.random.default_rng(4).uniform(0.5, 2.0, 4)
+    return build_chain(FamilyConfig(n_components=4, areas=tuple(areas.tolist())), 80.0,
+                       resolution=32)  # n = 314
+
+
+class TestSharedMassFactor:
+    """Grids of n <= 384 solve every mode with one factorization of M."""
+
+    @pytest.mark.parametrize("make", [lambda: config_chain("i2_step"),
+                                      lambda: config_chain("i3_bump"),
+                                      seeded_four_component_chain],
+                             ids=["i2_step", "i3_bump", "seeded_4_components"])
+    def test_matches_the_generalized_solve(self, make):
+        chain = make()
+        n = chain.n_nodes
+        assert n <= spectral._SPARSE_MIN_NODES
+        M = chain.operators.mass.toarray()
+        for m in range(9):
+            lam, vecs = solve_modes(chain, m, n)
+            assert spectral._FACTOR[0]() is chain  # the shared-factor path ran
+            ref = scipy.linalg.eigh(chain.operators.stiffness(m).toarray(), M,
+                                    eigvals_only=True)
+            big = ref > 1e-8
+            assert np.array_equal(lam > 1e-8, big)
+            np.testing.assert_allclose(lam[big], ref[big], rtol=1e-10, atol=0)
+            assert np.linalg.norm(vecs.T @ M @ vecs - np.eye(n)) <= 1e-10
+
+    def test_corrupted_factor_fails_the_residual_gate(self, monkeypatch):
+        chain = config_chain("i2_step")
+        F, A, B = spectral._mass_factor(chain)
+        bad = F.copy()
+        bad[1, 0] += 1e-6 * bad[1, 1]  # x = F^-T y is then no eigenvector
+        monkeypatch.setattr(spectral, "_mass_factor", lambda c: (bad, A, B))
+        with pytest.raises(ConvergenceError, match="eigen residual beyond tolerance mode=0"):
+            full_spectrum(chain, m_max=8, k_per_mode=32)
+
+    def test_spectrum_pickle_carries_no_factor(self):
+        # a pool worker sends its EigenSystem back pickled, with its chain
+        chain = config_chain("i3_bump")
+        eigsys = full_spectrum(chain, m_max=8, k_per_mode=32)
+        assert chain.n_nodes == 192 and spectral._FACTOR[0]() is chain
+        size = len(pickle.dumps(eigsys))
+        # the same spectrum on a chain that holds only its forms, as
+        # full_spectrum leaves one without a shared factor
+        bare = config_chain("i3_bump")
+        bare.operators
+        assert size <= 1.01 * len(pickle.dumps(dataclasses.replace(eigsys, chain=bare)))
+        # measured before the factor existed (numpy 2.4.6, Python 3.11); the
+        # factor would add 3 n^2 doubles, 884,736 bytes
+        assert size == pytest.approx(514_968, rel=0.01)
 
 
 class TestFlatTorusSpectrum:
