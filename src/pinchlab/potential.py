@@ -23,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .dualgraph import edge_counts
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .geometry import FOUR_PI, TWO_PI, DensityField, WarpedChain, build_chain
 from .spectral import EigenSystem, full_spectrum
 
@@ -86,10 +86,11 @@ class PoissonSystem:
         rhs = FOUR_PI * self.chain.load_vector(dens.quad_values)
         sol = self.lu.solve(np.append(rhs, 0.0))
         phi = sol[:n]
-        scale = max(1.0, float(np.max(np.abs(rhs))))
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(rhs)))) * n
         resid = float(np.linalg.norm(self.S @ phi - rhs + sol[n] * self.w))
-        if resid > 1e-8 * scale * n:
-            raise ValidationError(f"direct solve residual {resid:.3e} out of tolerance")
+        if resid > tol:
+            raise ConvergenceError("direct solve residual beyond tolerance",
+                                   {"residual": resid, "tolerance": tol, "n": n})
         mean = float(phi @ self.w / np.sum(self.w))
         return PreferredPotential(chain=self.chain, phi=phi, mean=mean,
                                   source=dens, method="direct")

@@ -19,7 +19,6 @@ import itertools
 import os
 import re
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -35,11 +34,9 @@ RESIDUAL_TOL = 1e-8
 # Shift-invert replaces the dense O(n^3) solve when n > _SPARSE_MIN_NODES and
 # k * _SPARSE_K_RATIO <= n.  Measured on a 2-core Xeon with OpenBLAS: at
 # k = n/12 shift-invert takes 0.2-0.6x the dense time for n = 576-1152 and
-# m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Grids of n <= 384 (every
-# shipped config and acceptance criterion) stay dense, and their modes share
-# one factorization of M (_mass_factor).  Larger grids solve each mode's
-# (S, M) on its own: their modes are pool tasks, and a task that has to make
-# the factor too takes 43-45 ms at n = 576, against 39 ms for eigh(S, M).
+# m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Every other solve is
+# dense, and the dense solves of a chain share one factorization of M
+# (_mass_factor), in a pool worker as in the caller's process.
 _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
@@ -58,7 +55,7 @@ _OPENBLAS_THREADS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),        # scipy wheels
     ("openblas_set_num_threads", "openblas_get_num_threads"),                    # a plain OpenBLAS
 )
-_FACTOR = None      # (weak reference to a chain, its _mass_factor): one slot
+_FACTOR = None      # (key of a chain's forms, their _mass_factor): one slot
 _POOL = None        # (owner pid, executor or None when this process stays serial)
 _IN_WORKER = False  # set in the workers: they never fork a pool of their own
 _TASKS_PER_WORKER = 2  # pool tasks outstanding per worker; results wait for the caller
@@ -137,24 +134,38 @@ def _shift_invert(S, M, k: int):
     return (lam, vecs) if np.all(resid <= bound) else None
 
 
+def _forms_key(ops) -> tuple:
+    """The shape, dtypes and bytes of the mass, gradient and potential CSR forms."""
+    return tuple((form.shape, *((a.dtype.str, a.tobytes())
+                                for a in (form.data, form.indices, form.indptr)))
+                 for form in (ops.mass, ops.gradient, ops.potential))
+
+
 def _mass_factor(chain: WarpedChain):
     """(F, A, B) with M = F F^T, A = F^-1 gradient F^-T and B = F^-1 potential F^-T.
 
     Every mode of a chain shares them: mode m is the standard problem
     A + m^2 B, whose eigenvector y gives x = F^-T y.  These are the steps of
     LAPACK's sygvd on the lower triangles (A and B hold only those), so mode
-    0 repeats ``eigh(S, M)`` bit for bit.  They are kept for the last chain
-    asked, by a weak reference, so they never travel with the chain (3n^2
-    doubles) when a pool worker sends its spectrum back.
+    0 repeats ``eigh(S, M)`` bit for bit.  One slot keeps them for the last
+    forms asked, keyed by the bytes of the mass, gradient and potential CSR
+    arrays: equal forms hit it and any difference, a signed zero included,
+    misses.  A pool worker gets each mode of a chain as a fresh unpickled
+    copy of the chain, so it factors a chain once however many of its modes
+    it solves.  The slot is module state, never part of a chain, so the
+    factor never travels with a chain or a pickled spectrum; it keeps 3n^2
+    doubles resident (8 MB at n = 576) until other forms replace it.
     """
     global _FACTOR
-    if _FACTOR is None or _FACTOR[0]() is not chain:
-        ops = chain.operators
+    ops = chain.operators
+    key = _forms_key(ops)
+    if _FACTOR is None or _FACTOR[0] != key:
+        _FACTOR = None  # freed first: the old and new factors would peak at 6n^2 doubles
         # scipy's LAPACK only: numpy's OpenBLAS is a second thread pool
         F = scipy.linalg.cholesky(ops.mass.toarray(), lower=True)
         A, B = (scipy.linalg.lapack.dsygst(form.toarray(), F, lower=1)[0]
                 for form in (ops.gradient, ops.potential))
-        _FACTOR = (weakref.ref(chain), (F, A, B))
+        _FACTOR = (key, (F, A, B))
     return _FACTOR[1]
 
 
@@ -163,11 +174,11 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
     inertia count, with the dense solver as fallback when the certificate
-    fails; every other case uses the dense solver, which on grids of
-    n <= _SPARSE_MIN_NODES reduces the problem once per chain with the
-    shared mass factor.  Returns (lam, vecs) with vecs[:, j]
-    mass-orthonormal.  Residuals beyond tolerance raise ConvergenceError
-    with diagnostics.
+    fails; every other case uses the dense solver, which reduces the
+    problem with the chain's shared mass factor.  Returns (lam, vecs) with
+    vecs[:, j] mass-orthonormal.  A reduced matrix that is not finite (the
+    potential form overflows first, on huge L) and residuals beyond
+    tolerance raise ConvergenceError with diagnostics.
     """
     S, M = chain.operators.stiffness(m), chain.operators.mass
     n = S.shape[0]
@@ -177,15 +188,15 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
         found = _shift_invert(S, M, k)
         if found is not None:
             return found
-    # exact dense paths; slicing after a full solve keeps the basis LAPACK
+    # the exact dense path; slicing after a full solve keeps the basis LAPACK
     # picks inside degenerate eigenspaces independent of k
-    if n <= _SPARSE_MIN_NODES:
-        F, A, B = _mass_factor(chain)
-        lam, vecs = scipy.linalg.eigh(A + (m * m) * B, overwrite_a=True, driver="evd")
-        lam, vecs = lam[:k], scipy.linalg.solve_triangular(F, vecs[:, :k], trans="T", lower=True)
-    else:
-        lam, vecs = scipy.linalg.eigh(S.toarray(), M.toarray())
-        lam, vecs = lam[:k], vecs[:, :k]
+    F, A, B = _mass_factor(chain)
+    H = A.copy() if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
+    if not np.all(np.isfinite(H)):
+        raise ConvergenceError("reduced mode matrix is not finite",
+                               {"mode": m, "n": n, "L": chain.L})
+    lam, vecs = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False, driver="evd")
+    lam, vecs = lam[:k], scipy.linalg.solve_triangular(F, vecs[:, :k], trans="T", lower=True)
     vecs = _fix_signs(vecs)
     resid, bound = _residuals(S, M, lam, vecs)
     if np.any(resid > bound):

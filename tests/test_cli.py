@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -229,6 +230,24 @@ class TestExitContract:
         assert main([command, "--config", cfg_path, *extra]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    OVERFLOW = r"reduced mode matrix is not finite mode=1 n=144 L=1e\+"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--L", "1e200"], OVERFLOW + "200"),
+        (["spectrum", "--L", "1e300"], OVERFLOW + "300"),
+        (["potential", "--L", "1e200"], OVERFLOW + "200"),
+        (["green", "--L-grid", "1e200"], OVERFLOW + "200"),
+        (["pairing", "--L-grid", "1e150:1e300:6", "--fit-window", "1e150,1e300"],
+         r"direct solve residual beyond tolerance residual=\S+ tolerance=\S+ n=144"),
+    ], ids=["spectrum-1e200", "spectrum-1e300", "potential-1e200", "green-1e200",
+            "pairing-poisson-residual"])
+    def test_numerical_failure_exits_3_naming_it(self, tmp_path, capsys, argv, message):
+        # huge L overflows the reduced potential form and the Poisson residual
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
+        assert main([argv[0], "--config", cfg, "--out", str(tmp_path), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"numerical non-convergence: {message}\n", err), err
 
     def test_convergence_error_prints_key_value(self):
         exc = ConvergenceError("eigen residual beyond tolerance", {"mode": 3, "n": 576})

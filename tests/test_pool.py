@@ -3,6 +3,7 @@ chains, in parallel: same spectrum as the serial loop, one BLAS thread per
 worker, worker errors raised in the parent, workers that end with their
 owner, and serial runs wherever the rules call for them."""
 
+import collections
 import os
 import signal
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pinchlab import spectral
 from pinchlab.cli import main
@@ -63,6 +65,27 @@ def test_parallel_matches_serial(chain, monkeypatch, k):
     assert par.low_count == ser.low_count
     assert par.gap_value == pytest.approx(ser.gap_value, rel=1e-10)
     assert par.certified_below == pytest.approx(ser.certified_below, rel=1e-10)
+
+
+def test_worker_factors_a_chain_once_for_all_its_modes(chain, monkeypatch, tmp_path,
+                                                       fresh_pool):
+    # each task unpickles its own copy of the chain; the factor cache is keyed
+    # by the forms, so a worker's later modes reuse its first mode's factor
+    log = tmp_path / "factorizations"
+    cholesky = scipy.linalg.cholesky
+
+    def logging_cholesky(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", logging_cholesky)
+    monkeypatch.setattr(spectral, "_FACTOR", None)  # the workers inherit no factor
+    full_spectrum(chain, m_max=8, k_per_mode=chain.n_nodes)  # 9 dense modes, k = n
+    per_worker = collections.Counter(int(pid) for pid in log.read_text().split())
+    assert os.getpid() not in per_worker
+    assert 1 <= len(per_worker) <= spectral._usable_cpus()
+    assert set(per_worker.values()) == {1}, per_worker
 
 
 def test_workers_run_one_blas_thread(chain):
@@ -195,6 +218,17 @@ def test_worker_convergence_error_in_green_exits_3(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == parallel
     assert parallel == ("numerical non-convergence: eigen residual beyond tolerance "
                         "mode=0 worst_residual=1.0 n=144\n")
+
+
+def test_huge_L_exits_3_as_in_the_serial_loop(tmp_path, monkeypatch, capsys):
+    # the reduced potential form overflows at L = 1e200; the error comes from a worker
+    argv = ["sweep-spectrum", "--config", str(CONFIGS / "i2_step.cfg"), "--L-grid", "100,1e200"]
+    parallel = run_cli(argv + ["--out", str(tmp_path / "pool")], capsys)
+    assert spectral._POOL[1] is not None
+    one_cpu(monkeypatch)
+    assert run_cli(argv + ["--out", str(tmp_path / "serial")], capsys) == parallel
+    assert parallel == (3, "numerical non-convergence: reduced mode matrix is not finite "
+                           "mode=1 n=144 L=1e+200\n", {})
 
 
 @pytest.mark.parametrize("k_per_mode, code", [(0, 2), (1000, 0)])  # 1000 > n = 144: k = n

@@ -63,8 +63,8 @@ class TestAssembly:
         assert np.all(lam >= 1.0 / c**2 - 1e-8)
 
 
-def config_chain(name: str, L: float = 100.0):
-    return build_chain(load_config(str(CONFIGS / f"{name}.cfg")).family(), L, resolution=48)
+def config_chain(name: str, L: float = 100.0, resolution: int = 48):
+    return build_chain(load_config(str(CONFIGS / f"{name}.cfg")).family(), L, resolution)
 
 
 def seeded_four_component_chain():
@@ -73,8 +73,25 @@ def seeded_four_component_chain():
                        resolution=32)  # n = 314
 
 
+def holds_factor_of(chain) -> bool:
+    """Whether the one-slot mass factor cache holds the factor of ``chain``'s forms."""
+    return spectral._FACTOR is not None and spectral._FACTOR[0] == spectral._forms_key(
+        chain.operators)
+
+
+def assert_matches_generalized_solve(chain, m, lam, vecs):
+    """Eigenvalues above 1e-8 to 1e-10 relative of eigh(S, M), and V mass-orthonormal."""
+    M = chain.operators.mass.toarray()
+    ref = scipy.linalg.eigh(chain.operators.stiffness(m).toarray(), M, eigvals_only=True)
+    big = ref[:lam.size] > 1e-8
+    assert np.array_equal(lam > 1e-8, big)
+    np.testing.assert_allclose(lam[big], ref[:lam.size][big], rtol=1e-10, atol=0)
+    assert np.linalg.norm(vecs.T @ M @ vecs - np.eye(vecs.shape[1])) <= 1e-10
+
+
 class TestSharedMassFactor:
-    """Grids of n <= 384 solve every mode with one factorization of M."""
+    """Every dense mode solve reduces the problem with one factorization of M per
+    chain's forms, kept in a one-slot cache keyed by the bytes of those forms."""
 
     @pytest.mark.parametrize("make", [lambda: config_chain("i2_step"),
                                       lambda: config_chain("i3_bump"),
@@ -84,16 +101,51 @@ class TestSharedMassFactor:
         chain = make()
         n = chain.n_nodes
         assert n <= spectral._SPARSE_MIN_NODES
-        M = chain.operators.mass.toarray()
         for m in range(9):
             lam, vecs = solve_modes(chain, m, n)
-            assert spectral._FACTOR[0]() is chain  # the shared-factor path ran
-            ref = scipy.linalg.eigh(chain.operators.stiffness(m).toarray(), M,
-                                    eigvals_only=True)
-            big = ref > 1e-8
-            assert np.array_equal(lam > 1e-8, big)
-            np.testing.assert_allclose(lam[big], ref[big], rtol=1e-10, atol=0)
-            assert np.linalg.norm(vecs.T @ M @ vecs - np.eye(n)) <= 1e-10
+            assert holds_factor_of(chain)  # the shared-factor path ran
+            assert_matches_generalized_solve(chain, m, lam, vecs)
+
+    def test_full_basis_beyond_the_sparse_threshold(self):
+        # n = 576 > _SPARSE_MIN_NODES with k = n: the dense path, on the shared factor
+        chain = config_chain("i2_step", resolution=192)
+        n = chain.n_nodes
+        assert n == 576 > spectral._SPARSE_MIN_NODES
+        for m in (0, 1, 8):
+            lam, vecs = solve_modes(chain, m, n)
+            assert holds_factor_of(chain)
+            assert_matches_generalized_solve(chain, m, lam, vecs)
+        # the steps of sygvd, so mode 0 repeats its bits
+        S, M = assemble_mode_operator(chain, 0)
+        assert np.array_equal(solve_modes(chain, 0, n)[0], scipy.linalg.eigh(S, M)[0])
+
+    def test_cache_is_exact(self, monkeypatch):
+        factorizations = []
+        cholesky = scipy.linalg.cholesky
+        monkeypatch.setattr(scipy.linalg, "cholesky",
+                            lambda *args, **kw: factorizations.append(1) or cholesky(*args, **kw))
+        monkeypatch.setattr(spectral, "_FACTOR", None)
+        a, b = config_chain("i2_step", 100.0), config_chain("i2_step", 150.0)
+        for chain, count in ((a, 1), (b, 2), (a, 3)):  # one slot: a, b, a all miss
+            for m in (0, 2):
+                lam, vecs = solve_modes(chain, m, 32)
+                assert_matches_generalized_solve(chain, m, lam, vecs)
+            assert len(factorizations) == count
+        rebuilt = config_chain("i2_step", 100.0)  # a new object with a's forms: a hit
+        for m in (0, 2):
+            lam, vecs = solve_modes(rebuilt, m, 32)
+            assert_matches_generalized_solve(rebuilt, m, lam, vecs)
+        assert len(factorizations) == 3
+        # forms one ulp away from a's, in any one of the three, miss
+        for name in ("mass", "gradient", "potential"):
+            chain = config_chain("i2_step", 100.0)
+            form = getattr(chain.operators, name).copy()
+            form.data[0] = np.nextafter(form.data[0], np.inf)
+            chain.__dict__["operators"] = dataclasses.replace(chain.operators, **{name: form})
+            count = len(factorizations)
+            solve_modes(chain, 2, 32)
+            assert len(factorizations) == count + 1
+            assert holds_factor_of(chain) and not holds_factor_of(a)
 
     def test_corrupted_factor_fails_the_residual_gate(self, monkeypatch):
         chain = config_chain("i2_step")
@@ -108,7 +160,7 @@ class TestSharedMassFactor:
         # a pool worker sends its EigenSystem back pickled, with its chain
         chain = config_chain("i3_bump")
         eigsys = full_spectrum(chain, m_max=8, k_per_mode=32)
-        assert chain.n_nodes == 192 and spectral._FACTOR[0]() is chain
+        assert chain.n_nodes == 192 and holds_factor_of(chain)
         size = len(pickle.dumps(eigsys))
         # the same spectrum on a chain that holds only its forms, as
         # full_spectrum leaves one without a shared factor
