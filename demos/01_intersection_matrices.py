@@ -31,7 +31,7 @@ P = pseudoinverse(M)
 print("M =\n", M)
 print("M^+ =\n", P)
 c = pairing_constant(P, [1.0, -1.0], [1.0, -1.0])
-print("c(v, v) for v = (1, -1):", c.value, " (the hand value is -1/2)")
+print("c(v, v) for v = (1, -1):", c, " (the hand value is -1/2)")
 
 print("\n== random reduced fibers keep the Zariski structure ==")
 for seed in range(4):

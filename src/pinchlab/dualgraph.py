@@ -141,9 +141,7 @@ class ZariskiReport:
     passed: bool
 
 
-def validate_zariski(
-    M: np.ndarray, mult: np.ndarray, tol: float = ZARISKI_TOL
-) -> ZariskiReport:
+def validate_zariski(M: np.ndarray, mult: np.ndarray) -> ZariskiReport:
     """Check negative semidefiniteness, kernel dimension 1, and M @ mult = 0.
 
     Failures are reported in the result, never raised.
@@ -152,14 +150,14 @@ def validate_zariski(
     mult = np.asarray(mult, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ValidationError("intersection matrix must be square")
-    if not np.allclose(M, M.T, atol=tol):
+    if not np.allclose(M, M.T, atol=ZARISKI_TOL):
         raise ValidationError("intersection matrix must be symmetric")
     eigvals = np.linalg.eigvalsh(M)
     scale = max(1.0, float(np.max(np.abs(eigvals)))) if eigvals.size else 1.0
-    kernel_dim = int(np.sum(np.abs(eigvals) <= tol * scale))
+    kernel_dim = int(np.sum(np.abs(eigvals) <= ZARISKI_TOL * scale))
     residual = float(np.linalg.norm(M @ mult))
     passed = (
-        float(eigvals[-1]) <= tol and kernel_dim == 1 and residual <= tol
+        float(eigvals[-1]) <= ZARISKI_TOL and kernel_dim == 1 and residual <= ZARISKI_TOL
     )
     return ZariskiReport(
         max_eigenvalue=float(eigvals[-1]),
@@ -169,10 +167,10 @@ def validate_zariski(
     )
 
 
-def pseudoinverse(M: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.ndarray:
+def pseudoinverse(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via symmetric eigendecomposition.
 
-    Eigenvalues below ``cutoff * max(|eigenvalue|)`` are treated as zero so
+    Eigenvalues below ``PINV_CUTOFF * max(|eigenvalue|)`` are treated as zero so
     that rank decisions stay stable against rounding.
     """
     M = np.asarray(M, dtype=float)
@@ -182,29 +180,15 @@ def pseudoinverse(M: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.ndarray:
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     if wmax == 0.0:
         return np.zeros_like(M)
-    inv = np.where(np.abs(w) > cutoff * wmax, 1.0 / np.where(w == 0, 1.0, w), 0.0)
+    inv = np.where(np.abs(w) > PINV_CUTOFF * wmax, 1.0 / np.where(w == 0, 1.0, w), 0.0)
     return (V * inv) @ V.T
 
 
-@dataclass(frozen=True)
-class PairingConstant:
-    """Predicted logarithmic slope v_alpha^T M^+ v_beta."""
-
-    value: float
-    v_alpha: np.ndarray
-    v_beta: np.ndarray
-
-
-def pairing_constant(
-    m_plus: np.ndarray,
-    v_alpha: np.ndarray,
-    v_beta: np.ndarray,
-    tol: float = 1e-9,
-) -> PairingConstant:
-    """Evaluate the slope constant for two component-integral vectors.
+def pairing_constant(m_plus: np.ndarray, v_alpha: np.ndarray, v_beta: np.ndarray) -> float:
+    """Predicted logarithmic slope v_alpha^T M^+ v_beta of two component-integral vectors.
 
     Both vectors must sum to zero (each comes from a density with zero fiber
-    integral); a violation beyond ``tol`` is rejected.
+    integral); a violation beyond 1e-9 * max(1, |v|) is rejected.
     """
     v_alpha = np.asarray(v_alpha, dtype=float)
     v_beta = np.asarray(v_beta, dtype=float)
@@ -212,13 +196,12 @@ def pairing_constant(
     if v_alpha.shape != (m_plus.shape[0],) or v_beta.shape != (m_plus.shape[0],):
         raise ValidationError("vector dimensions do not match the matrix")
     for name, v in (("alpha", v_alpha), ("beta", v_beta)):
-        if abs(float(np.sum(v))) > tol * max(1.0, float(np.linalg.norm(v))):
+        if abs(float(np.sum(v))) > 1e-9 * max(1.0, float(np.linalg.norm(v))):
             raise ValidationError(
                 f"component integrals of {name} do not sum to zero; "
                 "integrability on general fibers is violated"
             )
-    value = float(v_alpha @ m_plus @ v_beta)
-    return PairingConstant(value=value, v_alpha=v_alpha, v_beta=v_beta)
+    return float(v_alpha @ m_plus @ v_beta)
 
 
 def kodaira_catalog(fiber_type: str) -> DualGraph:
@@ -269,7 +252,7 @@ def cycle_graph(areas) -> DualGraph:
     return DualGraph(comps, edges)
 
 
-def random_reduced_graph(n: int, seed: int, extra_edges: int | None = None) -> DualGraph:
+def random_reduced_graph(n: int, seed: int) -> DualGraph:
     """Random connected reduced dual graph on ``n`` vertices.
 
     The seed is an explicit input so property suites are reproducible.
@@ -277,8 +260,7 @@ def random_reduced_graph(n: int, seed: int, extra_edges: int | None = None) -> D
     (parallel edges and the occasional self-loop allowed).
     """
     rng = np.random.default_rng(seed)
-    if extra_edges is None:
-        extra_edges = int(rng.integers(0, n + 1))
+    extra_edges = int(rng.integers(0, n + 1))
     edges = []
     for v in range(1, n):
         edges.append((int(rng.integers(0, v)), v))

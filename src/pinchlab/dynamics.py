@@ -97,15 +97,11 @@ def _freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
 
 
-def translate_hat(fhat: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Fourier coefficients of z -> f(z - (p, q)) (pushforward by +(p, q))."""
-    n = fhat.shape[0]
-    k = _freqs(n)
-    phase = np.exp(-TWO_PI * 1j * (k[:, None] * p + k[None, :] * q))
-    return fhat * phase
-
 def translate(values: np.ndarray, p: float, q: float) -> np.ndarray:
-    return np.fft.ifft2(translate_hat(np.fft.fft2(values), p, q)).real
+    """z -> f(z - (p, q)) (pushforward by +(p, q)), exact on the Fourier modes."""
+    k = _freqs(values.shape[0])
+    phase = np.exp(-TWO_PI * 1j * (k[:, None] * p + k[None, :] * q))
+    return np.fft.ifft2(np.fft.fft2(values) * phase).real
 
 
 def birkhoff_hat(fhat: np.ndarray, p: float, q: float, k_iters: int) -> np.ndarray:
@@ -256,14 +252,13 @@ class GrowthReport:
     stable: bool
 
 
-def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex,
-                       base_step: float = 1e-4) -> GrowthReport:
+def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthReport:
     """Measure sup_z |d_s d_sbar (T^n_* rho)| and fit its growth in n.
 
     The mixed s-derivative is a 5-point finite-difference Laplacian in the
-    base variable (one quarter of it), Richardson-extrapolated; the step
-    shrinks like 1/n because the target itself grows like n^2.  Where
-    dT(s0) != 0 the exponent is 2 with coefficient
+    base variable (one quarter of it), Richardson-extrapolated; the step,
+    at most 1e-4 |s0|, shrinks like 1/n because the target itself grows
+    like n^2.  Where dT(s0) != 0 the exponent is 2 with coefficient
     |dT(s0)|^2 sup|d_z d_zbar rho|.  The Richardson correction size serves
     as a per-n error floor: values it cannot separate from zero are excluded
     from the exponent fit (at a critical point of T the true derivative
@@ -291,7 +286,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex,
     eps = float(np.finfo(float).eps)
     for n in n_list:
         scale = abs(s0) if s0 != 0 else 1.0
-        h = min(base_step * scale, 0.008 / n)
+        h = min(1e-4 * scale, 0.008 / n)
         d1 = fd_field(n, h)
         d2 = fd_field(n, h / 2)
         richardson = (4.0 * d2 - d1) / 3.0

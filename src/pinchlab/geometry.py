@@ -373,7 +373,6 @@ class DensityField:
     projection_shift: float
     total_integral: float
     component_integrals: np.ndarray  # over fat segments only
-    component_integrals_with_necks: np.ndarray
     profile: object = field(repr=False, default=None)  # raw callable, pre-shift
 
     def evaluate(self, x) -> np.ndarray:
@@ -411,26 +410,17 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True) -> Densit
         shift = 0.0
     quad_vals = raw_quad - shift
     comp = np.zeros(chain.cfg.n_components)
-    neck_share: dict[int, float] = {}
     for seg_idx, seg in enumerate(chain.segments):
-        mask = chain.cell_segment == seg_idx
-        part = TWO_PI * float(np.sum(quad_vals[mask] * chain.quad_c[mask] * chain.quad_w[mask]))
         if seg.kind == "fat":
-            comp[seg.index] += part
-        else:
-            neck_share[seg.index] = part
-    comp_neck = comp.copy()
-    n = chain.cfg.n_components
-    for i, part in neck_share.items():
-        comp_neck[i] += 0.5 * part
-        comp_neck[(i + 1) % n] += 0.5 * part
+            mask = chain.cell_segment == seg_idx
+            comp[seg.index] += TWO_PI * float(
+                np.sum(quad_vals[mask] * chain.quad_c[mask] * chain.quad_w[mask]))
     return DensityField(
         chain=chain,
         values=np.asarray(f(chain.nodes), dtype=float) - shift,
         projection_shift=float(shift),
         total_integral=float(chain.integrate_area(quad_vals)),
         component_integrals=comp,
-        component_integrals_with_necks=comp_neck,
         profile=f,
     )
 
@@ -462,9 +452,8 @@ def random_step_spec(n: int, areas, rng: np.random.Generator) -> DensitySpec:
             return step_density_spec(vals)
 
 
-def _segment_wave(chain: WarpedChain, kind: str, index: int, amplitude: float, wave,
-                  harmonic: int = 1):
-    """amplitude * wave(2*pi*harmonic*t), t in [0, 1) across one segment, else 0."""
+def _segment_wave(chain: WarpedChain, kind: str, index: int, amplitude: float, wave):
+    """amplitude * wave(2*pi*t), t in [0, 1) across one segment, else 0."""
     segments = [s for s in chain.segments if s.kind == kind]
     if index >= len(segments):
         raise ValidationError(f"no {kind} segment {index}")
@@ -474,7 +463,7 @@ def _segment_wave(chain: WarpedChain, kind: str, index: int, amplitude: float, w
         x = np.mod(np.asarray(x, dtype=float), chain.total_length)
         out = np.zeros_like(x)
         mask = (x >= seg.x0) & (x < seg.x1)
-        out[mask] = amplitude * wave(TWO_PI * harmonic * (x[mask] - seg.x0) / seg.length)
+        out[mask] = amplitude * wave(TWO_PI * (x[mask] - seg.x0) / seg.length)
         return out
 
     return f
@@ -500,12 +489,11 @@ def cosine_bump_profile(chain: WarpedChain, segment: int = 0, amplitude: float =
     return _segment_wave(chain, "fat", segment, amplitude, np.cos)
 
 
-def neck_wave_profile(chain: WarpedChain, neck: int = 0, amplitude: float = 1.0,
-                      harmonic: int = 1):
+def neck_wave_profile(chain: WarpedChain, neck: int = 0, amplitude: float = 1.0):
     """A zero-integral sine wave supported inside a single neck.
 
     All component integrals vanish (the wave lives over a node), yet the
     density sees the collapsing weight, so pairings against it depend on L
     and decay as the neck area does.
     """
-    return _segment_wave(chain, "neck", neck, amplitude, np.sin, harmonic)
+    return _segment_wave(chain, "neck", neck, amplitude, np.sin)

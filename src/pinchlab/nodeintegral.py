@@ -197,12 +197,13 @@ def check_quadrature_convergence(eta: EtaSpec, t: complex,
     return change
 
 
-def divisor_integral(eta: EtaSpec, n_r: int = 96, n_theta: int = 128) -> float:
+def divisor_integral(eta: EtaSpec) -> float:
     """Reference slope: integral of eta_{22} over the branch {z1 = 0}.
 
-    Deliberately a different quadrature (linear-radius panels) from the
-    fiber integrals it certifies.
+    Deliberately a different quadrature (96 linear-radius panels, 128
+    angles) from the fiber integrals it certifies.
     """
+    n_r, n_theta = 96, 128
     edges = np.linspace(0.0, 1.0, n_r + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]

@@ -20,30 +20,14 @@ from .dualgraph import DualGraph, build_intersection_matrix, pairing_constant, p
 from .errors import ValidationError
 from .geometry import FOUR_PI, DensityField, FamilyConfig, WarpedChain, build_chain
 from .nodeintegral import aitken_limit
-from .potential import PoissonSystem, solve_direct
+from .potential import solve_direct
 
 
-def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField,
-                  check_symmetry: bool = False) -> float:
-    """Pairing of two densities on one fiber: integral(phi_a * b dA).
-
-    With ``check_symmetry`` the value is recomputed with the roles swapped
-    and the two numbers must agree to 1e-10; both solves share one
-    factorization.
-    """
-    system = PoissonSystem(chain)
-    pot_a = solve_direct(chain, dens_a, system=system)
+def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField) -> float:
+    """Pairing of two densities on one fiber: integral(phi_a * b dA)."""
+    pot_a = solve_direct(chain, dens_a)
     q_b = chain.load_vector(dens_b.quad_values)
-    value = float(pot_a.phi @ q_b)
-    if check_symmetry:
-        pot_b = solve_direct(chain, dens_b, system=system)
-        q_a = chain.load_vector(dens_a.quad_values)
-        other = float(pot_b.phi @ q_a)
-        if abs(value - other) > 1e-10 * (1.0 + abs(value)):
-            raise ValidationError(
-                f"pairing symmetry violated: {value!r} vs {other!r}"
-            )
-    return value
+    return float(pot_a.phi @ q_b)
 
 
 def pairing_energy(chain: WarpedChain, dens_a: DensityField) -> tuple[float, float]:
@@ -96,7 +80,6 @@ class FitResult:
     c_fit: float
     intercept: float
     residual_rms: float
-    stability_delta: float   # max slope change when refitting window halves
 
 
 def fit_log_asymptote(curve: PairingCurve, window: tuple[float, float] = (50.0, 200.0)
@@ -107,25 +90,14 @@ def fit_log_asymptote(curve: PairingCurve, window: tuple[float, float] = (50.0, 
         raise ValidationError("fit window must contain at least 4 samples")
     x = -2.0 * curve.L[mask]
     y = curve.values[mask]
-
-    def affine_fit(xs, ys):
-        A = np.stack([xs, np.ones_like(xs)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        return coef  # (slope, intercept)
-
-    slope, intercept = affine_fit(x, y)
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
-    half = x.size // 2
-    deltas = []
-    for xs, ys in ((x[:half], y[:half]), (x[half:], y[half:])):
-        if xs.size >= 2:
-            deltas.append(abs(affine_fit(xs, ys)[0] - slope))
     return FitResult(
         c_fit=float(slope),
         intercept=float(intercept),
         residual_rms=rms,
-        stability_delta=float(max(deltas)) if deltas else 0.0,
     )
 
 
@@ -143,7 +115,7 @@ def predicted_constant(g: DualGraph, dens_a: DensityField, dens_b: DensityField)
     v_a = v_a - v_a.mean()
     v_b = v_b - v_b.mean()
     m_plus = pseudoinverse(build_intersection_matrix(g))
-    return pairing_constant(m_plus, v_a, v_b).value
+    return pairing_constant(m_plus, v_a, v_b)
 
 
 def pullback_chain(cfg: FamilyConfig, L_t: float, d: int, resolution: int = 48) -> WarpedChain:

@@ -43,8 +43,6 @@ class PreferredPotential:
     chain: WarpedChain
     phi: np.ndarray
     mean: float
-    source: DensityField
-    method: str                    # "direct" or "spectral"
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.phi)))
@@ -59,54 +57,33 @@ class SpectralCoefficients:
     eigenvalues: np.ndarray
 
 
-class PoissonSystem:
-    """Sparse LU of a chain's mode-0 Poisson system, bordered by the mean row.
-
-    [[S, w], [w^T, 0]] with w = M 1 keeps the system symmetric and avoids
-    pinning a grid point; one factorization serves any number of densities.
-    """
-
-    def __init__(self, chain: WarpedChain):
-        n = chain.n_nodes
-        self.chain = chain
-        self.S = chain.operators.gradient
-        self.w = chain.operators.mass @ np.ones(n)
-        S = self.S.tocoo()
-        nodes, last = np.arange(n), np.full(n, n)
-        K = scipy.sparse.csc_array(
-            (np.concatenate([S.data, self.w, self.w]),
-             (np.concatenate([S.row, nodes, last]), np.concatenate([S.col, last, nodes]))),
-            shape=(n + 1, n + 1))
-        self.lu = scipy.sparse.linalg.splu(K)
-
-    def solve(self, dens: DensityField) -> PreferredPotential:
-        """Potential of ``dens``; the residual of the unconstrained equation is checked."""
-        _require_mean_zero(dens)
-        n = self.chain.n_nodes
-        rhs = FOUR_PI * self.chain.load_vector(dens.quad_values)
-        sol = self.lu.solve(np.append(rhs, 0.0))
-        phi = sol[:n]
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(rhs)))) * n
-        resid = float(np.linalg.norm(self.S @ phi - rhs + sol[n] * self.w))
-        if resid > tol:
-            raise ConvergenceError("direct solve residual beyond tolerance",
-                                   {"residual": resid, "tolerance": tol, "n": n})
-        mean = float(phi @ self.w / np.sum(self.w))
-        return PreferredPotential(chain=self.chain, phi=phi, mean=mean,
-                                  source=dens, method="direct")
-
-
-def solve_direct(chain: WarpedChain, dens: DensityField, *,
-                 system: PoissonSystem | None = None) -> PreferredPotential:
+def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
     """Weighted Poisson solve with the mean constraint as a multiplier row.
 
-    ``system`` reuses a factorization of this chain's Poisson system.
+    The sparse LU of [[S, w], [w^T, 0]] with w = M 1 keeps the system
+    symmetric and avoids pinning a grid point; the residual of the
+    unconstrained equation is checked.
     """
-    if system is None:
-        system = PoissonSystem(chain)
-    elif system.chain is not chain:
-        raise ValidationError("Poisson system belongs to another chain")
-    return system.solve(dens)
+    _require_mean_zero(dens)
+    n = chain.n_nodes
+    S = chain.operators.gradient
+    w = chain.operators.mass @ np.ones(n)
+    coo = S.tocoo()
+    nodes, last = np.arange(n), np.full(n, n)
+    K = scipy.sparse.csc_array(
+        (np.concatenate([coo.data, w, w]),
+         (np.concatenate([coo.row, nodes, last]), np.concatenate([coo.col, last, nodes]))),
+        shape=(n + 1, n + 1))
+    rhs = FOUR_PI * chain.load_vector(dens.quad_values)
+    sol = scipy.sparse.linalg.splu(K).solve(np.append(rhs, 0.0))
+    phi = sol[:n]
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(rhs)))) * n
+    resid = float(np.linalg.norm(S @ phi - rhs + sol[n] * w))
+    if resid > tol:
+        raise ConvergenceError("direct solve residual beyond tolerance",
+                               {"residual": resid, "tolerance": tol, "n": n})
+    mean = float(phi @ w / np.sum(w))
+    return PreferredPotential(chain=chain, phi=phi, mean=mean)
 
 
 def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
@@ -135,8 +112,7 @@ def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
     phi = FOUR_PI * (c @ basis)
     w = chain.operators.mass @ np.ones(chain.n_nodes)
     mean = float(phi @ w / np.sum(w))
-    pot = PreferredPotential(chain=chain, phi=phi, mean=mean,
-                             source=dens, method="spectral")
+    pot = PreferredPotential(chain=chain, phi=phi, mean=mean)
     coeffs = SpectralCoefficients(b=b, c=c, eigenvalues=lam)
     return pot, coeffs
 
@@ -155,30 +131,6 @@ def split_low_high(pot: PreferredPotential, eigsys: EigenSystem):
     mean = float(np.sum(Mphi) / M.sum())
     high = pot.phi - low - mean
     return low, high
-
-
-def flux_report(chain: WarpedChain, pot: PreferredPotential) -> np.ndarray:
-    """Net outward flux 2*pi*c*phi' through the necks bounding each component.
-
-    For a solved potential this matches -4*pi * (component integral of the
-    source): the circuit mechanism behind the linear-in-L growth.
-    """
-    if chain.cfg.no_neck:
-        raise ValidationError("flux accounting needs necks")
-    n = chain.n_nodes
-    h = chain.cell_lengths
-    phi_ext = np.append(pot.phi, pot.phi[0])
-    slope = np.diff(phi_ext) / h
-    flux_at = {}
-    for neck in chain.neck_segments():
-        mid = neck.x0 + neck.length / 2
-        cell = int(np.searchsorted(chain.nodes, mid, side="right") - 1)
-        flux_at[neck.index] = TWO_PI * neck.c * slope[cell]
-    N = chain.cfg.n_components
-    out = np.zeros(N)
-    for i in range(N):
-        out[i] = flux_at[i] - flux_at[(i - 1) % N]
-    return out
 
 
 @dataclass(frozen=True)
@@ -203,8 +155,7 @@ class EstimateTable:
     low_over_sqrtL_decreasing: bool  # endpoint ratio <= 0.5
 
 
-def estimate_report(cfg, L_values, density_builder, resolution: int = 48,
-                    m_max: int = 2, k_per_mode: int = 8) -> EstimateTable:
+def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> EstimateTable:
     """Sweep the sup-norm estimates of the potential split over L.
 
     ``density_builder(chain) -> DensityField`` rebuilds the density on each
@@ -217,7 +168,7 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48,
     for L in L_values:
         chain = build_chain(cfg, L, resolution=resolution)
         dens = density_builder(chain)
-        eigsys = full_spectrum(chain, m_max=m_max, k_per_mode=k_per_mode)
+        eigsys = full_spectrum(chain, m_max=2, k_per_mode=8)
         pot = solve_direct(chain, dens)
         low, high = split_low_high(pot, eigsys)
         sup_low = float(np.max(np.abs(low)))

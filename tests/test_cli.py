@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchlab import acceptance
+from pinchlab import acceptance, spectral
 from pinchlab.cli import COMMANDS, main, parse_eta
 from pinchlab.configfile import parse_config, parse_grid
 from pinchlab.errors import ConvergenceError, ValidationError
@@ -248,6 +248,36 @@ class TestExitContract:
         assert main([argv[0], "--config", cfg, "--out", str(tmp_path), *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(f"numerical non-convergence: {message}\n", err), err
+
+    def test_nan_residual_exits_3(self, tmp_path, capsys, monkeypatch):
+        # NaN passes no comparison, so a gate written as "fail if above the
+        # bound" would let it through and write NaN eigenvalues
+        monkeypatch.setattr(spectral, "_residuals",
+                            lambda S, M, lam, vecs: (np.full(lam.size, np.nan), np.ones(lam.size)))
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical non-convergence: eigen residual beyond tolerance "
+                       "mode=0 worst_residual=nan n=144\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--L", "1e100"],
+        ["spectrum", "--L", "1.7e308"],
+        ["sweep-spectrum", "--L-grid", "100,1e100"],  # solved in the worker pool
+    ], ids=["spectrum-1e100", "spectrum-1.7e308", "sweep-pool-1e100"])
+    def test_overflowing_residuals_exit_3_with_one_line(self, tmp_path, argv):
+        # the residual norms overflow to infinity: no numpy warning may reach
+        # stderr ahead of the one-line message
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchlab.cli", argv[0], "--config",
+             str(root / "configs" / "i2_step.cfg"), "--out", str(tmp_path), *argv[1:]],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical non-convergence:"), proc.stderr
 
     def test_convergence_error_prints_key_value(self):
         exc = ConvergenceError("eigen residual beyond tolerance", {"mode": 3, "n": 576})

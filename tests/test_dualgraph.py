@@ -160,11 +160,11 @@ class TestPseudoinverse:
 class TestPairingConstant:
     def test_i2_hand_value(self):
         res = pairing_constant(I2_PINV, [1.0, -1.0], [1.0, -1.0])
-        assert res.value == pytest.approx(-0.5, abs=1e-14)
+        assert res == pytest.approx(-0.5, abs=1e-14)
 
     def test_zero_vector(self):
         res = pairing_constant(I2_PINV, [0.0, 0.0], [1.0, -1.0])
-        assert res.value == 0.0
+        assert res == 0.0
 
     def test_symmetry_on_random_vectors(self):
         rng = np.random.default_rng(2024)
@@ -172,8 +172,8 @@ class TestPairingConstant:
         vs = zero_sum_vectors(rng, 6, 20)
         for k in range(0, 20, 2):
             v, w = vs[k], vs[k + 1]
-            cvw = pairing_constant(P, v, w).value
-            cwv = pairing_constant(P, w, v).value
+            cvw = pairing_constant(P, v, w)
+            cwv = pairing_constant(P, w, v)
             assert abs(cvw - cwv) <= 1e-12
 
     def test_bilinearity(self):
@@ -181,8 +181,8 @@ class TestPairingConstant:
         P = pseudoinverse(I3_MATRIX)
         v1, v2, w = zero_sum_vectors(rng, 3, 3)
         t = 0.73
-        lhs = pairing_constant(P, v1 + t * v2, w).value
-        rhs = pairing_constant(P, v1, w).value + t * pairing_constant(P, v2, w).value
+        lhs = pairing_constant(P, v1 + t * v2, w)
+        rhs = pairing_constant(P, v1, w) + t * pairing_constant(P, v2, w)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_negative_semidefinite_quadratic_form(self):
@@ -191,7 +191,7 @@ class TestPairingConstant:
                   random_reduced_graph(7, seed=11)]:
             P = pseudoinverse(build_intersection_matrix(g))
             for v in zero_sum_vectors(rng, g.n, 10):
-                c = pairing_constant(P, v, v).value
+                c = pairing_constant(P, v, v)
                 assert c <= 1e-12
                 if np.linalg.norm(v) > 1e-8:
                     assert c < -1e-12  # definite on nonzero zero-sum vectors

@@ -140,14 +140,6 @@ class TestDensities:
         dens = density_from_spec(spec, chain)
         np.testing.assert_allclose(dens.values, dens.evaluate(chain.nodes), atol=0)
 
-    def test_neck_inclusive_variant_sums_to_total(self):
-        chain = build_chain(I3, L=60.0)
-        spec = DensitySpec(fat_values=((0, 1.5), (1, -0.4)), cos_terms=((2, 0.2),))
-        dens = density_from_spec(spec, chain)
-        assert dens.component_integrals_with_necks.sum() == pytest.approx(
-            dens.total_integral, abs=1e-10
-        )
-
 
 class TestSmoothing:
     def test_smoothed_chain_area_close_to_sharp(self):

@@ -19,8 +19,7 @@ from pinchlab.geometry import (
     density_from_spec,
     step_density_spec,
 )
-from pinchlab.pairing import pairing_value
-from pinchlab.potential import FOUR_PI, PoissonSystem, solve_direct
+from pinchlab.potential import FOUR_PI, solve_direct
 from pinchlab.spectral import (
     assemble_mode_operator,
     full_spectrum,
@@ -180,21 +179,3 @@ class TestPoisson:
         _forbid(monkeypatch, scipy.linalg, "solve")
         phi = solve_direct(chain, dens).phi
         assert np.max(np.abs(phi - dense)) <= 1e-10 * np.max(np.abs(dense))
-
-    def test_symmetry_check_factors_once(self, monkeypatch):
-        chain = build_chain(I2, 80.0, resolution=32)
-        a = density_from_spec(step_density_spec([1.0, -1.0]), chain)
-        b = density_from_spec(step_density_spec([-0.5, 0.5]), chain)
-        splu, calls = scipy.sparse.linalg.splu, []
-        monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                            lambda *args, **kw: calls.append(1) or splu(*args, **kw))
-        value = pairing_value(chain, a, b, check_symmetry=True)
-        assert len(calls) == 1
-        assert value == pytest.approx(-0.5 * pairing_value(chain, a, a), rel=1e-12)
-
-    def test_system_of_another_chain_rejected(self):
-        chain = build_chain(I2, 80.0, resolution=32)
-        other = build_chain(I2, 90.0, resolution=32)
-        dens = density_from_spec(step_density_spec([1.0, -1.0]), chain)
-        with pytest.raises(ValidationError, match="another chain"):
-            solve_direct(chain, dens, system=PoissonSystem(other))
