@@ -17,7 +17,6 @@ from pinchlab import (
     full_spectrum,
     solve_direct,
     solve_spectral,
-    split_low_high,
     step_density_spec,
 )
 

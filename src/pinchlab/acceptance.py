@@ -41,7 +41,7 @@ from .pairing import (
     pairing_value,
     predicted_constant,
 )
-from .potential import estimate_report, solve_direct, solve_spectral, split_low_high
+from .potential import estimate_report, solve_direct, solve_spectral
 from .reporting import render_csv
 from .spectral import (
     correlation_matrix,

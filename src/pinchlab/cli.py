@@ -15,6 +15,7 @@ per file and then the run's summary lines.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -464,6 +465,13 @@ def main(argv=None) -> int:
         if pinned:
             blas_threads(pinned)  # library callers keep their own threads
 
+
+# What the collector tracks by now, mostly the numpy, scipy and pinchlab
+# modules loaded above, lives until exit: move it to the permanent generation,
+# which no collection traverses, so every full collection in a command and the
+# one at exit skip it.  Consequence: cyclic garbage that exists when this
+# module is imported is never collected.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

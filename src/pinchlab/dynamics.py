@@ -17,11 +17,11 @@ identity, and the identity tying the limit potential to the height pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .geometry import FOUR_PI, TWO_PI
 
 

@@ -11,7 +11,6 @@ change s = t^d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

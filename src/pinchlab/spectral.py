@@ -84,7 +84,7 @@ def _residuals(S, M, lam: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.
     """Residual norms ||S v - lam M v|| and their bounds RESIDUAL_TOL * max(1, ||v||).
 
     On a huge L these overflow to infinity without a warning; ``_within``
-    then fails them.
+    then fails them, and ``solve_modes`` names a bound that is not finite.
     """
     with np.errstate(over="ignore"):
         resid = np.linalg.norm(S @ vecs - (M @ vecs) * lam[None, :], axis=0)
@@ -188,8 +188,9 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
     fails; every other case uses the dense solver, which reduces the
     problem with the chain's shared mass factor.  Returns (lam, vecs) with
     vecs[:, j] mass-orthonormal.  A reduced matrix that is not finite (the
-    potential form overflows first, on huge L) and residuals beyond
-    tolerance raise ConvergenceError with diagnostics.
+    potential form overflows first, on huge L), a residual bound that is not
+    finite (||v|| overflows) and residuals beyond tolerance raise
+    ConvergenceError with diagnostics.
     """
     S, M = chain.operators.stiffness(m), chain.operators.mass
     n = S.shape[0]
@@ -210,6 +211,9 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
     lam, vecs = lam[:k], scipy.linalg.solve_triangular(F, vecs[:, :k], trans="T", lower=True)
     vecs = _fix_signs(vecs)
     resid, bound = _residuals(S, M, lam, vecs)
+    if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
+        raise ConvergenceError("eigen residual bound is not finite",
+                               {"mode": m, "n": n, "L": chain.L})
     if not _within(resid, bound):
         raise ConvergenceError(
             "eigen residual beyond tolerance",

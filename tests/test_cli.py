@@ -240,10 +240,13 @@ class TestExitContract:
         (["green", "--L-grid", "1e200"], OVERFLOW + "200"),
         (["pairing", "--L-grid", "1e150:1e300:6", "--fit-window", "1e150,1e300"],
          r"direct solve residual beyond tolerance residual=\S+ tolerance=\S+ n=144"),
+        (["spectrum", "--L", "1.7e308"],
+         r"eigen residual bound is not finite mode=0 n=144 L=1\.7e\+308"),
     ], ids=["spectrum-1e200", "spectrum-1e300", "potential-1e200", "green-1e200",
-            "pairing-poisson-residual"])
+            "pairing-poisson-residual", "spectrum-residual-bound-1.7e308"])
     def test_numerical_failure_exits_3_naming_it(self, tmp_path, capsys, argv, message):
-        # huge L overflows the reduced potential form and the Poisson residual
+        # huge L overflows the reduced potential form, the Poisson residual and,
+        # at 1.7e308, the residual bound RESIDUAL_TOL * max(1, ||v||) of mode 0
         cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
         assert main([argv[0], "--config", cfg, "--out", str(tmp_path), *argv[1:]]) == 3
         err = capsys.readouterr().err
@@ -296,6 +299,33 @@ def test_cli_import_skips_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A child Python that imports this checkout's pinchlab, output captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import gc, pinchlab", "False True"),
+    ("import gc, pinchlab.cli", "True True"),
+    ("import gc; gc.disable(); import pinchlab.cli", "True False"),
+], ids=["package", "cli", "cli-collector-off"])
+def test_cli_import_freezes_the_import_time_heap(code, expected):
+    # the CLI moves its import-time heap out of the collector's reach; a plain
+    # package import keeps the default collector, and neither switches it on or off
+    proc = run_python("-c", f"{code}; print(gc.get_freeze_count() > 0, gc.isenabled())")
+    assert proc.stdout.strip() == expected, proc.stderr
+
+
+def test_frozen_heap_leaves_command_output_unchanged():
+    frozen = run_python("-m", "pinchlab.cli", "kodaira", "--type", "I_4")
+    unfrozen = run_python("-c", "import gc, sys; from pinchlab.cli import main; gc.unfreeze(); "
+                                "sys.exit(main(['kodaira', '--type', 'I_4']))")
+    assert frozen.returncode == unfrozen.returncode == 0, frozen.stderr + unfrozen.stderr
+    assert frozen.stdout == unfrozen.stdout and "passed=True" in frozen.stdout
 
 
 # every section a table command reads, at sizes that keep each command well under a second

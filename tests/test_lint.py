@@ -1,0 +1,35 @@
+"""Lint with the standard library: no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# the package's __init__ imports only to re-export
+SOURCES = sorted({*(ROOT / "src" / "pinchlab").glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")} - {ROOT / "src" / "pinchlab" / "__init__.py"})
+
+
+def unused_imports(text: str) -> list[str]:
+    """Names an import binds and no expression reads, except on ``# noqa: F401`` lines."""
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            and not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names
+            if (alias.asname or alias.name.partition(".")[0]) not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_lint_finds_an_unused_import():
+    text = "import math\nimport os  # noqa: F401\nfrom sys import argv, path\nprint(argv)\n"
+    assert unused_imports(text) == ["math", "path"]

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from pinchlab import spectral
 from pinchlab.configfile import load_config
-from pinchlab.dualgraph import cycle_graph, kodaira_catalog
+from pinchlab.dualgraph import cycle_graph
 from pinchlab.errors import ConvergenceError, StructureError, ValidationError
 from pinchlab.geometry import FamilyConfig, build_chain
 from pinchlab.spectral import (
