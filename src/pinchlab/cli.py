@@ -466,8 +466,8 @@ def main(argv=None) -> int:
             blas_threads(pinned)  # library callers keep their own threads
 
 
-# What the collector tracks by now, mostly the numpy, scipy and pinchlab
-# modules loaded above, lives until exit: move it to the permanent generation,
+# What the collector tracks by now, mostly the numpy and pinchlab modules
+# loaded above, lives until exit: move it to the permanent generation,
 # which no collection traverses, so every full collection in a command and the
 # one at exit skip it.  Consequence: cyclic garbage that exists when this
 # module is imported is never collected.

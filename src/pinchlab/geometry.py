@@ -259,9 +259,7 @@ class ChainOperators:
 def _cyclic_tridiagonal(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray
                         ) -> scipy.sparse.csr_array:
     """Sum of the cell matrices [[ll, lr], [lr, rr]] over cells (i, i+1 mod n)."""
-    # imported on first use: a module-level import made a fresh
-    # `import pinchlab.cli` 15-20 ms slower (Python 3.11, 2-core Xeon)
-    import scipy.sparse
+    import scipy.sparse  # on first use, as all of scipy (spectral.load_scipy)
     n = ll.size
     i = np.arange(n)
     # row i holds (i, i-1), (i, i), (i, i+1), cyclically

@@ -19,13 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .dualgraph import edge_counts
 from .errors import ConvergenceError, ValidationError
 from .geometry import FOUR_PI, TWO_PI, DensityField, WarpedChain, build_chain
-from .spectral import EigenSystem, full_spectrum
+from .spectral import EigenSystem, full_spectrum, load_scipy
 
 
 def _require_mean_zero(dens: DensityField):
@@ -65,7 +63,7 @@ def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
     unconstrained equation is checked.
     """
     _require_mean_zero(dens)
-    n = chain.n_nodes
+    n, scipy = chain.n_nodes, load_scipy()
     S = chain.operators.gradient
     w = chain.operators.mass @ np.ones(n)
     coo = S.tocoo()

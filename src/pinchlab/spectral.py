@@ -14,6 +14,7 @@ spectrum below an explicit threshold.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import os
@@ -23,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .dualgraph import DualGraph, build_intersection_matrix
 from .errors import ConvergenceError, StructureError, ValidationError
@@ -60,6 +59,24 @@ _POOL = None        # (owner pid, executor or None when this process stays seria
 _IN_WORKER = False  # set in the workers: they never fork a pool of their own
 _TASKS_PER_WORKER = 2  # pool tasks outstanding per worker; results wait for the caller
 _PARENT_POLL_S = 0.5   # a worker checks this often whether its parent is gone
+
+
+@functools.cache
+def load_scipy():
+    """scipy, with ``scipy.linalg`` and ``scipy.sparse.linalg`` imported on the first call.
+
+    No pinchlab module imports scipy as it loads.  An OpenBLAS that this import
+    maps runs the fewest threads of those mapped before it: one inside a CLI
+    command, which pinned them (cli.main).
+    """
+    before = blas_threads()
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    after = blas_threads() if before else None
+    if after:
+        blas_threads({**dict.fromkeys(after, min(before.values())), **before})
+    return scipy
 
 
 def assemble_mode_operator(chain: WarpedChain, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +121,7 @@ def _negative_count(S, M, shift: float) -> int | None:
     then U = D L^T, so the negative entries of diag(U) count the negative
     eigenvalues.  Returns None when no such factorization was produced.
     """
+    scipy = load_scipy()
     try:
         lu = scipy.sparse.linalg.splu((S - shift * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -123,7 +141,7 @@ def _shift_invert(S, M, k: int):
     Lanczos iteration skipped (spectrum slicing).  The pole SIGMA is negative
     because S is singular for m = 0.
     """
-    n = S.shape[0]
+    n, scipy = S.shape[0], load_scipy()
     lu = scipy.sparse.linalg.splu((S - _SIGMA * M).tocsc())
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
@@ -172,6 +190,7 @@ def _mass_factor(chain: WarpedChain):
     key = _forms_key(ops)
     if _FACTOR is None or _FACTOR[0] != key:
         _FACTOR = None  # freed first: the old and new factors would peak at 6n^2 doubles
+        scipy = load_scipy()
         # scipy's LAPACK only: numpy's OpenBLAS is a second thread pool
         F = scipy.linalg.cholesky(ops.mass.toarray(), lower=True)
         A, B = (scipy.linalg.lapack.dsygst(form.toarray(), F, lower=1)[0]
@@ -203,6 +222,7 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
     # the exact dense path; slicing after a full solve keeps the basis LAPACK
     # picks inside degenerate eigenspaces independent of k
     F, A, B = _mass_factor(chain)
+    scipy = load_scipy()
     H = A.copy() if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
     if not np.all(np.isfinite(H)):
         raise ConvergenceError("reduced mode matrix is not finite",
@@ -368,17 +388,19 @@ def _pool():
         return None
     if _POOL is None or _POOL[0] != os.getpid():  # none yet, or inherited through a fork
         _POOL = (os.getpid(), _make_pool(cpus))
+        atexit.register(_shutdown_pool)  # while concurrent.futures can still reap it
     return _POOL[1]
 
 
 def _make_pool(workers: int):
-    """A fork pool whose workers run every loaded OpenBLAS on one thread.
+    """A fork pool whose workers run every loaded OpenBLAS, scipy's included, on one thread.
 
     None when ``fork`` is unavailable or a loaded BLAS cannot be pinned.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    load_scipy()
     if "fork" not in multiprocessing.get_all_start_methods() or blas_threads() is None:
         return None
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -490,7 +512,7 @@ def graph_limit_eigs(g: DualGraph, L: float) -> np.ndarray:
     if not g.reduced:
         raise ValidationError("graph-limit prediction requires a reduced graph")
     L_G = -(TWO_PI / L) * build_intersection_matrix(g)  # L_G = -M on reduced graphs
-    lam = scipy.linalg.eigh(L_G, np.diag(g.areas))[0]
+    lam = load_scipy().linalg.eigh(L_G, np.diag(g.areas))[0]
     return np.sort(lam)[1:]
 
 

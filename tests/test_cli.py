@@ -392,12 +392,13 @@ def test_verify_csv_is_readme_schema_and_byte_identical(tmp_path, capsys, monkey
     assert len(summary) == 4 and all(ln.endswith(" s)") for ln in summary)
 
 
-# Run in a child process: every loaded OpenBLAS is first set to 2 threads,
-# then one spectrum (i2_step, n = 144) runs through an in-process main, and
-# the thread counts are read before, inside (when the spectra are asked for)
-# and after the command.
+# Run in a child process: every loaded OpenBLAS, scipy's included, is first
+# set to 2 threads, then one spectrum (i2_step, n = 144) runs through an
+# in-process main, and the thread counts are read before, inside (when the
+# spectra are asked for) and after the command.
 BLAS_PROBE = """
 import json, sys
+import scipy.linalg
 from pinchlab import cli, spectral
 spectral.blas_threads(2)
 before = spectral.blas_threads()
@@ -434,3 +435,78 @@ def test_cli_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, variable
         assert seen["inside"] == [seen["before"]]  # the user's count is left alone
     else:
         assert seen["inside"] == [dict.fromkeys(seen["before"], 1)]
+
+
+# Run in a child process that has not loaded scipy: one spectrum (i2_step,
+# n = 144) through an in-process main, with the thread counts read before
+# the command and after each dense mode factorization inside it.
+LATE_BLAS_PROBE = """
+import json, sys
+from pinchlab import cli, spectral
+loaded = "scipy" in sys.modules
+before = spectral.blas_threads()
+inside = []
+mass_factor = spectral._mass_factor
+def probe(chain):
+    factor = mass_factor(chain)
+    inside.append(spectral.blas_threads())
+    return factor
+spectral._mass_factor = probe
+code = cli.main(["spectrum", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "loaded": loaded, "before": before, "inside": inside}))
+"""
+
+
+@pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS"])
+def test_openblas_mapped_by_the_first_solve_runs_the_commands_threads(tmp_path, variable):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                            "OMP_NUM_THREADS")}
+    if variable:
+        env[variable] = "2"
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", LATE_BLAS_PROBE,
+                           str(root / "configs" / "i2_step.cfg"), str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0 and not seen["loaded"] and seen["inside"]
+    if seen["before"] is None or not set(seen["inside"][0]) - set(seen["before"]):
+        pytest.skip("no OpenBLAS of scipy's own that the first solve maps here")
+    if variable and set(seen["before"].values()) != {2}:
+        pytest.skip("no OpenBLAS that runs two threads here")
+    want = 2 if variable else 1  # the user's count is left alone
+    assert all(set(counts.values()) == {want} for counts in seen["inside"])
+
+
+NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import pinchlab.cli
+seen = [("import pinchlab.cli", "scipy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pinchlab.cli.main(argv) == 0, argv
+    seen.append((" ".join(argv[:2]), "scipy" in sys.modules))
+import pinchlab
+pinchlab.build_chain
+linalg = "scipy.linalg" in sys.modules
+from pinchlab import full_spectrum
+print(json.dumps({"seen": seen, "linalg": linalg,
+                  "full_spectrum": full_spectrum is pinchlab.spectral.full_spectrum}))
+"""
+
+
+def test_commands_that_never_solve_load_no_scipy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = ["--out", str(tmp_path)]
+    commands = [["kodaira", "--type", "I_4"]]
+    commands += [name.split() + ["--config", str(root / "configs" / "dynamics.cfg"), *out]
+                 for name in COMMANDS if name.startswith("dynamics ")]
+    commands += [["node-integral", "--config", str(root / "configs" / "node.cfg"), *out]]
+    env = {**os.environ,
+           "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert len(seen["seen"]) == 7 and not [name for name, loaded in seen["seen"] if loaded]
+    assert seen["linalg"]  # one access to the package API loads it
+    assert seen["full_spectrum"]

@@ -1,4 +1,5 @@
-"""Lint with the standard library: no module imports a name it never uses."""
+"""Lint with the standard library: no module imports a name it never uses, and
+no pinchlab module imports scipy when it loads."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,27 @@ def test_no_unused_imports(path):
 def test_lint_finds_an_unused_import():
     text = "import math\nimport os  # noqa: F401\nfrom sys import argv, path\nprint(argv)\n"
     assert unused_imports(text) == ["math", "path"]
+
+
+def module_level_scipy_imports(text: str) -> list[str]:
+    """Modules named by the top-level ``import scipy...`` and ``from scipy... import``."""
+    modules = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return [name for name in modules if name.partition(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "pinchlab").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_scipy_import(path):
+    # scipy is imported at the first solve (spectral.load_scipy)
+    assert module_level_scipy_imports(path.read_text()) == []
+
+
+def test_lint_finds_a_module_level_scipy_import():
+    text = ("import numpy, scipy\nfrom scipy.sparse import csr_array\nimport scipyx\n"
+            "from . import scipy_shim\ndef f():\n    import scipy.linalg\n")
+    assert module_level_scipy_imports(text) == ["scipy", "scipy.sparse"]

@@ -4,6 +4,7 @@ worker, worker errors raised in the parent, workers that end with their
 owner, and serial runs wherever the rules call for them."""
 
 import collections
+import json
 import os
 import signal
 import subprocess
@@ -93,6 +94,20 @@ def test_workers_run_one_blas_thread(chain):
     threads = spectral._pool().submit(spectral.blas_threads).result()
     assert threads and set(threads.values()) == {1}, threads
     assert any("openblas" in os.path.basename(path) for path in threads)
+
+
+def test_pool_loads_scipy_before_it_forks():
+    # so that every worker inherits scipy's OpenBLAS and pins it with the others
+    code = ("import json, sys\nfrom pinchlab import spectral\n"
+            "loaded = 'scipy' in sys.modules\n"
+            "threads = spectral._pool().submit(spectral.blas_threads).result()\n"
+            "print(json.dumps([loaded, 'scipy.linalg' in sys.modules, threads]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    before, after, threads = json.loads(proc.stdout)
+    assert not before and after and set(threads.values()) == {1}, threads
 
 
 def test_worker_never_forks_a_pool_of_its_own(chain):
