@@ -235,9 +235,56 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
     return replace(chain, quad_x=qx, quad_w=qw, quad_c=qc)
 
 
+@dataclass(frozen=True, eq=False)
+class CyclicTridiagonal:
+    """Symmetric cyclic tridiagonal form: ``diag[i]`` at (i, i) and ``off[i]`` at
+    (i, i+1 mod n) and (i+1 mod n, i); entries that meet when n < 3 add up."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    __array_ufunc__ = None  # ``x @ form`` calls __rmatmul__, not numpy
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        diag, off = (a if x.ndim == 1 else a[:, None] for a in (self.diag, self.off))
+        y = diag * x
+        y[:-1] += off[:-1] * x[1:]   # slices, not np.roll: a roll copies an (n, k) block
+        y[-1] += off[-1] * x[0]
+        y[1:] += off[:-1] * x[:-1]
+        y[0] += off[-1] * x[-1]
+        return y
+
+    def __rmatmul__(self, x):
+        return (self @ np.asarray(x).T).T  # symmetric
+
+    def sum(self) -> float:
+        return float(self.diag.sum() + 2.0 * self.off.sum())
+
+    def _entries(self):
+        """Values and (row, column) indices of the entries; those that meet when n < 3 add up."""
+        i = np.arange(self.diag.size)
+        j = (i + 1) % i.size
+        return (np.concatenate([self.diag, self.off, self.off]),
+                (np.concatenate([i, i, j]), np.concatenate([i, j, i])))
+
+    def toarray(self) -> np.ndarray:
+        values, index = self._entries()
+        A = np.zeros((self.diag.size,) * 2)
+        np.add.at(A, index, values)
+        return A
+
+    def tocsr(self):
+        """This form as a scipy CSR array, built on the first call; it loads scipy."""
+        if "_csr" not in vars(self):
+            from .spectral import load_scipy
+            coo = load_scipy().sparse.coo_array(self._entries(), shape=(self.diag.size,) * 2)
+            object.__setattr__(self, "_csr", coo.tocsr())  # sums the entries that meet
+        return self._csr
+
+
 @dataclass(frozen=True)
 class ChainOperators:
-    """CSR weak forms of one chain, shared by every angular mode.
+    """Weak forms of one chain, shared by every angular mode.
 
     stiffness(m) = gradient + m^2 * potential with
     gradient  = 2*pi * integral(c u' v'),
@@ -246,28 +293,20 @@ class ChainOperators:
     all three are symmetric and cyclic tridiagonal.
     """
 
-    gradient: scipy.sparse.csr_array
-    potential: scipy.sparse.csr_array
-    mass: scipy.sparse.csr_array
+    gradient: CyclicTridiagonal
+    potential: CyclicTridiagonal
+    mass: CyclicTridiagonal
 
-    def stiffness(self, m: int) -> scipy.sparse.csr_array:
+    def stiffness(self, m: int) -> CyclicTridiagonal:
         if m < 0:
             raise ValidationError("angular mode must be nonnegative")
-        return self.gradient if m == 0 else self.gradient + (m * m) * self.potential
+        g, p = self.gradient, self.potential
+        return g if m == 0 else CyclicTridiagonal(g.diag + m * m * p.diag, g.off + m * m * p.off)
 
 
-def _cyclic_tridiagonal(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray
-                        ) -> scipy.sparse.csr_array:
+def _cyclic_tridiagonal(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray) -> CyclicTridiagonal:
     """Sum of the cell matrices [[ll, lr], [lr, rr]] over cells (i, i+1 mod n)."""
-    import scipy.sparse  # on first use, as all of scipy (spectral.load_scipy)
-    n = ll.size
-    i = np.arange(n)
-    # row i holds (i, i-1), (i, i), (i, i+1), cyclically
-    data = np.stack([np.roll(lr, 1), ll + np.roll(rr, 1), lr], axis=1).ravel()
-    cols = np.stack([(i - 1) % n, i, (i + 1) % n], axis=1).ravel()
-    A = scipy.sparse.csr_array((data, cols, 3 * np.arange(n + 1)), shape=(n, n))
-    A.sum_duplicates()  # sorts each row, and merges entries when n < 3
-    return A
+    return CyclicTridiagonal(ll + np.roll(rr, 1), lr)
 
 
 def chain_operators(chain: WarpedChain) -> ChainOperators:

@@ -23,7 +23,7 @@ import numpy as np
 from .dualgraph import edge_counts
 from .errors import ConvergenceError, ValidationError
 from .geometry import FOUR_PI, TWO_PI, DensityField, WarpedChain, build_chain
-from .spectral import EigenSystem, full_spectrum, load_scipy
+from .spectral import EigenSystem, full_spectrum
 
 
 def _require_mean_zero(dens: DensityField):
@@ -56,28 +56,28 @@ class SpectralCoefficients:
 
 
 def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
-    """Weighted Poisson solve with the mean constraint as a multiplier row.
+    """Weighted Poisson solve S phi + mu w = rhs, w^T phi = 0 with w = M 1, in O(n).
 
-    The sparse LU of [[S, w], [w^T, 0]] with w = M 1 keeps the system
-    symmetric and avoids pinning a grid point; the residual of the
-    unconstrained equation is checked.
+    S is the Laplacian of the n-cycle with conductance g[i] from node i to
+    i+1 mod n: (S phi)[i] = J[i] - J[i-1] for the fluxes J = g (phi - phi[i+1]).
+    Summing gives mu = sum(rhs) / sum(w); J is then a cumulative sum plus the
+    constant that makes the drops J / g add up to zero around the loop.  The
+    residual of the first equation is checked.
     """
     _require_mean_zero(dens)
-    n, scipy = chain.n_nodes, load_scipy()
-    S = chain.operators.gradient
+    S, n = chain.operators.gradient, chain.n_nodes
     w = chain.operators.mass @ np.ones(n)
-    coo = S.tocoo()
-    nodes, last = np.arange(n), np.full(n, n)
-    K = scipy.sparse.csc_array(
-        (np.concatenate([coo.data, w, w]),
-         (np.concatenate([coo.row, nodes, last]), np.concatenate([coo.col, last, nodes]))),
-        shape=(n + 1, n + 1))
     rhs = FOUR_PI * chain.load_vector(dens.quad_values)
-    sol = scipy.sparse.linalg.splu(K).solve(np.append(rhs, 0.0))
-    phi = sol[:n]
+    g = -S.off
     tol = 1e-8 * max(1.0, float(np.max(np.abs(rhs)))) * n
-    resid = float(np.linalg.norm(S @ phi - rhs + sol[n] * w))
-    if resid > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge L: the residual check fails
+        mu = rhs.sum() / w.sum()
+        flux = np.cumsum(rhs - mu * w)
+        flux -= np.sum(flux / g) / np.sum(1.0 / g)
+        phi = np.concatenate(([0.0], -np.cumsum(flux[:-1] / g[:-1])))
+        phi -= phi @ w / w.sum()
+        resid = float(np.linalg.norm(S @ phi - rhs + mu * w))
+    if not resid <= tol:
         raise ConvergenceError("direct solve residual beyond tolerance",
                                {"residual": resid, "tolerance": tol, "n": n})
     mean = float(phi @ w / np.sum(w))

@@ -7,14 +7,15 @@ import os
 TOOL_VERSION = "pinchlab 0.1.0"
 
 
-def format_value(x, precision: int = 17) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, f".{precision}g")
-    if isinstance(x, complex):
-        return f"{format(x.real, f'.{precision}g')}{x.imag:+.{precision}g}j"
-    return str(x)
+def _formatter(kind: type, precision: int):
+    """The function that prints a value of type ``kind``."""
+    if issubclass(kind, bool):
+        return lambda x: "true" if x else "false"
+    if issubclass(kind, float):
+        return f"{{:.{precision}g}}".format
+    if issubclass(kind, complex):
+        return f"{{0.real:.{precision}g}}{{0.imag:+.{precision}g}}j".format
+    return str
 
 
 def render_csv(columns, rows, config_hash: str = "", comments=(),
@@ -27,8 +28,14 @@ def render_csv(columns, rows, config_hash: str = "", comments=(),
     lines = [f"# {TOOL_VERSION} config_hash={config_hash}"]
     lines += [f"# {c}" for c in comments]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(v, precision) for v in row))
+    cells = []
+    for col in zip(*rows, strict=True):
+        kinds = set(map(type, col))
+        if len(kinds) == 1:  # one formatter for the whole column
+            cells.append(list(map(_formatter(kinds.pop(), precision), col)))
+        else:
+            cells.append([_formatter(type(x), precision)(x) for x in col])
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 

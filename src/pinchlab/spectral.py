@@ -35,7 +35,8 @@ RESIDUAL_TOL = 1e-8
 # k = n/12 shift-invert takes 0.2-0.6x the dense time for n = 576-1152 and
 # m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Every other solve is
 # dense, and the dense solves of a chain share one factorization of M
-# (_mass_factor), in a pool worker as in the caller's process.
+# (_mass_factor), in a pool worker as in the caller's process.  Only the
+# shift-invert path and its inertia count load scipy.
 _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
@@ -63,14 +64,13 @@ _PARENT_POLL_S = 0.5   # a worker checks this often whether its parent is gone
 
 @functools.cache
 def load_scipy():
-    """scipy, with ``scipy.linalg`` and ``scipy.sparse.linalg`` imported on the first call.
+    """scipy, with ``scipy.sparse.linalg`` (and so ``scipy.linalg``) imported on the first call.
 
     No pinchlab module imports scipy as it loads.  An OpenBLAS that this import
     maps runs the fewest threads of those mapped before it: one inside a CLI
     command, which pinned them (cli.main).
     """
     before = blas_threads()
-    import scipy.linalg
     import scipy.sparse.linalg
 
     after = blas_threads() if before else None
@@ -82,7 +82,7 @@ def load_scipy():
 def assemble_mode_operator(chain: WarpedChain, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense stiffness and mass matrices of the angular-mode-m weak form.
 
-    The solvers use the CSR forms of ``chain.operators``.  This dense copy
+    The solvers use the cyclic tridiagonal forms of ``chain.operators``.  This dense copy
     stays because perfbench/tracer.py wraps it to count operator bytes and
     the tests use it as an oracle for those forms.
     """
@@ -123,7 +123,8 @@ def _negative_count(S, M, shift: float) -> int | None:
     """
     scipy = load_scipy()
     try:
-        lu = scipy.sparse.linalg.splu((S - shift * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = scipy.sparse.linalg.splu((S.tocsr() - shift * M.tocsr()).tocsc(),
+                                      permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular pivot
         return None
@@ -141,7 +142,8 @@ def _shift_invert(S, M, k: int):
     Lanczos iteration skipped (spectrum slicing).  The pole SIGMA is negative
     because S is singular for m = 0.
     """
-    n, scipy = S.shape[0], load_scipy()
+    S, M, scipy = S.tocsr(), M.tocsr(), load_scipy()
+    n = S.shape[0]
     lu = scipy.sparse.linalg.splu((S - _SIGMA * M).tocsc())
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
@@ -164,38 +166,51 @@ def _shift_invert(S, M, k: int):
 
 
 def _forms_key(ops) -> tuple:
-    """The shape, dtypes and bytes of the mass, gradient and potential CSR forms."""
-    return tuple((form.shape, *((a.dtype.str, a.tobytes())
-                                for a in (form.data, form.indices, form.indptr)))
-                 for form in (ops.mass, ops.gradient, ops.potential))
+    """The bytes of the diagonals of the mass, gradient and potential forms."""
+    return tuple(a.tobytes() for form in (ops.mass, ops.gradient, ops.potential)
+                 for a in (form.diag, form.off))
+
+
+def _substitute(F, X: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """X overwritten by F^-1 X, or F^-T X, for the factor F = (d, l, r) of ``_mass_factor``."""
+    d, l, r = F
+    X /= d[:, None]  # prescaled: each row then subtracts multiples of solved rows
+    if transpose:
+        X[:-1] -= (r / d[:-1])[:, None] * X[-1]
+        for i in reversed(range(l.size)):
+            X[i] -= l[i] / d[i] * X[i + 1]
+    else:
+        for i in range(1, l.size + 1):
+            X[i] -= l[i - 1] / d[i] * X[i - 1]
+        X[-1] -= (r / d[-1]) @ X[:-1]
+    return X
 
 
 def _mass_factor(chain: WarpedChain):
     """(F, A, B) with M = F F^T, A = F^-1 gradient F^-T and B = F^-1 potential F^-T.
 
     Every mode of a chain shares them: mode m is the standard problem
-    A + m^2 B, whose eigenvector y gives x = F^-T y.  These are the steps of
-    LAPACK's sygvd on the lower triangles (A and B hold only those), so mode
-    0 repeats ``eigh(S, M)`` bit for bit.  One slot keeps them for the last
-    forms asked, keyed by the bytes of the mass, gradient and potential CSR
-    arrays: equal forms hit it and any difference, a signed zero included,
-    misses.  A pool worker gets each mode of a chain as a fresh unpickled
-    copy of the chain, so it factors a chain once however many of its modes
-    it solves.  The slot is module state, never part of a chain, so the
-    factor never travels with a chain or a pickled spectrum; it keeps 3n^2
-    doubles resident (8 MB at n = 576) until other forms replace it.
+    A + m^2 B, whose eigenvector y gives x = F^-T y.  M is cyclic
+    tridiagonal, so its Cholesky factor is lower bidiagonal plus a dense last
+    row: F = (d, l, r) holds its diagonal, the subdiagonal above the last row
+    and the last row left of d.  One slot keeps the factor of the last forms
+    asked, keyed by the bytes of their diagonals, so a pool worker that gets
+    each mode as a fresh copy of the chain factors it once; the slot keeps
+    2n^2 doubles resident (5 MB at n = 576) and never travels with a chain.
     """
     global _FACTOR
     ops = chain.operators
     key = _forms_key(ops)
     if _FACTOR is None or _FACTOR[0] != key:
-        _FACTOR = None  # freed first: the old and new factors would peak at 6n^2 doubles
-        scipy = load_scipy()
-        # scipy's LAPACK only: numpy's OpenBLAS is a second thread pool
-        F = scipy.linalg.cholesky(ops.mass.toarray(), lower=True)
-        A, B = (scipy.linalg.lapack.dsygst(form.toarray(), F, lower=1)[0]
-                for form in (ops.gradient, ops.potential))
-        _FACTOR = (key, (F, A, B))
+        _FACTOR = None  # freed first: the old and new factors would peak at 4n^2 doubles
+        n = chain.n_nodes
+        C = np.linalg.cholesky(ops.mass.toarray())
+        F = (np.diag(C).copy(), np.diag(C, -1)[:-1].copy(), C[-1, :-1].copy())
+        del C  # with the substitutions in place, the peak is 4n^2 doubles
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = _substitute(F, np.hstack([ops.gradient.toarray(), ops.potential.toarray()]))
+            W = _substitute(F, np.hstack([W[:, :n].T, W[:, n:].T]))
+        _FACTOR = (key, (F, W[:, :n], W[:, n:]))
     return _FACTOR[1]
 
 
@@ -212,7 +227,7 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
     ConvergenceError with diagnostics.
     """
     S, M = chain.operators.stiffness(m), chain.operators.mass
-    n = S.shape[0]
+    n = chain.n_nodes
     if k > n:
         raise ValidationError(f"requested {k} eigenpairs from an n = {n} grid")
     if n > _SPARSE_MIN_NODES and 0 < _SPARSE_K_RATIO * k <= n:
@@ -222,14 +237,14 @@ def solve_modes(chain: WarpedChain, m: int, k: int):
     # the exact dense path; slicing after a full solve keeps the basis LAPACK
     # picks inside degenerate eigenspaces independent of k
     F, A, B = _mass_factor(chain)
-    scipy = load_scipy()
-    H = A.copy() if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
+    H = A if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
     if not np.all(np.isfinite(H)):
         raise ConvergenceError("reduced mode matrix is not finite",
                                {"mode": m, "n": n, "L": chain.L})
-    lam, vecs = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False, driver="evd")
-    lam, vecs = lam[:k], scipy.linalg.solve_triangular(F, vecs[:, :k], trans="T", lower=True)
-    vecs = _fix_signs(vecs)
+    lam, vecs = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
+    with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
+        vecs = _fix_signs(_substitute(F, vecs[:, :k], transpose=True))
+    lam = lam[:k]
     resid, bound = _residuals(S, M, lam, vecs)
     if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
         raise ConvergenceError("eigen residual bound is not finite",
@@ -393,14 +408,13 @@ def _pool():
 
 
 def _make_pool(workers: int):
-    """A fork pool whose workers run every loaded OpenBLAS, scipy's included, on one thread.
+    """A fork pool whose workers run every OpenBLAS on one thread, scipy's too (load_scipy).
 
     None when ``fork`` is unavailable or a loaded BLAS cannot be pinned.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    load_scipy()
     if "fork" not in multiprocessing.get_all_start_methods() or blas_threads() is None:
         return None
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -506,14 +520,14 @@ def graph_limit_eigs(g: DualGraph, L: float) -> np.ndarray:
     """Predicted small eigenvalues from the conductance-network limit.
 
     The chain collapses onto its dual graph with one conductance 2*pi/L per
-    edge; the N-1 nonzero eigenvalues of diag(areas)^{-1} L_G predict the
-    collapsing spectrum (all proportional to 1/L).
+    edge; the N-1 nonzero eigenvalues of D^-1 L_G, or of D^-1/2 L_G D^-1/2,
+    with D = diag(areas), predict the collapsing spectrum (all proportional to 1/L).
     """
     if not g.reduced:
         raise ValidationError("graph-limit prediction requires a reduced graph")
     L_G = -(TWO_PI / L) * build_intersection_matrix(g)  # L_G = -M on reduced graphs
-    lam = load_scipy().linalg.eigh(L_G, np.diag(g.areas))[0]
-    return np.sort(lam)[1:]
+    scale = g.areas ** -0.5
+    return np.linalg.eigvalsh(scale[:, None] * L_G * scale[None, :])[1:]
 
 
 # ---------------------------------------------------------------------------

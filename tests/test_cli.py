@@ -437,21 +437,23 @@ def test_cli_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, variable
         assert seen["inside"] == [dict.fromkeys(seen["before"], 1)]
 
 
-# Run in a child process that has not loaded scipy: one spectrum (i2_step,
-# n = 144) through an in-process main, with the thread counts read before
-# the command and after each dense mode factorization inside it.
+# Run in a child process that has not loaded scipy: one spectrum (i2_step at
+# n = 576, k = 32, so every mode takes the shift-invert path, which loads
+# scipy) through an in-process main on one CPU, with the thread counts read
+# before the command and after each shift-invert solve inside it.
 LATE_BLAS_PROBE = """
 import json, sys
 from pinchlab import cli, spectral
 loaded = "scipy" in sys.modules
 before = spectral.blas_threads()
 inside = []
-mass_factor = spectral._mass_factor
-def probe(chain):
-    factor = mass_factor(chain)
+spectral._usable_cpus = lambda: 1  # no pool: the solves run in this process
+shift_invert = spectral._shift_invert
+def probe(S, M, k):
+    found = shift_invert(S, M, k)
     inside.append(spectral.blas_threads())
-    return factor
-spectral._mass_factor = probe
+    return found
+spectral._shift_invert = probe
 code = cli.main(["spectrum", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(json.dumps({"code": code, "loaded": loaded, "before": before, "inside": inside}))
 """
@@ -465,8 +467,11 @@ def test_openblas_mapped_by_the_first_solve_runs_the_commands_threads(tmp_path, 
         env[variable] = "2"
     root = Path(__file__).resolve().parents[1]
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", LATE_BLAS_PROBE,
-                           str(root / "configs" / "i2_step.cfg"), str(tmp_path)],
+    config = tmp_path / "fine.cfg"
+    config.write_text((root / "configs" / "i2_step.cfg").read_text()
+                      .replace("resolution = 48", "resolution = 192")
+                      .replace("m_max = 8", "m_max = 2"))
+    proc = subprocess.run([sys.executable, "-c", LATE_BLAS_PROBE, str(config), str(tmp_path)],
                           capture_output=True, text=True, env=env, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["code"] == 0 and not seen["loaded"] and seen["inside"]
@@ -510,3 +515,20 @@ def test_commands_that_never_solve_load_no_scipy(tmp_path):
     assert len(seen["seen"]) == 7 and not [name for name, loaded in seen["seen"] if loaded]
     assert seen["linalg"]  # one access to the package API loads it
     assert seen["full_spectrum"]
+
+
+def test_commands_on_the_shipped_configs_load_no_scipy(tmp_path):
+    # n <= 384 everywhere: forms, dense modes and Poisson solves are numpy's
+    root = Path(__file__).resolve().parents[1]
+    out = ["--out", str(tmp_path)]
+    commands = [[name, "--config", str(root / "configs" / f"{cfg}.cfg"), *out]
+                for cfg in ("i2_step", "i3_bump")
+                for name in ("spectrum", "sweep-spectrum", "green", "potential", "pairing",
+                             "modelfns")]
+    commands += [["verify", "--config", str(root / "configs" / "verify.cfg"), *out]]
+    env = {**os.environ,
+           "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])["seen"]
+    assert len(seen) == 14 and not [name for name, loaded in seen if loaded]

@@ -115,14 +115,11 @@ class TestSharedMassFactor:
             lam, vecs = solve_modes(chain, m, n)
             assert holds_factor_of(chain)
             assert_matches_generalized_solve(chain, m, lam, vecs)
-        # the steps of sygvd, so mode 0 repeats its bits
-        S, M = assemble_mode_operator(chain, 0)
-        assert np.array_equal(solve_modes(chain, 0, n)[0], scipy.linalg.eigh(S, M)[0])
 
     def test_cache_is_exact(self, monkeypatch):
         factorizations = []
-        cholesky = scipy.linalg.cholesky
-        monkeypatch.setattr(scipy.linalg, "cholesky",
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
                             lambda *args, **kw: factorizations.append(1) or cholesky(*args, **kw))
         monkeypatch.setattr(spectral, "_FACTOR", None)
         a, b = config_chain("i2_step", 100.0), config_chain("i2_step", 150.0)
@@ -139,8 +136,9 @@ class TestSharedMassFactor:
         # forms one ulp away from a's, in any one of the three, miss
         for name in ("mass", "gradient", "potential"):
             chain = config_chain("i2_step", 100.0)
-            form = getattr(chain.operators, name).copy()
-            form.data[0] = np.nextafter(form.data[0], np.inf)
+            form = getattr(chain.operators, name)
+            form = dataclasses.replace(form, diag=form.diag.copy())
+            form.diag[0] = np.nextafter(form.diag[0], np.inf)
             chain.__dict__["operators"] = dataclasses.replace(chain.operators, **{name: form})
             count = len(factorizations)
             solve_modes(chain, 2, 32)
@@ -149,9 +147,9 @@ class TestSharedMassFactor:
 
     def test_corrupted_factor_fails_the_residual_gate(self, monkeypatch):
         chain = config_chain("i2_step")
-        F, A, B = spectral._mass_factor(chain)
-        bad = F.copy()
-        bad[1, 0] += 1e-6 * bad[1, 1]  # x = F^-T y is then no eigenvector
+        (d, l, r), A, B = spectral._mass_factor(chain)
+        bad = (d, l.copy(), r)
+        bad[1][0] += 1e-6 * d[1]  # F[1, 0]: x = F^-T y is then no eigenvector
         monkeypatch.setattr(spectral, "_mass_factor", lambda c: (bad, A, B))
         with pytest.raises(ConvergenceError, match="eigen residual beyond tolerance mode=0"):
             full_spectrum(chain, m_max=8, k_per_mode=32)
