@@ -4,12 +4,13 @@ Subpackages cover the combinatorial fiber data (dualgraph), the warped chain
 model and its densities (geometry), the Laplace spectrum and its collapsing
 part (spectral), preferred potentials (potential), the height pairing and
 its logarithmic slope (pairing), fiberwise translation dynamics (dynamics),
-node integrals (nodeintegral), and the orchestration layer (configfile,
-cli, acceptance).
+node integrals (nodeintegral), BLAS threads (blas), and the orchestration
+layer (configfile, cli, acceptance).
 
 The names in ``__all__`` are bound, and scipy is imported, on the first
 access to any of them: a library caller pays scipy when it first reaches for
-the API, never inside a solve, and ``import pinchlab.cli`` loads no scipy.
+the API, never inside a solve.  ``import pinchlab.cli`` loads no scipy and
+runs no module but ``errors`` and ``blas``; it registers the others lazily.
 """
 
 import importlib

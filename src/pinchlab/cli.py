@@ -10,12 +10,16 @@ Every CSV-writing command is a function ``(cfg, args) -> Run`` listed in
 config, replaces each flag by its parsed value or that of the config key it
 overrides, writes each table of the run, prints one ``wrote <path>`` line
 per file and then the run's summary lines.
+
+Importing this module runs only ``errors`` and ``blas`` of pinchlab: every other
+module is registered (perfbench's tracer finds it) and runs when a command reads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import math
 import os
 import sys
@@ -24,16 +28,33 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import acceptance, dualgraph, dynamics, nodeintegral
-from .configfile import ExperimentConfig, finite_float, load_config, parse_grid
+from .blas import blas_threads
 from .errors import ConvergenceError, ValidationError
-from .geometry import TWO_PI, build_chain
-from .nodeintegral import parse_eta
-from .pairing import fit_log_asymptote, pairing_sweep, predicted_constant
-from .potential import EstimateRow, estimate_report, solve_direct, split_low_high
-from .reporting import render_csv, write_text
-from .spectral import (blas_threads, full_spectra, full_spectrum, model_functions,
-                       truncated_green_min)
+
+
+def _lazy(name: str):
+    """``pinchlab.<name>``, in ``sys.modules`` and on the package, its body run when one of
+    its attributes is first read: on the main thread, as Python 3.11's LazyLoader has no lock."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+acceptance = _lazy("acceptance")
+configfile = _lazy("configfile")
+dualgraph = _lazy("dualgraph")
+dynamics = _lazy("dynamics")
+geometry = _lazy("geometry")
+nodeintegral = _lazy("nodeintegral")
+pairing = _lazy("pairing")
+potential = _lazy("potential")
+reporting = _lazy("reporting")
+spectral = _lazy("spectral")
 
 
 @dataclass(frozen=True)
@@ -55,7 +76,7 @@ class Run:
     exit_code: int = 0
 
 
-def _solver(cfg: ExperimentConfig):
+def _solver(cfg: configfile.ExperimentConfig):
     return {
         "resolution": cfg.get_int("solver", "resolution", "48"),
         "m_max": cfg.get_int("solver", "m_max", "16"),
@@ -92,17 +113,17 @@ def cmd_kodaira(args) -> int:
     return 0
 
 
-def _spectra(cfg: ExperimentConfig, L_values):
+def _spectra(cfg: configfile.ExperimentConfig, L_values):
     """(L, chain, eigsys) at each L in ascending order; the chains are built
     here, the spectra may come from the worker pool, one chain per task."""
     solver = _solver(cfg)
     Ls = [float(L) for L in np.sort(L_values)]
-    chains = [build_chain(cfg.family(), L, resolution=solver["resolution"]) for L in Ls]
-    spectra = full_spectra(chains, m_max=solver["m_max"], k_per_mode=solver["k_per_mode"])
+    chains = [geometry.build_chain(cfg.family(), L, resolution=solver["resolution"]) for L in Ls]
+    spectra = spectral.full_spectra(chains, m_max=solver["m_max"], k_per_mode=solver["k_per_mode"])
     return zip(Ls, chains, spectra)
 
 
-def _spectrum_rows(cfg: ExperimentConfig, L_values):
+def _spectrum_rows(cfg: configfile.ExperimentConfig, L_values):
     rows = []
     for L, chain, eigsys in _spectra(cfg, L_values):
         # one row per eigenvalue counted with multiplicity, in (lam, mode) order
@@ -117,21 +138,21 @@ SPECTRUM_COLUMNS = ["L", "s", "k", "m", "lambda", "lambda_times_L", "gap",
                     "certified"]
 
 
-def cmd_spectrum(cfg: ExperimentConfig, args) -> Run:
+def cmd_spectrum(cfg: configfile.ExperimentConfig, args) -> Run:
     rows = _spectrum_rows(cfg, [args.L])
     return Run([Table("spectrum.csv", SPECTRUM_COLUMNS, rows)])
 
 
-def cmd_sweep_spectrum(cfg: ExperimentConfig, args) -> Run:
+def cmd_sweep_spectrum(cfg: configfile.ExperimentConfig, args) -> Run:
     rows = _spectrum_rows(cfg, args.L_grid)
     return Run([Table("sweep_spectrum.csv", SPECTRUM_COLUMNS, rows)])
 
 
-def cmd_modelfns(cfg: ExperimentConfig, args) -> Run:
-    chain = build_chain(cfg.family(), args.L, resolution=_solver(cfg)["resolution"])
-    mfs = model_functions(chain)
+def cmd_modelfns(cfg: configfile.ExperimentConfig, args) -> Run:
+    chain = geometry.build_chain(cfg.family(), args.L, resolution=_solver(cfg)["resolution"])
+    mfs = spectral.model_functions(chain)
     rows = [(i, energy, energy * args.L, norm, start, end) for i, (energy, norm, (start, end))
-            in enumerate(zip(mfs.energies, mfs.norms, mfs.supports))]
+            in enumerate(zip(mfs.energies.tolist(), mfs.norms.tolist(), mfs.supports))]
     return Run([Table(
         "modelfns.csv",
         ["component", "energy", "energy_times_L", "norm_sq",
@@ -140,14 +161,14 @@ def cmd_modelfns(cfg: ExperimentConfig, args) -> Run:
     )])
 
 
-def cmd_green(cfg: ExperimentConfig, args) -> Run:
+def cmd_green(cfg: configfile.ExperimentConfig, args) -> Run:
     cutoff = (cfg.get_float("solver", "green_cutoff")
               if cfg.has("solver", "green_cutoff") else None)
     tail = cfg.get_int("solver", "tail_count", "24")
     rows = []
     for L, chain, eigsys in _spectra(cfg, args.L_grid):
-        rep = truncated_green_min(chain, eigsys, tail_count=tail,
-                                  lambda_cutoff=cutoff)
+        rep = spectral.truncated_green_min(chain, eigsys, tail_count=tail,
+                                           lambda_cutoff=cutoff)
         rows.append((L, chain.s, rep.min_value, rep.diag_min,
                      rep.cutoff, rep.tail_bound))
     return Run([Table(
@@ -155,47 +176,47 @@ def cmd_green(cfg: ExperimentConfig, args) -> Run:
     )])
 
 
-def cmd_potential(cfg: ExperimentConfig, args) -> Run:
+def cmd_potential(cfg: configfile.ExperimentConfig, args) -> Run:
     solver = _solver(cfg)
     family = cfg.family()
-    chain = build_chain(family, args.L, resolution=solver["resolution"])
+    chain = geometry.build_chain(family, args.L, resolution=solver["resolution"])
     builder = cfg.density_builder("alpha")
     dens = builder(chain)
-    eigsys = full_spectrum(chain, m_max=2, k_per_mode=solver["k_per_mode"])
-    pot = solve_direct(chain, dens)
-    low, high = split_low_high(pot, eigsys)
-    rows = list(zip(chain.nodes, pot.phi, low, high))
+    eigsys = spectral.full_spectrum(chain, m_max=2, k_per_mode=solver["k_per_mode"])
+    pot = potential.solve_direct(chain, dens)
+    low, high = potential.split_low_high(pot, eigsys)
+    rows = list(zip(chain.nodes.tolist(), pot.phi.tolist(), low.tolist(), high.tolist()))
 
     grid = cfg.get_grid("sweep", "estimate_L_grid", "20:200:4")
-    table = estimate_report(family, grid, builder,
-                            resolution=solver["resolution"])
+    table = potential.estimate_report(family, grid, builder,
+                                      resolution=solver["resolution"])
     return Run([
         Table("potential.csv", ["x", "phi", "phi_low", "phi_high"], rows),
-        Table("potential_estimates.csv", [f.name for f in fields(EstimateRow)],
+        Table("potential_estimates.csv", [f.name for f in fields(potential.EstimateRow)],
               [astuple(r) for r in table.rows],
               {"high_bounded": table.high_bounded,
                "low_over_sqrtL_decreasing": table.low_over_sqrtL_decreasing}),
     ])
 
 
-def cmd_pairing(cfg: ExperimentConfig, args) -> Run:
+def cmd_pairing(cfg: configfile.ExperimentConfig, args) -> Run:
     solver = _solver(cfg)
     family = cfg.family()
     lo, hi = args.fit_window
     a_builder = cfg.density_builder("alpha")
     b_builder = cfg.density_builder("beta")
-    curve = pairing_sweep(family, a_builder, b_builder, args.L_grid,
-                          resolution=solver["resolution"])
-    fit = fit_log_asymptote(curve, (lo, hi))
-    ref_chain = build_chain(family, float(np.max(args.L_grid)),
-                            resolution=solver["resolution"])
-    predicted = predicted_constant(
+    curve = pairing.pairing_sweep(family, a_builder, b_builder, args.L_grid,
+                                  resolution=solver["resolution"])
+    fit = pairing.fit_log_asymptote(curve, (lo, hi))
+    ref_chain = geometry.build_chain(family, float(np.max(args.L_grid)),
+                                     resolution=solver["resolution"])
+    predicted = pairing.predicted_constant(
         dualgraph.cycle_graph(family.area_vector()),
         a_builder(ref_chain), b_builder(ref_chain),
     )
     rel_err = abs(fit.c_fit - predicted) / max(abs(predicted), 0.01)
     rows = []
-    for L, s, v in zip(curve.L, curve.s, curve.values):
+    for L, s, v in zip(curve.L.tolist(), curve.s.tolist(), curve.values.tolist()):
         fitted = fit.intercept + fit.c_fit * (-2.0 * L)
         rows.append((L, s, v, fitted, v - fitted))
     comments = {"c_fit": fit.c_fit, "c_predicted": predicted, "relative_error": rel_err,
@@ -208,7 +229,7 @@ def cmd_pairing(cfg: ExperimentConfig, args) -> Run:
     )
 
 
-def _fibration(cfg: ExperimentConfig) -> dynamics.TorusFibration:
+def _fibration(cfg: configfile.ExperimentConfig) -> dynamics.TorusFibration:
     return dynamics.TorusFibration(
         t_coeffs=cfg.get_complexes("dynamics", "t_poly", "0,1"),
         s_samples=dynamics.annulus_samples(
@@ -230,16 +251,16 @@ _U_PRESETS = {
 _FIBER_PRESETS = {
     "zero": lambda amp: (lambda s, A, B: 0.0 * A),
     "sinxcosy": lambda amp: (
-        lambda s, A, B: amp * np.sin(TWO_PI * A) * np.cos(TWO_PI * B)),
+        lambda s, A, B: amp * np.sin(geometry.TWO_PI * A) * np.cos(geometry.TWO_PI * B)),
     "sinxsiny": lambda amp: (
-        lambda s, A, B: amp * np.sin(TWO_PI * A) * np.sin(TWO_PI * B)),
-    "cosx": lambda amp: (lambda s, A, B: amp * np.cos(TWO_PI * A) + 0.0 * B),
+        lambda s, A, B: amp * np.sin(geometry.TWO_PI * A) * np.sin(geometry.TWO_PI * B)),
+    "cosx": lambda amp: (lambda s, A, B: amp * np.cos(geometry.TWO_PI * A) + 0.0 * B),
     "cosxy": lambda amp: (
-        lambda s, A, B: amp * np.cos(TWO_PI * (A + B))),
+        lambda s, A, B: amp * np.cos(geometry.TWO_PI * (A + B))),
 }
 
 
-def _preset(cfg: ExperimentConfig, table, key: str, default: str):
+def _preset(cfg: configfile.ExperimentConfig, table, key: str, default: str):
     """The ``table`` entry named by ``[dynamics] key``."""
     name = cfg.get("dynamics", key, default)
     try:
@@ -250,13 +271,13 @@ def _preset(cfg: ExperimentConfig, table, key: str, default: str):
         ) from None
 
 
-def _fiber_field(cfg: ExperimentConfig, prefix: str, preset: str, amplitude: str):
+def _fiber_field(cfg: configfile.ExperimentConfig, prefix: str, preset: str, amplitude: str):
     """Fiber function from ``[dynamics] <prefix>_preset`` and ``<prefix>_amplitude``."""
     make = _preset(cfg, _FIBER_PRESETS, f"{prefix}_preset", preset)
     return make(cfg.get_float("dynamics", f"{prefix}_amplitude", amplitude))
 
 
-def dynamics_birkhoff(cfg: ExperimentConfig, args) -> Run:
+def dynamics_birkhoff(cfg: configfile.ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
     u = _preset(cfg, _U_PRESETS, "u_preset", "re_s")
     phi = _fiber_field(cfg, "phi", "sinxcosy", "0.3")
@@ -272,13 +293,13 @@ def dynamics_birkhoff(cfg: ExperimentConfig, args) -> Run:
                       rows, {"tate_bound_ok": limit.tate_bound_ok})])
 
 
-def dynamics_growth(cfg: ExperimentConfig, args) -> Run:
+def dynamics_growth(cfg: configfile.ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
     rho = _fiber_field(cfg, "growth_rho", "sinxsiny", "1.0")
     s0 = cfg.get_complexes("dynamics", "s0", "1")[0]
     rep = dynamics.pushforward_growth(
         fib, rho, cfg.get_ints("dynamics", "n_list", "64,128,256,512,1024"), s0)
-    rows = list(zip(rep.n_list, rep.sup_values, rep.error_floors))
+    rows = list(zip(rep.n_list, rep.sup_values.tolist(), rep.error_floors.tolist()))
     comments = {"exponent": rep.exponent, "coefficient": rep.coefficient,
                 "expected_coefficient": rep.expected_coefficient, "stable": rep.stable}
     return Run(
@@ -288,7 +309,7 @@ def dynamics_growth(cfg: ExperimentConfig, args) -> Run:
     )
 
 
-def dynamics_flat_identity(cfg: ExperimentConfig, args) -> Run:
+def dynamics_flat_identity(cfg: configfile.ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
     defect = dynamics.flat_potential_identity(fib, _fiber_field(cfg, "rho", "cosx", "0.1"))
     return Run(
@@ -297,13 +318,13 @@ def dynamics_flat_identity(cfg: ExperimentConfig, args) -> Run:
     )
 
 
-def dynamics_limit_potential(cfg: ExperimentConfig, args) -> Run:
+def dynamics_limit_potential(cfg: configfile.ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
     alpha = _fiber_field(cfg, "alpha", "cosx", "1.0")
     rho = _fiber_field(cfg, "rho", "cosxy", "0.04")
     mean = _preset(cfg, _U_PRESETS, "f_mean_preset", "re_s")
     rep = dynamics.limit_potential_relation(fib, alpha, rho, f_fiber_mean=mean)
-    rows = [(s.real, s.imag, u) for s, u in zip(fib.s_samples, rep.u_samples)]
+    rows = [(s.real, s.imag, u) for s, u in zip(fib.s_samples, rep.u_samples.tolist())]
     comments = {"max_discrepancy": rep.max_discrepancy,
                 "constancy_defect": rep.constancy_defect,
                 "max_adjacent_jump": rep.max_adjacent_jump}
@@ -311,17 +332,17 @@ def dynamics_limit_potential(cfg: ExperimentConfig, args) -> Run:
                [f"max_discrepancy={rep.max_discrepancy:.3e}"])
 
 
-def cmd_node_integral(cfg: ExperimentConfig, args) -> Run:
+def cmd_node_integral(cfg: configfile.ExperimentConfig, args) -> Run:
     per_decade = cfg.get_int("node", "radial_per_decade", "32")
     angular = cfg.get_int("node", "angular", "64")
     curve = nodeintegral.sample_curve(args.eta, args.t_grid, per_decade, angular)
     fit = nodeintegral.asymptote_fit(curve, args.eta)
     rows = []
-    for i, t in enumerate(curve.t):
+    for t, value, ratio in zip(curve.t.tolist(), curve.values.tolist(),
+                               fit.remainder_ratios.tolist()):
         at = abs(t)
         fitted = fit.A_fit * math.log(at**2) + fit.B_fit
-        rows.append((at, curve.values[i], fitted, curve.values[i] - fitted,
-                     fit.remainder_ratios[i]))
+        rows.append((at, value, fitted, value - fitted, ratio))
     comments = {"A_fit": fit.A_fit, "A_ref": fit.A_ref,
                 "remainder_bounded": fit.remainder_bounded}
     return Run(
@@ -331,7 +352,7 @@ def cmd_node_integral(cfg: ExperimentConfig, args) -> Run:
     )
 
 
-def cmd_verify(cfg: ExperimentConfig, args) -> Run:
+def cmd_verify(cfg: configfile.ExperimentConfig, args) -> Run:
     # the wall times go to stdout only, so that verify.csv is byte-deterministic
     timed = acceptance.run_all(cfg.require_seed())
     rows = [(r.cid, r.name, r.measured.replace(",", ";"),
@@ -350,17 +371,17 @@ def cmd_verify(cfg: ExperimentConfig, args) -> Run:
 
 # Each flag overrides one config key: flag -> (section, key, parser).
 _FLAGS = {
-    "--L": ("sweep", "L", finite_float),
-    "--L-grid": ("sweep", "L_grid", parse_grid),
+    "--L": ("sweep", "L", lambda raw: configfile.finite_float(raw)),
+    "--L-grid": ("sweep", "L_grid", lambda raw: configfile.parse_grid(raw)),
     "--fit-window": ("sweep", "fit_window", _window),
-    "--eta": ("node", "eta", parse_eta),
-    "--t-grid": ("node", "t_grid", parse_grid),
+    "--eta": ("node", "eta", lambda raw: nodeintegral.parse_eta(raw)),
+    "--t-grid": ("node", "t_grid", lambda raw: configfile.parse_grid(raw)),
 }
 
 
 @dataclass(frozen=True)
 class Command:
-    run: Callable[[ExperimentConfig, argparse.Namespace], Run]
+    run: Callable[[configfile.ExperimentConfig, argparse.Namespace], Run]
     # flag -> default of the key it overrides (None: the key is required)
     flags: dict = field(default_factory=dict)
     config_required: bool = True
@@ -390,7 +411,7 @@ COMMANDS = {
 def run_command(command: Command, args) -> int:
     """Load the config, resolve the flags, run the command, write its tables and
     print its summary."""
-    cfg = load_config(args.config) if args.config else ExperimentConfig({})
+    cfg = configfile.load_config(args.config) if args.config else configfile.ExperimentConfig({})
     precision = cfg.get_int("output", "precision", "17")
     if precision < 1:
         raise ValidationError(f"[output] precision must be at least 1, got {precision}")
@@ -410,8 +431,9 @@ def run_command(command: Command, args) -> int:
         path = os.path.join(directory, table.filename)
         # str() of a Python float is its shortest round-trip repr
         comments = [f"{key}={value}" for key, value in table.comments.items()]
-        write_text(path, render_csv(table.columns, table.rows, config_hash=cfg.hash(),
-                                    comments=comments, precision=precision))
+        text = reporting.render_csv(table.columns, table.rows, config_hash=cfg.hash(),
+                                    comments=comments, precision=precision)
+        reporting.write_text(path, text)
         print(f"wrote {path}")
     for line in run.summary:
         print(line)
@@ -466,11 +488,11 @@ def main(argv=None) -> int:
             blas_threads(pinned)  # library callers keep their own threads
 
 
-# What the collector tracks by now, mostly the numpy and pinchlab modules
-# loaded above, lives until exit: move it to the permanent generation,
-# which no collection traverses, so every full collection in a command and the
-# one at exit skip it.  Consequence: cyclic garbage that exists when this
-# module is imported is never collected.
+# What the collector tracks by now, mostly numpy and the modules imported
+# above, lives until exit: move it to the permanent generation, which no
+# collection traverses, so every full collection in a command and the one at
+# exit skip it.  The layers a command runs later are collected as usual.
+# Consequence: cyclic garbage that exists when this module is imported is never collected.
 gc.freeze()
 
 if __name__ == "__main__":

@@ -18,13 +18,13 @@ import atexit
 import functools
 import itertools
 import os
-import re
 import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import blas_threads
 from .dualgraph import DualGraph, build_intersection_matrix
 from .errors import ConvergenceError, StructureError, ValidationError
 from .geometry import TWO_PI, WarpedChain
@@ -45,16 +45,9 @@ _GAP_RTOL = 1e-8       # Ritz values closer than this count as one cluster
 # A persistent pool of forked workers, one per usable CPU, each with every
 # loaded OpenBLAS pinned to one thread, solves the modes of a chain with
 # n > _SPARSE_MIN_NODES (full_spectrum) and the chains of a sweep, one task
-# per chain (full_spectra).  A loaded BLAS library matching _BLAS_LIBRARY that
-# exports none of these (setter, getter) pairs keeps the solves serial, since
-# its threads would compete with the other workers.  ``blas_threads`` does
-# the pinning, for the workers and for the CLI's own process (cli.main).
-_BLAS_LIBRARY = re.compile(r"lib.*(blas|mkl|blis)", re.IGNORECASE)
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),  # numpy wheels
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),        # scipy wheels
-    ("openblas_set_num_threads", "openblas_get_num_threads"),                    # a plain OpenBLAS
-)
+# per chain (full_spectra).  A loaded BLAS library that blas.blas_threads
+# cannot pin keeps the solves serial, since its threads would compete with
+# the other workers.
 _FACTOR = None      # (key of a chain's forms, their _mass_factor): one slot
 _POOL = None        # (owner pid, executor or None when this process stays serial)
 _IN_WORKER = False  # set in the workers: they never fork a pool of their own
@@ -419,40 +412,6 @@ def _make_pool(workers: int):
         return None
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker, initargs=(os.getpid(),))
-
-
-def blas_threads(threads=None) -> dict | None:
-    """Thread count of each loaded OpenBLAS by path, read before setting ``threads``.
-
-    ``threads`` is one count for every library, or the dict an earlier call
-    returned, which restores those counts.  Returns None, setting nothing,
-    when the loaded libraries cannot be listed or one has no thread setter.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:  # the shared objects mapped into this process
-            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
-                     if len(parts) == 6}
-    except OSError:
-        return None
-    found = {}
-    for path in sorted(p for p in paths if _BLAS_LIBRARY.match(os.path.basename(p))):
-        lib = ctypes.CDLL(path)
-        names = next((pair for pair in _OPENBLAS_THREADS
-                      if all(hasattr(lib, name) for name in pair)), None)
-        if names is None:
-            return None
-        set_threads, get_threads = (getattr(lib, name) for name in names)
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-        found[path] = set_threads, get_threads
-    previous = {path: get() for path, (_, get) in found.items()}
-    if threads is not None:
-        for path, (set_threads, _) in found.items():
-            set_threads(threads.get(path, previous[path]) if isinstance(threads, dict)
-                        else threads)
-    return previous
 
 
 def _init_worker(parent: int):

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from pinchlab import acceptance, spectral
-from pinchlab.cli import COMMANDS, main, parse_eta
+from pinchlab.cli import COMMANDS, main
 from pinchlab.configfile import parse_config, parse_grid
 from pinchlab.errors import ConvergenceError, ValidationError
 from pinchlab.geometry import build_chain
+from pinchlab.nodeintegral import parse_eta
 
 BASE_CFG = """
 [family]
@@ -403,11 +404,11 @@ from pinchlab import cli, spectral
 spectral.blas_threads(2)
 before = spectral.blas_threads()
 inside = []
-full_spectra = cli.full_spectra
+full_spectra = spectral.full_spectra
 def probe(*args, **kwargs):
     inside.append(spectral.blas_threads())
     return full_spectra(*args, **kwargs)
-cli.full_spectra = probe
+spectral.full_spectra = probe
 code = cli.main(["spectrum", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(json.dumps({"code": code, "before": before, "inside": inside,
                   "after": spectral.blas_threads(),
@@ -532,3 +533,74 @@ def test_commands_on_the_shipped_configs_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])["seen"]
     assert len(seen) == 14 and not [name for name, loaded in seen if loaded]
+
+
+# Run in a fresh process: import the CLI, run one command in it (none when no
+# arguments are given), then list the pinchlab modules registered and those
+# that have run (a registered module that has not run is a lazy module).
+LAYERS_PROBE = """
+import contextlib, io, json, sys, types
+import pinchlab, pinchlab.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pinchlab.cli.main(sys.argv[1:]) == 0, sys.argv
+modules = {name.partition(".")[2]: module for name, module in sys.modules.items()
+           if name.startswith("pinchlab.")}
+print(json.dumps({
+    "registered": sorted(name for name, module in modules.items()
+                         if getattr(pinchlab, name) is module),
+    "run": sorted(name for name, module in modules.items()
+                  if type(module) is types.ModuleType),
+}))
+"""
+LAYERS = ["acceptance", "configfile", "dualgraph", "dynamics", "geometry", "nodeintegral",
+          "pairing", "potential", "reporting", "spectral"]
+SOLVE_LAYERS = ["configfile", "dualgraph", "geometry", "reporting", "spectral"]
+# layers each command runs besides cli, blas and errors
+COMMAND_LAYERS = {
+    "": [],
+    "kodaira": ["dualgraph"],
+    "dynamics": ["configfile", "dynamics", "geometry", "reporting"],
+    "node-integral": ["configfile", "geometry", "nodeintegral", "reporting"],
+    "spectrum": SOLVE_LAYERS, "sweep-spectrum": SOLVE_LAYERS, "green": SOLVE_LAYERS,
+    "modelfns": SOLVE_LAYERS,
+    "potential": SOLVE_LAYERS + ["potential"],
+    "pairing": SOLVE_LAYERS + ["nodeintegral", "pairing", "potential"],
+    "verify": LAYERS,
+}
+
+
+@pytest.mark.parametrize("command", ["", "kodaira", *COMMANDS])
+def test_a_command_runs_only_the_layers_it_reads(tmp_path, command):
+    root = Path(__file__).resolve().parents[1]
+    cfg_path, _ = write_cfg(tmp_path, TABLE_CFG)
+    config = str(root / "configs" / "verify.cfg") if command == "verify" else cfg_path
+    argv = {"": [], "kodaira": ["kodaira", "--type", "I_4"]}.get(
+        command, [*command.split(), "--config", config, "--out", str(tmp_path / "out")])
+    proc = run_python("-c", LAYERS_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["registered"] == sorted(["blas", "cli", "errors", *LAYERS])
+    expected = COMMAND_LAYERS[command.partition(" ")[0]]
+    assert seen["run"] == sorted(["blas", "cli", "errors", *expected])
+
+
+def test_tracer_finds_every_layer_after_the_cli_import():
+    # perfbench/tracer.py looks each layer up in sys.modules right after
+    # ``import pinchlab.cli`` and wraps the functions it reads there
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import pinchlab.cli\n"
+            "from tracer import CRITERIA, LAYER_FUNCTIONS\n"
+            "for module, name in LAYER_FUNCTIONS:\n"
+            "    assert callable(getattr(sys.modules['pinchlab.' + module], name))\n"
+            "assert len(sys.modules['pinchlab.acceptance'].ALL_CRITERIA) == CRITERIA\n")
+    proc = run_python("-c", code, str(perfbench))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_api_binds_without_the_cli():
+    # after the CLI's import the same holds (NO_SCIPY_PROBE)
+    proc = run_python("-c", "import pinchlab, pinchlab.geometry as g; "
+                            "print(pinchlab.build_chain is g.build_chain)")
+    assert proc.stdout.strip() == "True", proc.stderr

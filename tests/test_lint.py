@@ -1,6 +1,6 @@
 """Lint with the standard library: no module imports a name it never uses, no
-pinchlab module imports scipy when it loads, and only ``spectral.load_scipy``
-imports it at all."""
+pinchlab module imports scipy when it loads, only ``spectral.load_scipy``
+imports it at all, and the CLI imports no layer module when it loads."""
 
 import ast
 from pathlib import Path
@@ -88,3 +88,41 @@ def test_lint_finds_a_scipy_import_outside_the_loader():
             "class Form:\n    def tocsr(self):\n        if True:\n"
             "            from scipy import sparse\n")
     assert scipy_imports_outside_the_loader(text) == ["scipy"]
+
+
+def module_level_pinchlab_imports(text: str) -> list[str]:
+    """pinchlab modules imported outside function bodies, by relative or ``pinchlab.`` name."""
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+                yield from walk(child)
+    modules = []
+    for node in walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is one from the package
+            base = ".".join(filter(None, ["pinchlab" if node.level else "", node.module]))
+            names = ([f"{base}.{alias.name}" for alias in node.names] if base == "pinchlab"
+                     else [base])
+        else:
+            continue
+        modules += [name.split(".")[1] for name in names if name.startswith("pinchlab.")]
+    return modules
+
+
+def test_cli_imports_no_layer_module_when_it_loads():
+    # cli.py registers the layers lazily (cli._lazy), so a command runs only
+    # the ones it reads; errors and blas serve every command
+    text = (ROOT / "src" / "pinchlab" / "cli.py").read_text()
+    assert set(module_level_pinchlab_imports(text)) <= {"errors", "blas"}
+
+
+def test_lint_finds_a_module_level_layer_import():
+    text = ("from . import errors, spectral\nfrom .blas import blas_threads\n"
+            "import numpy, pinchlab.geometry\nfrom pinchlab.potential import solve_direct\n"
+            "from pinchlab import dynamics\nif True:\n    from .configfile import load_config\n"
+            "def run():\n    from .pairing import pairing_sweep\n")
+    assert module_level_pinchlab_imports(text) == [
+        "errors", "spectral", "blas", "geometry", "potential", "dynamics", "configfile"]

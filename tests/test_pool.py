@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchlab import spectral
+from pinchlab import blas, spectral
 from pinchlab.cli import main
 from pinchlab.geometry import FamilyConfig, build_chain
 from pinchlab.spectral import full_spectrum
@@ -173,7 +173,7 @@ def test_one_usable_cpu_runs_serially(chain, monkeypatch):
 
 
 def test_unpinnable_blas_stays_serial(chain, monkeypatch, fresh_pool):
-    monkeypatch.setattr(spectral, "_OPENBLAS_THREADS", (("no_such_setter", "no_such_getter"),))
+    monkeypatch.setattr(blas, "_OPENBLAS_THREADS", (("no_such_setter", "no_such_getter"),))
     assert spectral.blas_threads() is None
     assert spectral._pool() is None
     monkeypatch.setattr(spectral, "_solve_in_pool", None)
