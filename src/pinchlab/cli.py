@@ -13,6 +13,8 @@ per file and then the run's summary lines.
 
 Importing this module runs only ``errors`` and ``blas`` of pinchlab: every other
 module is registered (perfbench's tracer finds it) and runs when a command reads it.
+The layers bind one another as modules as well, so running one layer runs another
+only when it reads one of that layer's names.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def cmd_potential(cfg: configfile.ExperimentConfig, args) -> Run:
     chain = geometry.build_chain(family, args.L, resolution=solver["resolution"])
     builder = cfg.density_builder("alpha")
     dens = builder(chain)
-    eigsys = spectral.full_spectrum(chain, m_max=2, k_per_mode=solver["k_per_mode"])
+    # split_low_high reads mode 0 only: solve the fewest modes full_spectrum allows
+    eigsys = spectral.full_spectrum(chain, m_max=1, k_per_mode=solver["k_per_mode"])
     pot = potential.solve_direct(chain, dens)
     low, high = potential.split_low_high(pot, eigsys)
     rows = list(zip(chain.nodes.tolist(), pot.phi.tolist(), low.tolist(), high.tolist()))
@@ -250,13 +253,10 @@ _U_PRESETS = {
 
 _FIBER_PRESETS = {
     "zero": lambda amp: (lambda s, A, B: 0.0 * A),
-    "sinxcosy": lambda amp: (
-        lambda s, A, B: amp * np.sin(geometry.TWO_PI * A) * np.cos(geometry.TWO_PI * B)),
-    "sinxsiny": lambda amp: (
-        lambda s, A, B: amp * np.sin(geometry.TWO_PI * A) * np.sin(geometry.TWO_PI * B)),
-    "cosx": lambda amp: (lambda s, A, B: amp * np.cos(geometry.TWO_PI * A) + 0.0 * B),
-    "cosxy": lambda amp: (
-        lambda s, A, B: amp * np.cos(geometry.TWO_PI * (A + B))),
+    "sinxcosy": lambda amp: (lambda s, A, B: amp * np.sin(math.tau * A) * np.cos(math.tau * B)),
+    "sinxsiny": lambda amp: (lambda s, A, B: amp * np.sin(math.tau * A) * np.sin(math.tau * B)),
+    "cosx": lambda amp: (lambda s, A, B: amp * np.cos(math.tau * A) + 0.0 * B),
+    "cosxy": lambda amp: (lambda s, A, B: amp * np.cos(math.tau * (A + B))),
 }
 
 

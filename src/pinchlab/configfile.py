@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import ValidationError
-from .geometry import (
-    DensitySpec,
-    FamilyConfig,
-    cosine_bump_profile,
-    density_from_callable,
-    neck_wave_profile,
-    sine_bump_profile,
-)
 
 _PATTERN_KEYS = {
     "density": re.compile(
@@ -125,7 +118,7 @@ class ExperimentConfig:
 
     # -- typed builders -----------------------------------------------------
 
-    def family(self) -> FamilyConfig:
+    def family(self) -> geometry.FamilyConfig:
         n = self.get_int("family", "n_components")
         areas = None
         if self.has("family", "areas"):
@@ -141,7 +134,7 @@ class ExperimentConfig:
             no_neck=self.get_bool("family", "no_neck", "false"),
         )
         try:
-            return FamilyConfig(**fields)
+            return geometry.FamilyConfig(**fields)
         except ValidationError as exc:
             raise ValidationError(f"[family] {exc}") from None
 
@@ -168,7 +161,7 @@ class ExperimentConfig:
                 sin_t.append((int(idx), value))
             else:
                 bumps.append((head, int(idx), value))
-        spec = DensitySpec(
+        spec = geometry.DensitySpec(
             fat_values=tuple(sorted(fat)),
             neck_values=tuple(sorted(neck)),
             cos_terms=tuple(sorted(cos_t)),
@@ -176,9 +169,9 @@ class ExperimentConfig:
             project=project,
         )
         profile_makers = {
-            "segment_cos": cosine_bump_profile,
-            "segment_sin": sine_bump_profile,
-            "neck_wave": neck_wave_profile,
+            "segment_cos": geometry.cosine_bump_profile,
+            "segment_sin": geometry.sine_bump_profile,
+            "neck_wave": geometry.neck_wave_profile,
         }
 
         def build(chain):
@@ -193,7 +186,7 @@ class ExperimentConfig:
                     out = out + maker(chain, idx, amp)(x)
                 return out
 
-            return density_from_callable(profile, chain, project=project)
+            return geometry.density_from_callable(profile, chain, project=project)
 
         return build
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import FOUR_PI, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def annulus_samples(r_min: float, r_max: float, n_r: int = 3, n_arg: int = 6
     if not (0 < r_min <= r_max):
         raise ValidationError("need 0 < r_min <= r_max")
     radii = np.linspace(r_min, r_max, n_r)
-    args = TWO_PI * np.arange(n_arg) / n_arg
+    args = math.tau * np.arange(n_arg) / n_arg
     return tuple(
         complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in args
     )
@@ -100,7 +99,7 @@ def _freqs(n: int) -> np.ndarray:
 def translate(values: np.ndarray, p: float, q: float) -> np.ndarray:
     """z -> f(z - (p, q)) (pushforward by +(p, q)), exact on the Fourier modes."""
     k = _freqs(values.shape[0])
-    phase = np.exp(-TWO_PI * 1j * (k[:, None] * p + k[None, :] * q))
+    phase = np.exp(-math.tau * 1j * (k[:, None] * p + k[None, :] * q))
     return np.fft.ifft2(np.fft.fft2(values) * phase).real
 
 
@@ -112,7 +111,7 @@ def birkhoff_hat(fhat: np.ndarray, p: float, q: float, k_iters: int) -> np.ndarr
     """
     n = fhat.shape[0]
     kk = _freqs(n)
-    theta = -TWO_PI * (kk[:, None] * p + kk[None, :] * q)
+    theta = -math.tau * (kk[:, None] * p + kk[None, :] * q)
     half = 0.5 * theta
     sin_half = np.sin(half)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -140,7 +139,7 @@ def fiber_poisson(rhs_values: np.ndarray, tau: complex) -> np.ndarray:
     rhs_hat = np.fft.fft2(rhs_values)
     lap = 4.0 * _dzdzbar_symbol(rhs_hat.shape[0], tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = -FOUR_PI * rhs_hat / lap
+        phi_hat = -2 * math.tau * rhs_hat / lap
     phi_hat[0, 0] = 0.0
     return np.fft.ifft2(phi_hat).real
 
@@ -330,7 +329,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
 def _perturbed_density(rho_vals: np.ndarray, tau: complex) -> np.ndarray:
     """Density of omega = omega_flat - ddc(rho) against the flat area form."""
     lap = 4.0 * np.fft.ifft2(dzdzbar_hat(np.fft.fft2(rho_vals), tau)).real
-    w = 1.0 - lap / FOUR_PI
+    w = 1.0 - lap / (2 * math.tau)
     if w.min() <= 0:
         raise ValidationError("rho is too large: the perturbed fiber density is not positive")
     return w

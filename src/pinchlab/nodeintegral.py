@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import ConvergenceError, ValidationError
-from .geometry import GL_W, GL_X
 
 # monomial: (a1, b1, a2, b2, coefficient) for z1^a1 conj(z1)^b1 z2^a2 conj(z2)^b2
 Monomial = tuple[int, int, int, int, complex]
@@ -113,8 +113,8 @@ def _log_radial_nodes(r_in: float, r_out: float, per_decade: int):
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    r = (mid + half * GL_X[None, :]).ravel()
-    w = (half * GL_W[None, :]).ravel()
+    r = (mid + half * geometry.GL_X[None, :]).ravel()
+    w = (half * geometry.GL_W[None, :]).ravel()
     return r, w
 
 
@@ -207,8 +207,8 @@ def divisor_integral(eta: EtaSpec) -> float:
     edges = np.linspace(0.0, 1.0, n_r + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    r = (mid + half * GL_X[None, :]).ravel()
-    w = (half * GL_W[None, :]).ravel()
+    r = (mid + half * geometry.GL_X[None, :]).ravel()
+    w = (half * geometry.GL_W[None, :]).ravel()
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     z2 = r[:, None] * np.exp(1j * theta[None, :])
     vals = eta.evaluate(2, 2, np.zeros_like(z2), z2).real * r[:, None]

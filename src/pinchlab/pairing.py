@@ -15,29 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualgraph import DualGraph, build_intersection_matrix, pairing_constant, pseudoinverse
+from . import dualgraph, geometry, nodeintegral, potential
 from .errors import ValidationError
-from .geometry import FOUR_PI, DensityField, FamilyConfig, WarpedChain, build_chain
-from .nodeintegral import aitken_limit
-from .potential import solve_direct
 
 
-def pairing_value(chain: WarpedChain, dens_a: DensityField, dens_b: DensityField) -> float:
+def pairing_value(chain: geometry.WarpedChain, dens_a: geometry.DensityField,
+                  dens_b: geometry.DensityField) -> float:
     """Pairing of two densities on one fiber: integral(phi_a * b dA)."""
-    pot_a = solve_direct(chain, dens_a)
+    pot_a = potential.solve_direct(chain, dens_a)
     q_b = chain.load_vector(dens_b.quad_values)
     return float(pot_a.phi @ q_b)
 
 
-def pairing_energy(chain: WarpedChain, dens_a: DensityField) -> tuple[float, float]:
+def pairing_energy(chain: geometry.WarpedChain,
+                   dens_a: geometry.DensityField) -> tuple[float, float]:
     """Self-pairing and its Dirichlet-energy form (1/4pi) |d phi|^2.
 
     The two must agree: the self-pairing is a positive quadratic form.
     """
-    pot = solve_direct(chain, dens_a)
+    pot = potential.solve_direct(chain, dens_a)
     q = chain.load_vector(dens_a.quad_values)
     value = float(pot.phi @ q)
-    energy = float(pot.phi @ (chain.operators.gradient @ pot.phi)) / FOUR_PI
+    energy = float(pot.phi @ (chain.operators.gradient @ pot.phi)) / geometry.FOUR_PI
     return value, energy
 
 
@@ -56,7 +55,7 @@ class PairingCurve:
             raise ValidationError("pairing values must be finite")
 
 
-def pairing_sweep(cfg: FamilyConfig, a_builder, b_builder, L_grid,
+def pairing_sweep(cfg: geometry.FamilyConfig, a_builder, b_builder, L_grid,
                   resolution: int = 48) -> PairingCurve:
     """Evaluate the pairing on each chain of an L-grid.
 
@@ -67,7 +66,7 @@ def pairing_sweep(cfg: FamilyConfig, a_builder, b_builder, L_grid,
     Ls = np.sort(np.asarray(list(L_grid), dtype=float))
     values = []
     for L in Ls:
-        chain = build_chain(cfg, float(L), resolution=resolution)
+        chain = geometry.build_chain(cfg, float(L), resolution=resolution)
         values.append(pairing_value(chain, a_builder(chain), b_builder(chain)))
     return PairingCurve(L=Ls, s=np.exp(-Ls), values=np.asarray(values))
 
@@ -100,7 +99,8 @@ def fit_log_asymptote(curve: PairingCurve, window: tuple[float, float] = (50.0, 
     )
 
 
-def predicted_constant(g: DualGraph, dens_a: DensityField, dens_b: DensityField) -> float:
+def predicted_constant(g: dualgraph.DualGraph, dens_a: geometry.DensityField,
+                       dens_b: geometry.DensityField) -> float:
     """Slope prediction v_a^T M^+ v_b from the component integrals.
 
     The fat-only component integrals carry an O(1/L) ambiguity that lies in
@@ -113,11 +113,12 @@ def predicted_constant(g: DualGraph, dens_a: DensityField, dens_b: DensityField)
     v_b = np.asarray(dens_b.component_integrals, dtype=float)
     v_a = v_a - v_a.mean()
     v_b = v_b - v_b.mean()
-    m_plus = pseudoinverse(build_intersection_matrix(g))
-    return pairing_constant(m_plus, v_a, v_b)
+    m_plus = dualgraph.pseudoinverse(dualgraph.build_intersection_matrix(g))
+    return dualgraph.pairing_constant(m_plus, v_a, v_b)
 
 
-def pullback_chain(cfg: FamilyConfig, L_t: float, d: int, resolution: int = 48) -> WarpedChain:
+def pullback_chain(cfg: geometry.FamilyConfig, L_t: float, d: int,
+                   resolution: int = 48) -> geometry.WarpedChain:
     """Chain of the base-changed family at parameter t: neck weight 1/(d*L_t).
 
     Under s = t^d the degeneration parameter satisfies L_s = d * L_t; the
@@ -125,7 +126,7 @@ def pullback_chain(cfg: FamilyConfig, L_t: float, d: int, resolution: int = 48) 
     """
     if d < 1:
         raise ValidationError("base-change degree must be a positive integer")
-    return build_chain(cfg, d * L_t, resolution=resolution)
+    return geometry.build_chain(cfg, d * L_t, resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class BaseChangeReport:
     slope_in_s: float
 
 
-def base_change_consistency(cfg: FamilyConfig, d: int, t_L_grid, a_builder,
+def base_change_consistency(cfg: geometry.FamilyConfig, d: int, t_L_grid, a_builder,
                             b_builder, resolution: int = 48) -> BaseChangeReport:
     """Check pairing(s = t^d) against the pairing of the pulled-back family.
 
@@ -148,7 +149,7 @@ def base_change_consistency(cfg: FamilyConfig, d: int, t_L_grid, a_builder,
     vals_s = []
     vals_t = []
     for L_t in t_Ls:
-        chain_s = build_chain(cfg, d * float(L_t), resolution=resolution)
+        chain_s = geometry.build_chain(cfg, d * float(L_t), resolution=resolution)
         vals_s.append(pairing_value(chain_s, a_builder(chain_s), b_builder(chain_s)))
         chain_t = pullback_chain(cfg, float(L_t), d, resolution=resolution)
         vals_t.append(pairing_value(chain_t, a_builder(chain_t), b_builder(chain_t)))
@@ -198,7 +199,7 @@ def holder_probe(curve: PairingCurve) -> HolderProbe:
         raise ValidationError("probe needs at least 5 samples")
     diffs = np.abs(np.diff(y))
     converged = bool(diffs[-1] <= diffs[0] + 1e-15)
-    limit = aitken_limit(y)
+    limit = nodeintegral.aitken_limit(y)
     gap = np.abs(y - limit)
     mask = gap > 1e-13 * max(1.0, float(np.abs(y).max()))
     if int(mask.sum()) < 2:

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualgraph import edge_counts
+from . import dualgraph, geometry, spectral
 from .errors import ConvergenceError, ValidationError
-from .geometry import FOUR_PI, TWO_PI, DensityField, WarpedChain, build_chain
-from .spectral import EigenSystem, full_spectrum
 
 
-def _require_mean_zero(dens: DensityField):
+def _require_mean_zero(dens: geometry.DensityField):
     if abs(dens.total_integral) > 1e-10 * dens.norm_scale():
         raise ValidationError(
             "density must integrate to zero on the fiber "
@@ -38,7 +36,7 @@ def _require_mean_zero(dens: DensityField):
 class PreferredPotential:
     """Mean-zero potential of a density."""
 
-    chain: WarpedChain
+    chain: geometry.WarpedChain
     phi: np.ndarray
     mean: float
 
@@ -55,7 +53,7 @@ class SpectralCoefficients:
     eigenvalues: np.ndarray
 
 
-def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
+def solve_direct(chain: geometry.WarpedChain, dens: geometry.DensityField) -> PreferredPotential:
     """Weighted Poisson solve S phi + mu w = rhs, w^T phi = 0 with w = M 1, in O(n).
 
     S is the Laplacian of the n-cycle with conductance g[i] from node i to
@@ -67,7 +65,7 @@ def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
     _require_mean_zero(dens)
     S, n = chain.operators.gradient, chain.n_nodes
     w = chain.operators.mass @ np.ones(n)
-    rhs = FOUR_PI * chain.load_vector(dens.quad_values)
+    rhs = geometry.FOUR_PI * chain.load_vector(dens.quad_values)
     g = -S.off
     tol = 1e-8 * max(1.0, float(np.max(np.abs(rhs)))) * n
     with np.errstate(over="ignore", invalid="ignore"):  # huge L: the residual check fails
@@ -84,8 +82,8 @@ def solve_direct(chain: WarpedChain, dens: DensityField) -> PreferredPotential:
     return PreferredPotential(chain=chain, phi=phi, mean=mean)
 
 
-def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
-                   k_trunc: int | None = None):
+def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
+                   eigsys: spectral.EigenSystem, k_trunc: int | None = None):
     """Expand the potential through the mode-0 eigenbasis.
 
     phi = 4*pi * sum_i (b_i / lambda_i) Phi_i over the positive mode-0
@@ -107,7 +105,7 @@ def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
     basis = eigsys.vecs[:, used].T
     b = basis @ q
     c = b / lam
-    phi = FOUR_PI * (c @ basis)
+    phi = geometry.FOUR_PI * (c @ basis)
     w = chain.operators.mass @ np.ones(chain.n_nodes)
     mean = float(phi @ w / np.sum(w))
     pot = PreferredPotential(chain=chain, phi=phi, mean=mean)
@@ -115,7 +113,7 @@ def solve_spectral(chain: WarpedChain, dens: DensityField, eigsys: EigenSystem,
     return pot, coeffs
 
 
-def split_low_high(pot: PreferredPotential, eigsys: EigenSystem):
+def split_low_high(pot: PreferredPotential, eigsys: spectral.EigenSystem):
     """Orthogonal split of phi into the collapsing span and its complement.
 
     low lies in span{Phi_1 .. Phi_{N-1}}, high is orthogonal to the constant
@@ -164,9 +162,9 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
         raise ValidationError("sweep needs >= 4 values spanning a factor >= 8")
     rows = []
     for L in L_values:
-        chain = build_chain(cfg, L, resolution=resolution)
+        chain = geometry.build_chain(cfg, L, resolution=resolution)
         dens = density_builder(chain)
-        eigsys = full_spectrum(chain, m_max=2, k_per_mode=8)
+        eigsys = spectral.full_spectrum(chain, m_max=1, k_per_mode=8)  # the split reads mode 0
         pot = solve_direct(chain, dens)
         low, high = split_low_high(pot, eigsys)
         sup_low = float(np.max(np.abs(low)))
@@ -177,7 +175,7 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
         for seg_idx, seg in enumerate(chain.segments):
             if seg.kind == "fat":
                 fat_mask[chain.cell_segment == seg_idx] = True
-        weights = TWO_PI * chain.quad_c * chain.quad_w
+        weights = geometry.TWO_PI * chain.quad_c * chain.quad_w
         l1_fat = float(np.sum(quad_abs * weights * fat_mask))
         l1_full = float(np.sum(quad_abs * weights))
         rows.append(EstimateRow(
@@ -215,8 +213,8 @@ def circuit_potentials(g_areas, edges, conductance: float, v: np.ndarray) -> np.
     against the areas), the collapsed limit of the chain Poisson problem.
     """
     areas = np.asarray(g_areas, dtype=float)
-    counts = edge_counts(areas.size, edges)
+    counts = dualgraph.edge_counts(areas.size, edges)
     L_G = conductance * (np.diag(counts.sum(axis=1)) - counts)
-    phi = np.linalg.pinv(L_G) @ (FOUR_PI * np.asarray(v, dtype=float))
+    phi = np.linalg.pinv(L_G) @ (geometry.FOUR_PI * np.asarray(v, dtype=float))
     phi -= np.dot(phi, areas) / areas.sum()
     return phi

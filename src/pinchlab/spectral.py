@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dualgraph, geometry
 from .blas import blas_threads
-from .dualgraph import DualGraph, build_intersection_matrix
 from .errors import ConvergenceError, StructureError, ValidationError
-from .geometry import TWO_PI, WarpedChain
 
 RESIDUAL_TOL = 1e-8
 # Shift-invert replaces the dense O(n^3) solve when n > _SPARSE_MIN_NODES and
@@ -72,7 +71,7 @@ def load_scipy():
     return scipy
 
 
-def assemble_mode_operator(chain: WarpedChain, m: int) -> tuple[np.ndarray, np.ndarray]:
+def assemble_mode_operator(chain: geometry.WarpedChain, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense stiffness and mass matrices of the angular-mode-m weak form.
 
     The solvers use the cyclic tridiagonal forms of ``chain.operators``.  This dense copy
@@ -179,7 +178,7 @@ def _substitute(F, X: np.ndarray, transpose: bool = False) -> np.ndarray:
     return X
 
 
-def _mass_factor(chain: WarpedChain):
+def _mass_factor(chain: geometry.WarpedChain):
     """(F, A, B) with M = F F^T, A = F^-1 gradient F^-T and B = F^-1 potential F^-T.
 
     Every mode of a chain shares them: mode m is the standard problem
@@ -207,7 +206,7 @@ def _mass_factor(chain: WarpedChain):
     return _FACTOR[1]
 
 
-def solve_modes(chain: WarpedChain, m: int, k: int):
+def solve_modes(chain: geometry.WarpedChain, m: int, k: int):
     """k smallest eigenpairs of the mode-m generalized problem.
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
@@ -315,7 +314,8 @@ class EigenSystem:
         return [e for e in self.entries if e.mode == 0]
 
 
-def full_spectrum(chain: WarpedChain, m_max: int = 16, k_per_mode: int = 32) -> EigenSystem:
+def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
+                  k_per_mode: int = 32) -> EigenSystem:
     """Solve modes 0..m_max, merge, and certify completeness.
 
     Excluded modes m > m_max have lambda >= (m_max+1)^2 / c_max^2; within a
@@ -431,7 +431,7 @@ def _exit_with_parent(parent: int):
     os._exit(1)
 
 
-def _solve_mode(chain: WarpedChain, k: int, m: int):
+def _solve_mode(chain: geometry.WarpedChain, k: int, m: int):
     # solve_modes is looked up when a task runs: a partial of it would pickle
     # the function object, and a traced or monkeypatched solve_modes is a
     # closure that cannot be pickled
@@ -475,7 +475,7 @@ def _shutdown_pool():
     _POOL = None
 
 
-def graph_limit_eigs(g: DualGraph, L: float) -> np.ndarray:
+def graph_limit_eigs(g: dualgraph.DualGraph, L: float) -> np.ndarray:
     """Predicted small eigenvalues from the conductance-network limit.
 
     The chain collapses onto its dual graph with one conductance 2*pi/L per
@@ -484,7 +484,8 @@ def graph_limit_eigs(g: DualGraph, L: float) -> np.ndarray:
     """
     if not g.reduced:
         raise ValidationError("graph-limit prediction requires a reduced graph")
-    L_G = -(TWO_PI / L) * build_intersection_matrix(g)  # L_G = -M on reduced graphs
+    # L_G = -M on reduced graphs
+    L_G = -(geometry.TWO_PI / L) * dualgraph.build_intersection_matrix(g)
     scale = g.areas ** -0.5
     return np.linalg.eigvalsh(scale[:, None] * L_G * scale[None, :])[1:]
 
@@ -517,7 +518,7 @@ def _quadratic_forms(A, rows: np.ndarray) -> np.ndarray:
     return np.einsum("in,ni->i", rows, A @ rows.T)
 
 
-def model_functions(chain: WarpedChain) -> ModelFunctionSet:
+def model_functions(chain: geometry.WarpedChain) -> ModelFunctionSet:
     """Build the component indicators with linear full-neck ramps.
 
     Requires N >= 2: with a single component both ends of the unique neck
@@ -587,7 +588,7 @@ class CorrelationReport:
     scaled_residuals: np.ndarray     # ||R_j||^2 * L
 
 
-def correlation_matrix(chain: WarpedChain, eigsys: EigenSystem,
+def correlation_matrix(chain: geometry.WarpedChain, eigsys: EigenSystem,
                        mfs: ModelFunctionSet) -> CorrelationReport:
     if eigsys.certification_limited_by_k and np.isnan(eigsys.gap_value):
         raise ValidationError("eigen system lacks a certified low part")
@@ -622,7 +623,7 @@ class GreenReport:
     tail_bound: float
 
 
-def truncated_green_min(chain: WarpedChain, eigsys: EigenSystem,
+def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
                         tail_count: int = 200,
                         lambda_cutoff: float | None = None) -> GreenReport:
     """Minimum of the Green's kernel truncated past the collapsing modes.

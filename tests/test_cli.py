@@ -555,17 +555,17 @@ print(json.dumps({
 """
 LAYERS = ["acceptance", "configfile", "dualgraph", "dynamics", "geometry", "nodeintegral",
           "pairing", "potential", "reporting", "spectral"]
-SOLVE_LAYERS = ["configfile", "dualgraph", "geometry", "reporting", "spectral"]
+SOLVE_LAYERS = ["configfile", "geometry", "reporting", "spectral"]
 # layers each command runs besides cli, blas and errors
 COMMAND_LAYERS = {
     "": [],
     "kodaira": ["dualgraph"],
-    "dynamics": ["configfile", "dynamics", "geometry", "reporting"],
+    "dynamics": ["configfile", "dynamics", "reporting"],
     "node-integral": ["configfile", "geometry", "nodeintegral", "reporting"],
     "spectrum": SOLVE_LAYERS, "sweep-spectrum": SOLVE_LAYERS, "green": SOLVE_LAYERS,
     "modelfns": SOLVE_LAYERS,
     "potential": SOLVE_LAYERS + ["potential"],
-    "pairing": SOLVE_LAYERS + ["nodeintegral", "pairing", "potential"],
+    "pairing": ["configfile", "dualgraph", "geometry", "pairing", "potential", "reporting"],
     "verify": LAYERS,
 }
 

@@ -1,6 +1,7 @@
 """Lint with the standard library: no module imports a name it never uses, no
 pinchlab module imports scipy when it loads, only ``spectral.load_scipy``
-imports it at all, and the CLI imports no layer module when it loads."""
+imports it at all, the CLI imports no layer module when it loads, and no
+layer imports names from another layer when it loads."""
 
 import ast
 from pathlib import Path
@@ -90,15 +91,18 @@ def test_lint_finds_a_scipy_import_outside_the_loader():
     assert scipy_imports_outside_the_loader(text) == ["scipy"]
 
 
+def outside_functions(node):
+    """The nodes under ``node`` that no function body contains."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from outside_functions(child)
+
+
 def module_level_pinchlab_imports(text: str) -> list[str]:
     """pinchlab modules imported outside function bodies, by relative or ``pinchlab.`` name."""
-    def walk(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child
-                yield from walk(child)
     modules = []
-    for node in walk(ast.parse(text)):
+    for node in outside_functions(ast.parse(text)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -126,3 +130,38 @@ def test_lint_finds_a_module_level_layer_import():
             "def run():\n    from .pairing import pairing_sweep\n")
     assert module_level_pinchlab_imports(text) == [
         "errors", "spectral", "blas", "geometry", "potential", "dynamics", "configfile"]
+
+
+def module_level_name_imports(text: str) -> list[str]:
+    """pinchlab modules that a ``from <module> import <names>`` outside function bodies
+    reads names from, by relative or ``pinchlab.`` name (``from . import <module>``
+    binds modules)."""
+    modules = []
+    for node in outside_functions(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if node.level:
+                modules.append(parts[0])
+            elif parts[0] == "pinchlab" and len(parts) > 1:
+                modules.append(parts[1])
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(set((ROOT / "src" / "pinchlab").glob("*.py"))
+                                        - {ROOT / "src" / "pinchlab" / "__init__.py"}),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_layers_bind_their_sibling_layers_as_modules(path):
+    # ``from . import spectral`` binds the module the CLI registered lazily, and
+    # ``spectral.full_spectrum`` runs it when a command first calls it; a
+    # ``from .spectral import`` would run it when the importing layer loads.
+    # errors and blas serve every command.
+    assert set(module_level_name_imports(path.read_text())) <= {"errors", "blas"}
+
+
+def test_lint_finds_a_module_level_name_import():
+    text = ("from . import geometry, spectral\nfrom .errors import ValidationError\n"
+            "from .spectral import full_spectrum\nimport pinchlab.potential\n"
+            "from pinchlab.geometry import TWO_PI\nfrom pinchlab import pairing\n"
+            "from numpy.linalg import eigh\nif True:\n    from .dualgraph import DualGraph\n"
+            "def run():\n    from .spectral import load_scipy\n")
+    assert module_level_name_imports(text) == ["errors", "spectral", "geometry", "dualgraph"]

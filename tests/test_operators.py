@@ -13,13 +13,14 @@ import scipy.sparse.linalg
 from pinchlab import cli, geometry, spectral
 from pinchlab.errors import ValidationError
 from pinchlab.geometry import (
+    FOUR_PI,
     FamilyConfig,
     build_chain,
     chain_operators,
     density_from_spec,
     step_density_spec,
 )
-from pinchlab.potential import FOUR_PI, solve_direct
+from pinchlab.potential import solve_direct
 from pinchlab.spectral import (
     assemble_mode_operator,
     full_spectrum,

@@ -125,7 +125,7 @@ class TestDirectSolve:
         dens = density_from_spec(step_density_spec([2.0, -2.0]), chain)
         pot = solve_direct(chain, dens)
         import scipy.linalg
-        from pinchlab.potential import FOUR_PI
+        from pinchlab.geometry import FOUR_PI
 
         S, M = assemble_mode_operator(chain, 0)
         n = chain.n_nodes
