@@ -28,7 +28,7 @@ print("== Birkhoff averages of f = pi*u + phi - T_* phi ==")
 u = lambda s: s.real
 phi = lambda s, A, B: 0.3 * np.sin(TWO_PI * A) * np.cos(TWO_PI * B)
 f, sup_phi = synthesize_invariant_observable(fib, u, phi)
-run = birkhoff_limit(fib, f, 10_000, u_ref=u, phi_sup=sup_phi)
+run = birkhoff_limit(fib, f, 10_000, u_ref=u)
 for i, k in enumerate(run.ks):
     print(f"k={k:6d}  sup|S_k/k - u| = {np.max(run.sup_deviation[i]):.2e}"
           f"  (bound 2 sup|phi|/k = {2 * sup_phi / k:.2e})")

@@ -345,7 +345,7 @@ def criterion_14_dynamics(seed: int) -> CriterionResult:
     u_ref = lambda s: s.real
     phi = lambda s, A, B: 0.3 * np.sin(2 * PI * A) * np.cos(2 * PI * B)
     f, sup_phi = dynamics.synthesize_invariant_observable(fib, u_ref, phi)
-    run = dynamics.birkhoff_limit(fib, f, 10_000, u_ref=u_ref, phi_sup=sup_phi)
+    run = dynamics.birkhoff_limit(fib, f, 10_000, u_ref=u_ref)
     birkhoff_ok = run.tate_bound_ok and all(
         float(np.max(run.sup_deviation[i])) <= 2 * sup_phi / k + 1e-12
         for i, k in enumerate(run.ks)

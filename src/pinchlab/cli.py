@@ -282,8 +282,7 @@ def dynamics_birkhoff(cfg: configfile.ExperimentConfig, args) -> Run:
     u = _preset(cfg, _U_PRESETS, "u_preset", "re_s")
     phi = _fiber_field(cfg, "phi", "sinxcosy", "0.3")
     f, sup_phi = dynamics.synthesize_invariant_observable(fib, u, phi)
-    limit = dynamics.birkhoff_limit(fib, f, cfg.get_int("dynamics", "k_max", "10000"),
-                                    u_ref=u, phi_sup=sup_phi)
+    limit = dynamics.birkhoff_limit(fib, f, cfg.get_int("dynamics", "k_max", "10000"), u_ref=u)
     rows = [
         (k, float(np.max(limit.sup_deviation[i])), 2.0 * sup_phi / k,
          float(np.max(limit.constancy_defect[i])))

@@ -141,54 +141,25 @@ class ExperimentConfig:
     def density_builder(self, which: str):
         """Builder chain -> DensityField for [density.alpha] or [density.beta]."""
         section = f"density.{which}"
-        items = self.sections.get(section, {})
-        fat, neck, cos_t, sin_t = [], [], [], []
-        bumps = []  # (kind, index, amplitude)
-        project = True
-        for key, raw in items.items():
+        terms = {"fat": [], "neck": [], "cos": [], "sin": []}
+        waves = []  # (kind, index, amplitude), in file order
+        for key in self.sections.get(section, {}):
             if key == "project":
-                project = self.get_bool(section, "project")
                 continue
             head, idx = key.split(".")
             value = self.get_float(section, key)
-            if head == "fat":
-                fat.append((int(idx), value))
-            elif head == "neck":
-                neck.append((int(idx), value))
-            elif head == "cos":
-                cos_t.append((int(idx), value))
-            elif head == "sin":
-                sin_t.append((int(idx), value))
+            if head in terms:
+                terms[head].append((int(idx), value))
             else:
-                bumps.append((head, int(idx), value))
+                waves.append((head, int(idx), value))
         spec = geometry.DensitySpec(
-            fat_values=tuple(sorted(fat)),
-            neck_values=tuple(sorted(neck)),
-            cos_terms=tuple(sorted(cos_t)),
-            sin_terms=tuple(sorted(sin_t)),
-            project=project,
+            fat_values=tuple(sorted(terms["fat"])), neck_values=tuple(sorted(terms["neck"])),
+            cos_terms=tuple(sorted(terms["cos"])), sin_terms=tuple(sorted(terms["sin"])),
+            project=self.get_bool(section, "project", "true"), waves=tuple(waves),
         )
-        profile_makers = {
-            "segment_cos": geometry.cosine_bump_profile,
-            "segment_sin": geometry.sine_bump_profile,
-            "neck_wave": geometry.neck_wave_profile,
-        }
-
-        def build(chain):
-            base = spec.profile(chain)
-            extras = [
-                (profile_makers[kind], idx, amp) for kind, idx, amp in bumps
-            ]
-
-            def profile(x):
-                out = base(x)
-                for maker, idx, amp in extras:
-                    out = out + maker(chain, idx, amp)(x)
-                return out
-
-            return geometry.density_from_callable(profile, chain, project=project)
-
-        return build
+        # a lambda, not a partial: density_from_spec is looked up at each call,
+        # so a wrapper installed on geometry later still sees it
+        return lambda chain: geometry.density_from_spec(spec, chain)
 
     def require_seed(self) -> int:
         if not self.has("solver", "seed"):

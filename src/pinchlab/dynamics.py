@@ -83,6 +83,8 @@ def annulus_samples(r_min: float, r_max: float, n_r: int = 3, n_arg: int = 6
     """Deterministic polar sampling of the base annulus."""
     if not (0 < r_min <= r_max):
         raise ValidationError("need 0 < r_min <= r_max")
+    if n_r < 1 or n_arg < 1:
+        raise ValidationError(f"need n_r >= 1 and n_arg >= 1, got n_r={n_r} n_arg={n_arg}")
     radii = np.linspace(r_min, r_max, n_r)
     args = math.tau * np.arange(n_arg) / n_arg
     return tuple(
@@ -168,7 +170,6 @@ class LimitPotentialRun:
     sup_deviation: np.ndarray | None  # vs a reference potential, if given
     sup_f: float
     tate_bound_ok: bool
-    phi_sup: float | None = None
 
 
 def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
@@ -196,8 +197,7 @@ def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
     return f, sup_phi
 
 
-def birkhoff_limit(fib: TorusFibration, f, k_max: int,
-                   u_ref=None, phi_sup: float | None = None) -> LimitPotentialRun:
+def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref=None) -> LimitPotentialRun:
     """Average the pushforward sums S_k(f)/k over a ladder of k values.
 
     For observables of the form pi^*u + phi - T_*phi the deviation from u is
@@ -233,7 +233,6 @@ def birkhoff_limit(fib: TorusFibration, f, k_max: int,
         sup_deviation=sup_dev,
         sup_f=sup_f,
         tate_bound_ok=tate_ok,
-        phi_sup=phi_sup,
     )
 
 

@@ -33,6 +33,14 @@ FOUR_PI = 2.0 * TWO_PI
 GL_X, GL_W = np.polynomial.legendre.leggauss(4)
 
 
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept: (slope, intercept, rms residual)."""
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - (slope * x + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
+
+
 @dataclass(frozen=True)
 class FamilyConfig:
     """Geometry of the model family (areas, neck shape, smoothing)."""
@@ -362,8 +370,10 @@ class DensitySpec:
 
     ``fat_values`` holds (segment index, value) pairs placing constants on fat
     segments, similarly for necks; ``cos_terms``/``sin_terms`` hold
-    (harmonic k, amplitude) pairs for cos/sin(2*pi*k*x/P).  With ``project``
-    the sampled density is shifted to zero mean against the area measure.
+    (harmonic k, amplitude) pairs for cos/sin(2*pi*k*x/P).  ``waves`` holds
+    (kind, segment index, amplitude) triples, ``kind`` a key of ``WAVE_PROFILES``;
+    they are added last, in order.  With ``project`` the sampled density is
+    shifted to zero mean against the area measure.
     """
 
     fat_values: tuple[tuple[int, float], ...] = ()
@@ -371,6 +381,7 @@ class DensitySpec:
     cos_terms: tuple[tuple[int, float], ...] = ()
     sin_terms: tuple[tuple[int, float], ...] = ()
     project: bool = True
+    waves: tuple[tuple[str, int, float], ...] = ()
 
     def profile(self, chain: WarpedChain):
         fats = {s.index: s for s in chain.fat_segments()}
@@ -381,6 +392,7 @@ class DensitySpec:
         for i, _ in self.neck_values:
             if i not in necks:
                 raise ValidationError(f"density references missing neck segment {i}")
+        waves = [WAVE_PROFILES[kind](chain, i, amp) for kind, i, amp in self.waves]
         P = chain.total_length
 
         def f(x):
@@ -396,6 +408,8 @@ class DensitySpec:
                 out += amp * np.cos(TWO_PI * k * x / P)
             for k, amp in self.sin_terms:
                 out += amp * np.sin(TWO_PI * k * x / P)
+            for wave in waves:
+                out += wave(x)
             return out
 
         return f
@@ -410,6 +424,7 @@ class DensityField:
     projection_shift: float
     total_integral: float
     component_integrals: np.ndarray  # over fat segments only
+    quad_values: np.ndarray = field(repr=False)  # samples on the chain's quad table
     profile: object = field(repr=False, default=None)  # raw callable, pre-shift
 
     def evaluate(self, x) -> np.ndarray:
@@ -418,11 +433,6 @@ class DensityField:
     def norm_scale(self) -> float:
         vmax = float(np.max(np.abs(self.values))) if self.values.size else 0.0
         return max(1.0, vmax)
-
-    @property
-    def quad_values(self) -> np.ndarray:
-        qx = self.chain.quad_x
-        return self.evaluate(qx.ravel()).reshape(qx.shape)
 
 
 def density_from_callable(f, chain: WarpedChain, project: bool = True) -> DensityField:
@@ -458,6 +468,7 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True) -> Densit
         projection_shift=float(shift),
         total_integral=float(chain.integrate_area(quad_vals)),
         component_integrals=comp,
+        quad_values=quad_vals,
         profile=f,
     )
 
@@ -534,3 +545,8 @@ def neck_wave_profile(chain: WarpedChain, neck: int = 0, amplitude: float = 1.0)
     and decay as the neck area does.
     """
     return _segment_wave(chain, "neck", neck, amplitude, np.sin)
+
+
+# config prefix of a segment wave -> its profile maker
+WAVE_PROFILES = {"segment_cos": cosine_bump_profile, "segment_sin": sine_bump_profile,
+                 "neck_wave": neck_wave_profile}

@@ -105,17 +105,19 @@ def constant_eta(slot: tuple[int, int] = (2, 2), value: float = 1.0) -> EtaSpec:
     return EtaSpec({slot: ((0, 0, 0, 0, complex(value)),)})
 
 
-def _log_radial_nodes(r_in: float, r_out: float, per_decade: int):
-    """Gauss-Legendre nodes/weights for integral f(r) dr on log-spaced panels."""
-    decades = math.log10(r_out / r_in)
-    panels = max(2, int(math.ceil(decades * per_decade / 4.0)))
-    edges = np.geomspace(r_in, r_out, panels + 1)
+def _panels(edges):
+    """4-point Gauss-Legendre nodes and weights for integral f(r) dr, panel by panel."""
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    r = (mid + half * geometry.GL_X[None, :]).ravel()
-    w = (half * geometry.GL_W[None, :]).ravel()
-    return r, w
+    return (mid + half * geometry.GL_X[None, :]).ravel(), (half * geometry.GL_W[None, :]).ravel()
+
+
+def _log_radial_nodes(r_in: float, r_out: float, per_decade: int):
+    """Quadrature nodes/weights for integral f(r) dr on log-spaced panels."""
+    decades = math.log10(r_out / r_in)
+    panels = max(2, int(math.ceil(decades * per_decade / 4.0)))
+    return _panels(np.geomspace(r_in, r_out, panels + 1))
 
 
 def _chart_integral(eta: EtaSpec, t: complex, r, w_r, n_theta: int, chart: int):
@@ -155,6 +157,9 @@ def _split_fiber(eta: EtaSpec, t: complex, radial_per_decade: int, n_theta: int,
                  split_factor: float = 1.0):
     """(plain, logged) of the z1 chart on |z1| >= split_factor * sqrt|t| and of
     the z2 chart inside that circle, on the annulus |t| <= |z1| <= 1 over t."""
+    for name, count in (("radial_per_decade", radial_per_decade), ("angular node count", n_theta)):
+        if count < 1:
+            raise ValidationError(f"{name} must be at least 1, got {count}")
     at = abs(t)
     if not 0 < at < 1:
         raise ValidationError("need 0 < |t| < 1")
@@ -204,11 +209,7 @@ def divisor_integral(eta: EtaSpec) -> float:
     angles) from the fiber integrals it certifies.
     """
     n_r, n_theta = 96, 128
-    edges = np.linspace(0.0, 1.0, n_r + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    r = (mid + half * geometry.GL_X[None, :]).ravel()
-    w = (half * geometry.GL_W[None, :]).ravel()
+    r, w = _panels(np.linspace(0.0, 1.0, n_r + 1))
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     z2 = r[:, None] * np.exp(1j * theta[None, :])
     vals = eta.evaluate(2, 2, np.zeros_like(z2), z2).real * r[:, None]
@@ -243,7 +244,6 @@ class AsymptoteFit:
     A_ref: float                  # independent divisor-integral oracle
     remainder_ratios: np.ndarray  # |I - A_ref X - B_ref| / (|t| log^2|t|)
     remainder_bounded: bool
-    rms: float
 
 
 def asymptote_fit(curve: NodeIntegralCurve, eta: EtaSpec) -> AsymptoteFit:
@@ -260,8 +260,7 @@ def asymptote_fit(curve: NodeIntegralCurve, eta: EtaSpec) -> AsymptoteFit:
     if at[0] / at[-1] < 1e3:
         raise ValidationError("samples must span at least 3 decades")
     X = 2.0 * np.log(at)
-    A_mat = np.stack([X, np.ones_like(X)], axis=1)
-    (A_fit, B_fit), *_ = np.linalg.lstsq(A_mat, curve.values, rcond=None)
+    A_fit, B_fit, _ = geometry.line_fit(X, curve.values)
 
     A_ref = divisor_integral(eta)
     B_ref = float(np.median(curve.values[-3:] - A_ref * X[-3:]))
@@ -275,14 +274,12 @@ def asymptote_fit(curve: NodeIntegralCurve, eta: EtaSpec) -> AsymptoteFit:
     large_side = float(np.max(ratios[:half]))
     small_side = float(np.max((ratios - floors)[half:]))
     bounded = small_side <= max(2.0 * large_side, 0.0) + 1e-12
-    resid = curve.values - (A_fit * X + B_fit)
     return AsymptoteFit(
-        A_fit=float(A_fit),
-        B_fit=float(B_fit),
+        A_fit=A_fit,
+        B_fit=B_fit,
         A_ref=A_ref,
         remainder_ratios=ratios,
         remainder_bounded=bool(bounded),
-        rms=float(np.sqrt(np.mean(resid**2))),
     )
 
 
@@ -292,6 +289,14 @@ def aitken_limit(values) -> float:
     d1, d2, d3 = values[-3], values[-2], values[-1]
     denom = (d3 - d2) - (d2 - d1)  # Aitken's second difference
     return float(d3 if abs(denom) < 1e-300 else d1 - (d2 - d1) ** 2 / denom)
+
+
+def gap_to_limit(values):
+    """(Aitken limit of ``values``, |values - limit|, mask of the gaps above the
+    rounding level 1e-13 * max(1, max|values|)): the start of both decay probes."""
+    limit = aitken_limit(values)
+    gap = np.abs(values - limit)
+    return limit, gap, gap > 1e-13 * max(1.0, float(np.abs(values).max()))
 
 
 @dataclass(frozen=True)
@@ -315,11 +320,9 @@ def smooth_fiber_continuity(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
         raise ValidationError("need at least 4 samples")
     J = np.array([fiber_integral(eta, t, radial_per_decade, n_theta) for t in ts])
     at = np.abs(np.asarray(ts))
-    limit = aitken_limit(J)
-    diffs = np.abs(J - limit)
-    mask = diffs > 1e-13 * max(1.0, np.abs(J).max())
+    limit, diffs, mask = gap_to_limit(J)
     if int(mask.sum()) >= 2:
-        raw = float(np.polyfit(np.log(at[mask]), np.log(diffs[mask]), 1)[0])
+        raw = geometry.line_fit(np.log(at[mask]), np.log(diffs[mask]))[0]
     else:
         raw = 1.0  # indistinguishable from its limit at every sample
     steps = np.abs(np.diff(J))

@@ -86,17 +86,7 @@ def fit_log_asymptote(curve: PairingCurve, window: tuple[float, float] = (50.0, 
     mask = (curve.L >= lo) & (curve.L <= hi)
     if int(mask.sum()) < 4:
         raise ValidationError("fit window must contain at least 4 samples")
-    x = -2.0 * curve.L[mask]
-    y = curve.values[mask]
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - (slope * x + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return FitResult(
-        c_fit=float(slope),
-        intercept=float(intercept),
-        residual_rms=rms,
-    )
+    return FitResult(*geometry.line_fit(-2.0 * curve.L[mask], curve.values[mask]))
 
 
 def predicted_constant(g: dualgraph.DualGraph, dens_a: geometry.DensityField,
@@ -199,24 +189,18 @@ def holder_probe(curve: PairingCurve) -> HolderProbe:
         raise ValidationError("probe needs at least 5 samples")
     diffs = np.abs(np.diff(y))
     converged = bool(diffs[-1] <= diffs[0] + 1e-15)
-    limit = nodeintegral.aitken_limit(y)
-    gap = np.abs(y - limit)
-    mask = gap > 1e-13 * max(1.0, float(np.abs(y).max()))
+    limit, gap, mask = nodeintegral.gap_to_limit(y)
     if int(mask.sum()) < 2:
         raise ValidationError("probe needs 2 samples distinguishable from the limit")
     log_gap = np.log(gap[mask])
-    fits = []
-    for x in (np.log(L[mask]), L[mask]):  # power law, then exponential
-        slope, intercept = np.polyfit(x, log_gap, 1)
-        resid = log_gap - (slope * x + intercept)
-        fits.append((-float(slope), float(np.sqrt(np.mean(resid**2)))))
-    (power_exponent, power_rms), (exp_rate, exp_rms) = fits
+    power_slope, _, power_rms = geometry.line_fit(np.log(L[mask]), log_gap)
+    exp_slope, _, exp_rms = geometry.line_fit(L[mask], log_gap)
     return HolderProbe(
         converged=converged,
         limit_estimate=limit,
         best_family="power" if power_rms <= exp_rms else "exponential",
-        power_exponent=power_exponent,
+        power_exponent=-power_slope,
         power_rms=power_rms,
-        exp_rate=exp_rate,
+        exp_rate=-exp_slope,
         exp_rms=exp_rms,
     )

@@ -661,6 +661,9 @@ def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
     # the used pairs in (lam, mode) order, which fixes the GEMM summation order
     order = eigsys.order
     used = order[tail[order] & (lam[order] <= lambda_cutoff)]
+    if used.size == 0:
+        raise ValidationError(f"green cutoff {lambda_cutoff:g} admits no pair above the "
+                              f"{eigsys.low_count} collapsing ones")
     zero, rest = used[modes[used] == 0], used[modes[used] != 0]
 
     # f0 = V0 diag(1/lam) V0^T over mode 0; each m >= 1 pair adds at worst

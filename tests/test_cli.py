@@ -224,6 +224,22 @@ class TestExitContract:
          ["birkhoff"], "[dynamics] phi_preset"),
         ("node-integral", None, ["--eta", "22:abc:0,0,0,0"], "eta term"),
         ("node-integral", None, ["--eta", "22:1:0,x,0,0"], "eta term"),
+        # a cutoff below every pair beyond the collapsing ones leaves an empty kernel sum
+        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = 0"), [], "green cutoff 0"),
+        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = -1"), [],
+         "green cutoff -1"),
+        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = 1e-30"), [],
+         "green cutoff 1e-30"),
+        ("node-integral", ("precision = 17", "precision = 17\n[node]\nangular = 0"), [],
+         "angular node count must be at least 1, got 0"),
+        ("node-integral", ("precision = 17", "precision = 17\n[node]\nangular = -4"), [],
+         "angular node count must be at least 1, got -4"),
+        ("node-integral", ("precision = 17", "precision = 17\n[node]\nradial_per_decade = 0"), [],
+         "radial_per_decade must be at least 1, got 0"),
+        ("node-integral", ("precision = 17", "precision = 17\n[node]\nradial_per_decade = -3"),
+         [], "radial_per_decade must be at least 1, got -3"),
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nbase_n_r = -1"),
+         ["growth"], "n_r=-1"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG

@@ -97,7 +97,7 @@ class TestBirkhoffLimit:
     def test_synthetic_deviation_bound(self):
         fib = make_fib(n=64)
         f, sup_phi = synthesize_invariant_observable(fib, u_re, phi_sincos)
-        run = birkhoff_limit(fib, f, 10_000, u_ref=u_re, phi_sup=sup_phi)
+        run = birkhoff_limit(fib, f, 10_000, u_ref=u_re)
         assert run.ks == (100, 1000, 10000)
         for i, k in enumerate(run.ks):
             assert np.max(run.sup_deviation[i]) <= 2 * sup_phi / k + 1e-12

@@ -11,8 +11,10 @@ from pinchlab.geometry import (
     FamilyConfig,
     area_report,
     build_chain,
+    cosine_bump_profile,
     density_from_callable,
     density_from_spec,
+    neck_wave_profile,
     sine_bump_profile,
     step_density_spec,
 )
@@ -128,6 +130,22 @@ class TestDensities:
         chain = build_chain(I2, L=100.0)
         with pytest.raises(ValidationError, match="missing fat segment"):
             density_from_spec(DensitySpec(fat_values=((5, 1.0),)), chain)
+
+    def test_waves_are_added_last_in_order(self):
+        # the stored quadrature samples are the profile's, summed term by term
+        chain = build_chain(I2, L=100.0)
+        spec = DensitySpec(fat_values=((0, 1.0),),
+                           waves=(("neck_wave", 1, 0.3), ("segment_cos", 0, 1.0)))
+        dens = density_from_spec(spec, chain)
+        qx = chain.quad_x.ravel()
+        raw = (DensitySpec(fat_values=((0, 1.0),)).profile(chain)(qx)
+               + neck_wave_profile(chain, 1, 0.3)(qx) + cosine_bump_profile(chain, 0, 1.0)(qx))
+        np.testing.assert_array_equal(dens.quad_values.ravel(), raw - dens.projection_shift)
+
+    def test_missing_wave_segment_rejected(self):
+        chain = build_chain(I2, L=100.0)
+        with pytest.raises(ValidationError, match="no fat segment 5"):
+            density_from_spec(DensitySpec(waves=(("segment_sin", 5, 1.0),)), chain)
 
     def test_sine_bump_has_zero_component_integrals(self):
         chain = build_chain(I2, L=100.0)

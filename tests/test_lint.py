@@ -1,7 +1,8 @@
 """Lint with the standard library: no module imports a name it never uses, no
 pinchlab module imports scipy when it loads, only ``spectral.load_scipy``
-imports it at all, the CLI imports no layer module when it loads, and no
-layer imports names from another layer when it loads."""
+imports it at all, the CLI imports no layer module when it loads, no layer
+imports names from another layer when it loads, and least-squares lines are
+fitted in one place."""
 
 import ast
 from pathlib import Path
@@ -165,3 +166,41 @@ def test_lint_finds_a_module_level_name_import():
             "from numpy.linalg import eigh\nif True:\n    from .dualgraph import DualGraph\n"
             "def run():\n    from .spectral import load_scipy\n")
     assert module_level_name_imports(text) == ["errors", "spectral", "geometry", "dualgraph"]
+
+
+def line_fit_reads(text: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function or ``<module>``, expression) of each ``polyfit`` or
+    ``lstsq`` attribute read, such as ``np.polyfit`` or ``np.linalg.lstsq``."""
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in {"polyfit", "lstsq"}:
+                found.append((where, ast.unparse(child)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, child.name if inner else where)
+
+    walk(ast.parse(text), "<module>")
+    return found
+
+
+# the functions allowed a least-squares line of their own: geometry.line_fit, and
+# dynamics.pushforward_growth, as the dynamics commands run no geometry
+OWN_LINE_FITS = {"geometry.py": "line_fit", "dynamics.py": "pushforward_growth"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "pinchlab").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_lines_are_fitted_by_line_fit(path):
+    reads = line_fit_reads(path.read_text())
+    assert [read for read in reads if read[0] != OWN_LINE_FITS.get(path.name)] == []
+
+
+def test_lint_finds_a_line_fit_outside_line_fit():
+    text = ("import numpy as np\nslope = np.polyfit(x, y, 1)[0]\n"
+            "def line_fit(x, y):\n    return np.linalg.lstsq(A, y, rcond=None)\n"
+            "class Probe:\n    def fit(self):\n        def inner():\n"
+            "            return numpy.polyfit(x, y, 1)\n        return np.lstsq\n"
+            "def other():\n    return np.polyval(p, x)\n")
+    assert line_fit_reads(text) == [("<module>", "np.polyfit"), ("line_fit", "np.linalg.lstsq"),
+                                    ("inner", "numpy.polyfit"), ("fit", "np.lstsq")]
