@@ -19,7 +19,7 @@ _API = {
     "dualgraph": "Component DualGraph build_intersection_matrix cycle_graph kodaira_catalog"
                  " pairing_constant pseudoinverse random_reduced_graph validate_zariski",
     "errors": "ConvergenceError StructureError ValidationError",
-    "geometry": "DensityField DensitySpec FamilyConfig WarpedChain area_report build_chain"
+    "geometry": "DensityField DensitySpec FamilyConfig WarpedChain build_chain"
                 " cosine_bump_profile density_from_callable density_from_spec"
                 " neck_wave_profile sine_bump_profile step_density_spec",
     "pairing": "FitResult PairingCurve base_change_consistency fit_log_asymptote"

@@ -211,12 +211,9 @@ def cmd_pairing(cfg: configfile.ExperimentConfig, args) -> Run:
     curve = pairing.pairing_sweep(family, a_builder, b_builder, args.L_grid,
                                   resolution=solver["resolution"])
     fit = pairing.fit_log_asymptote(curve, (lo, hi))
-    ref_chain = geometry.build_chain(family, float(np.max(args.L_grid)),
-                                     resolution=solver["resolution"])
-    predicted = pairing.predicted_constant(
-        dualgraph.cycle_graph(family.area_vector()),
-        a_builder(ref_chain), b_builder(ref_chain),
-    )
+    # the densities of the sweep's largest-L chain
+    predicted = pairing.predicted_constant(dualgraph.cycle_graph(family.area_vector()),
+                                           *curve.densities)
     rel_err = abs(fit.c_fit - predicted) / max(abs(predicted), 0.01)
     rows = []
     for L, s, v in zip(curve.L.tolist(), curve.s.tolist(), curve.values.tolist()):

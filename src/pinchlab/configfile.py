@@ -26,8 +26,7 @@ _PATTERN_KEYS = {
 
 _SCHEMA: dict[str, set[str] | str] = {
     "family": {
-        "n_components", "areas", "neck_length", "fat_circumference",
-        "smoothing_width", "no_neck",
+        "n_components", "areas", "neck_length", "fat_circumference", "no_neck",
     },
     "density.alpha": "density",
     "density.beta": "density",
@@ -130,7 +129,6 @@ class ExperimentConfig:
             fat_circumference=self.get_float(
                 "family", "fat_circumference", repr(1.0 / (2 * math.pi))
             ),
-            smoothing_width=self.get_float("family", "smoothing_width", "0.0"),
             no_neck=self.get_bool("family", "no_neck", "false"),
         )
         try:

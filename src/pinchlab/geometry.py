@@ -43,13 +43,12 @@ def line_fit(x, y) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class FamilyConfig:
-    """Geometry of the model family (areas, neck shape, smoothing)."""
+    """Geometry of the model family (areas, neck shape)."""
 
     n_components: int
     areas: tuple[float, ...] | None = None
     neck_length: float = 1.0
     fat_circumference: float = 1.0 / TWO_PI
-    smoothing_width: float = 0.0
     no_neck: bool = False
 
     def __post_init__(self):
@@ -65,9 +64,6 @@ class FamilyConfig:
         if not 0 < self.fat_circumference < math.inf:
             raise ValidationError("fat_circumference must be positive and finite, "
                                   f"got {self.fat_circumference}")
-        if not 0 <= self.smoothing_width < math.inf:
-            raise ValidationError("smoothing_width must be nonnegative and finite, "
-                                  f"got {self.smoothing_width}")
         if self.no_neck and self.n_components != 1:
             raise ValidationError("the no-neck degenerate family requires N = 1")
 
@@ -134,25 +130,10 @@ class WarpedChain:
         """Per-neck conductance 2*pi*c_thin / neck_length (equals 2*pi/L)."""
         return TWO_PI * self.c_thin / self.cfg.neck_length
 
-    def circumference(self, x) -> np.ndarray:
-        """Profile c(x), with an optional linear smoothing ramp at interfaces."""
-        x = np.mod(np.asarray(x, dtype=float), self.total_length)
-        out = np.empty_like(x)
-        for seg in self.segments:
-            mask = (x >= seg.x0 - 1e-15) & (x < seg.x1)
-            out[mask] = seg.c
-        w = self.cfg.smoothing_width
-        if w > 0 and len(self.segments) > 1:
-            P = self.total_length
-            for k, seg in enumerate(self.segments):
-                nxt = self.segments[(k + 1) % len(self.segments)]
-                xi = seg.x1 % P
-                d = x - xi
-                d = np.where(d > P / 2, d - P, np.where(d < -P / 2, d + P, d))
-                mask = np.abs(d) <= w / 2
-                t = (d[mask] + w / 2) / w
-                out[mask] = seg.c + (nxt.c - seg.c) * t
-        return out
+    def segment_at(self, x) -> np.ndarray:
+        """Index into ``segments`` of the [x0, x1) segment holding each x mod P."""
+        starts = [seg.x0 for seg in self.segments]
+        return np.searchsorted(starts, np.mod(x, self.total_length), side="right") - 1
 
     def fat_segments(self) -> list[Segment]:
         return [s for s in self.segments if s.kind == "fat"]
@@ -213,11 +194,8 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
             segments.append(Segment("neck", i, x1, x2, c_thin))
             x = x2
     P = x
-    min_len = min(s.length for s in segments)
-    if min_len <= 0:
+    if min(s.length for s in segments) <= 0:
         raise ValidationError("degenerate segment length in chain layout")
-    if cfg.smoothing_width > min_len:
-        raise ValidationError("smoothing_width exceeds the shortest segment")
 
     nodes: list[float] = []
     cell_segment: list[int] = []
@@ -239,7 +217,9 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
     h = chain.cell_lengths
     qx = nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None]
     qw = (0.5 * GL_W)[None, :] * h[:, None]
-    qc = chain.circumference(qx.ravel()).reshape(qx.shape)
+    # c is constant on each segment, so on each cell
+    cell_c = np.array([seg.c for seg in segments])[chain.cell_segment]
+    qc = np.repeat(cell_c[:, None], GL_X.size, axis=1)
     return replace(chain, quad_x=qx, quad_w=qw, quad_c=qc)
 
 
@@ -336,30 +316,6 @@ def chain_operators(chain: WarpedChain) -> ChainOperators:
                           mass=cell_form(c * w))
 
 
-@dataclass(frozen=True)
-class AreaReport:
-    fat_areas: np.ndarray
-    thin_total: float
-    total: float
-
-
-def area_report(chain: WarpedChain) -> AreaReport:
-    """Fat areas, collapsing thin area (2*pi*N/L), and their total."""
-    fats = np.zeros(chain.cfg.n_components)
-    thin = 0.0
-    for seg_idx, seg in enumerate(chain.segments):
-        if chain.cfg.smoothing_width > 0:
-            mask = chain.cell_segment == seg_idx
-            area = TWO_PI * float(np.sum(chain.quad_c[mask] * chain.quad_w[mask]))
-        else:
-            area = TWO_PI * seg.c * seg.length
-        if seg.kind == "fat":
-            fats[seg.index] += area
-        else:
-            thin += area
-    return AreaReport(fat_areas=fats, thin_total=thin, total=float(fats.sum() + thin))
-
-
 # ---------------------------------------------------------------------------
 # Densities
 # ---------------------------------------------------------------------------
@@ -384,26 +340,19 @@ class DensitySpec:
     waves: tuple[tuple[str, int, float], ...] = ()
 
     def profile(self, chain: WarpedChain):
-        fats = {s.index: s for s in chain.fat_segments()}
-        necks = {s.index: s for s in chain.neck_segments()}
-        for i, _ in self.fat_values:
-            if i not in fats:
-                raise ValidationError(f"density references missing fat segment {i}")
-        for i, _ in self.neck_values:
-            if i not in necks:
-                raise ValidationError(f"density references missing neck segment {i}")
+        position = {(s.kind, s.index): k for k, s in enumerate(chain.segments)}
+        levels = np.zeros(len(chain.segments))  # the constant terms, per segment
+        for kind, values in (("fat", self.fat_values), ("neck", self.neck_values)):
+            for i, v in values:
+                if (kind, i) not in position:
+                    raise ValidationError(f"density references missing {kind} segment {i}")
+                levels[position[kind, i]] += v
         waves = [WAVE_PROFILES[kind](chain, i, amp) for kind, i, amp in self.waves]
         P = chain.total_length
 
         def f(x):
             x = np.mod(np.asarray(x, dtype=float), P)
-            out = np.zeros_like(x)
-            for i, v in self.fat_values:
-                seg = fats[i]
-                out[(x >= seg.x0 - 1e-15) & (x < seg.x1)] += v
-            for i, v in self.neck_values:
-                seg = necks[i]
-                out[(x >= seg.x0 - 1e-15) & (x < seg.x1)] += v
+            out = levels[chain.segment_at(x)]
             for k, amp in self.cos_terms:
                 out += amp * np.cos(TWO_PI * k * x / P)
             for k, amp in self.sin_terms:
@@ -444,7 +393,7 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True) -> Densit
     """
     raw_quad = np.asarray(f(chain.quad_x.ravel()), dtype=float).reshape(chain.quad_x.shape)
     total_raw = chain.integrate_area(raw_quad)
-    total_area = area_report(chain).total
+    total_area = chain.integrate_area(np.ones_like(chain.quad_w))
     scale = max(1.0, float(np.max(np.abs(raw_quad))) if raw_quad.size else 1.0)
     if project:
         shift = total_raw / total_area
@@ -502,15 +451,15 @@ def random_step_spec(n: int, areas, rng: np.random.Generator) -> DensitySpec:
 
 def _segment_wave(chain: WarpedChain, kind: str, index: int, amplitude: float, wave):
     """amplitude * wave(2*pi*t), t in [0, 1) across one segment, else 0."""
-    segments = [s for s in chain.segments if s.kind == kind]
-    if index >= len(segments):
+    position = {(s.kind, s.index): k for k, s in enumerate(chain.segments)}
+    if (kind, index) not in position:
         raise ValidationError(f"no {kind} segment {index}")
-    seg = segments[index]
+    seg = chain.segments[position[kind, index]]
 
     def f(x):
         x = np.mod(np.asarray(x, dtype=float), chain.total_length)
         out = np.zeros_like(x)
-        mask = (x >= seg.x0) & (x < seg.x1)
+        mask = chain.segment_at(x) == position[kind, index]
         out[mask] = amplitude * wave(TWO_PI * (x[mask] - seg.x0) / seg.length)
         return out
 

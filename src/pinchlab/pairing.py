@@ -11,7 +11,7 @@ change s = t^d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,12 @@ def pairing_energy(chain: geometry.WarpedChain,
 
 @dataclass(frozen=True)
 class PairingCurve:
-    """Sampled pairing over an L-grid."""
+    """Sampled pairing over an L-grid, with the two densities of its largest-L chain."""
 
     L: np.ndarray
     s: np.ndarray
     values: np.ndarray
+    densities: tuple[geometry.DensityField, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if not np.all(np.diff(self.L) > 0):
@@ -64,11 +65,12 @@ def pairing_sweep(cfg: geometry.FamilyConfig, a_builder, b_builder, L_grid,
     deterministic and ordered by L.
     """
     Ls = np.sort(np.asarray(list(L_grid), dtype=float))
-    values = []
+    values, densities = [], ()
     for L in Ls:
         chain = geometry.build_chain(cfg, float(L), resolution=resolution)
-        values.append(pairing_value(chain, a_builder(chain), b_builder(chain)))
-    return PairingCurve(L=Ls, s=np.exp(-Ls), values=np.asarray(values))
+        densities = a_builder(chain), b_builder(chain)
+        values.append(pairing_value(chain, *densities))
+    return PairingCurve(L=Ls, s=np.exp(-Ls), values=np.asarray(values), densities=densities)
 
 
 @dataclass(frozen=True)

@@ -171,12 +171,9 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
         sup_high = float(np.max(np.abs(high)))
         sup_a = float(np.max(np.abs(dens.values))) if dens.values.size else 0.0
         quad_abs = np.abs(dens.quad_values)
-        fat_mask = np.zeros_like(quad_abs, dtype=bool)
-        for seg_idx, seg in enumerate(chain.segments):
-            if seg.kind == "fat":
-                fat_mask[chain.cell_segment == seg_idx] = True
+        fat_cell = np.array([seg.kind == "fat" for seg in chain.segments])[chain.cell_segment]
         weights = geometry.TWO_PI * chain.quad_c * chain.quad_w
-        l1_fat = float(np.sum(quad_abs * weights * fat_mask))
+        l1_fat = float(np.sum(quad_abs * weights * fat_cell[:, None]))
         l1_full = float(np.sum(quad_abs * weights))
         rows.append(EstimateRow(
             L=L,

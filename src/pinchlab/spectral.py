@@ -530,25 +530,21 @@ def model_functions(chain: geometry.WarpedChain) -> ModelFunctionSet:
             "model functions need at least two components; with N = 1 the "
             "ramps at both neck ends would overlap"
         )
-    fats = chain.fat_segments()
-    necks = chain.neck_segments()
+    position = {(s.kind, s.index): k for k, s in enumerate(chain.segments)}
     areas = chain.cfg.area_vector()
     P = chain.total_length
     x = chain.nodes
+    at = chain.segment_at(x)
     funcs = np.zeros((N, chain.n_nodes))
     supports = []
     for i in range(N):
         height = 1.0 / np.sqrt(areas[i])
-        fat = fats[i]
-        nxt = necks[i]                   # neck after fat i
-        prv = necks[(i - 1) % N]         # neck before fat i
-        vals = np.zeros_like(x)
-        vals[(x >= fat.x0 - 1e-15) & (x < fat.x1 - 1e-15)] = height
-        mask = (x >= nxt.x0 - 1e-15) & (x < nxt.x1 - 1e-15)
-        vals[mask] = height * (nxt.x1 - x[mask]) / nxt.length
-        mask = (x >= prv.x0 - 1e-15) & (x < prv.x1 - 1e-15)
-        vals[mask] = height * (x[mask] - prv.x0) / prv.length
-        funcs[i] = vals
+        nxt, prv = (chain.segments[position["neck", j]] for j in (i, (i - 1) % N))
+        funcs[i, at == position["fat", i]] = height
+        mask = at == position["neck", i]               # down across the neck after fat i
+        funcs[i, mask] = height * (nxt.x1 - x[mask]) / nxt.length
+        mask = at == position["neck", (i - 1) % N]     # up across the neck before fat i
+        funcs[i, mask] = height * (x[mask] - prv.x0) / prv.length
         supports.append((prv.x0 % P, nxt.x1 % P))
     ops = chain.operators
     energies = _quadratic_forms(ops.gradient, funcs)

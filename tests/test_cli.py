@@ -240,6 +240,9 @@ class TestExitContract:
          [], "radial_per_decade must be at least 1, got -3"),
         ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nbase_n_r = -1"),
          ["growth"], "n_r=-1"),
+        # the chain is sharp: c is constant on each segment
+        ("spectrum", ("n_components = 2", "n_components = 2\nsmoothing_width = 0.05"), [],
+         "'smoothing_width' in [family]"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG

@@ -1,4 +1,4 @@
-"""Chain layout, area accounting, and density sampling."""
+"""Chain layout, segment lookup, area accounting, and density sampling."""
 
 import math
 
@@ -9,7 +9,6 @@ from pinchlab.errors import ValidationError
 from pinchlab.geometry import (
     DensitySpec,
     FamilyConfig,
-    area_report,
     build_chain,
     cosine_bump_profile,
     density_from_callable,
@@ -24,6 +23,20 @@ TWO_PI = 2.0 * math.pi
 I2 = FamilyConfig(n_components=2)
 I3 = FamilyConfig(n_components=3)
 TORUS = FamilyConfig(n_components=1, no_neck=True)
+
+
+def areas(chain):
+    """Fat area per component and the thin (neck) total, each segment 2*pi*c*length."""
+    fats = np.zeros(chain.cfg.n_components)
+    for seg in chain.segments:
+        if seg.kind == "fat":
+            fats[seg.index] += TWO_PI * seg.c * seg.length
+    thin = sum(TWO_PI * seg.c * seg.length for seg in chain.segments if seg.kind == "neck")
+    return fats, thin
+
+
+def total_area(chain):
+    return chain.integrate_area(np.ones_like(chain.quad_w))
 
 
 class TestBuildChain:
@@ -42,9 +55,8 @@ class TestBuildChain:
     def test_no_neck_flat_torus(self):
         chain = build_chain(TORUS, L=100.0)
         assert chain.total_length == pytest.approx(1.0)
-        rep = area_report(chain)
-        assert rep.thin_total == 0.0
-        assert rep.total == pytest.approx(1.0)
+        assert areas(chain)[1] == 0.0
+        assert total_area(chain) == pytest.approx(1.0)
 
     def test_model_validity_error(self):
         with pytest.raises(ValidationError, match="model validity"):
@@ -69,27 +81,46 @@ class TestBuildChain:
         a = build_chain(I2, 60.0, resolution=16)
         b = build_chain(I2, 60.0, resolution=32)
         assert b.n_nodes > a.n_nodes
-        assert area_report(a).total == pytest.approx(area_report(b).total, abs=1e-13)
+        assert total_area(a) == pytest.approx(total_area(b), abs=1e-13)
+
+
+class TestSegmentAt:
+    @pytest.mark.parametrize("cfg, L", [(I2, 30.0), (I3, 77.0), (TORUS, 50.0)])
+    def test_nodes_and_gauss_points_lie_in_their_cells_segment(self, cfg, L):
+        chain = build_chain(cfg, L, resolution=13)
+        np.testing.assert_array_equal(chain.segment_at(chain.nodes), chain.cell_segment)
+        expected = np.repeat(chain.cell_segment[:, None], chain.quad_x.shape[1], axis=1)
+        np.testing.assert_array_equal(chain.segment_at(chain.quad_x), expected)
+
+    def test_interface_belongs_to_the_segment_starting_there(self):
+        chain = build_chain(I3, 77.0, resolution=13)
+        for k, seg in enumerate(chain.segments):
+            assert chain.segment_at(seg.x0) == k
+            # x1 of the last segment is P, which wraps to segment 0
+            assert chain.segment_at(seg.x1) == (k + 1) % len(chain.segments)
 
 
 class TestAreaReport:
     def test_i2_totals(self):
-        rep = area_report(build_chain(I2, L=100.0))
-        assert rep.thin_total == pytest.approx(0.12566, abs=1e-4)
-        assert rep.total == pytest.approx(1.12566, abs=1e-4)
+        chain = build_chain(I2, L=100.0)
+        assert areas(chain)[1] == pytest.approx(0.12566, abs=1e-4)
+        assert total_area(chain) == pytest.approx(1.12566, abs=1e-4)
 
     def test_thin_scales_inversely_with_L(self):
-        r1 = area_report(build_chain(I2, L=50.0))
-        r2 = area_report(build_chain(I2, L=500.0))
-        assert r1.thin_total / r2.thin_total == pytest.approx(10.0, rel=1e-12)
+        thin_50 = areas(build_chain(I2, L=50.0))[1]
+        thin_500 = areas(build_chain(I2, L=500.0))[1]
+        assert thin_50 / thin_500 == pytest.approx(10.0, rel=1e-12)
 
     def test_total_formula(self):
         for cfg in [I2, I3]:
             for L in [25.0, 80.0]:
-                rep = area_report(build_chain(cfg, L))
+                chain = build_chain(cfg, L)
+                fats, thin = areas(chain)
                 expected = 1.0 + TWO_PI * cfg.n_components / L
-                assert rep.total == pytest.approx(expected, abs=1e-12)
-                assert abs(rep.fat_areas.sum() + rep.thin_total - rep.total) <= 1e-12
+                assert total_area(chain) == pytest.approx(expected, abs=1e-12)
+                assert abs(fats.sum() + thin - total_area(chain)) <= 1e-12
+                # each fat area is the configured component area
+                np.testing.assert_allclose(fats, cfg.area_vector(), rtol=1e-12)
 
 
 class TestDensities:
@@ -158,18 +189,3 @@ class TestDensities:
         dens = density_from_spec(spec, chain)
         np.testing.assert_allclose(dens.values, dens.evaluate(chain.nodes), atol=0)
 
-
-class TestSmoothing:
-    def test_smoothed_chain_area_close_to_sharp(self):
-        sharp = build_chain(I2, 80.0)
-        smooth = build_chain(
-            FamilyConfig(n_components=2, smoothing_width=0.05), 80.0
-        )
-        assert area_report(smooth).total == pytest.approx(
-            area_report(sharp).total, rel=1e-2
-        )
-
-    def test_excessive_smoothing_rejected(self):
-        cfg = FamilyConfig(n_components=2, smoothing_width=2.0)
-        with pytest.raises(ValidationError):
-            build_chain(cfg, 80.0)

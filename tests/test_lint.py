@@ -1,8 +1,8 @@
 """Lint with the standard library: no module imports a name it never uses, no
 pinchlab module imports scipy when it loads, only ``spectral.load_scipy``
 imports it at all, the CLI imports no layer module when it loads, no layer
-imports names from another layer when it loads, and least-squares lines are
-fitted in one place."""
+imports names from another layer when it loads, least-squares lines are
+fitted in one place, and one method places points against segment ends."""
 
 import ast
 from pathlib import Path
@@ -168,20 +168,27 @@ def test_lint_finds_a_module_level_name_import():
     assert module_level_name_imports(text) == ["errors", "spectral", "geometry", "dualgraph"]
 
 
-def line_fit_reads(text: str) -> list[tuple[str, str]]:
-    """(innermost enclosing function or ``<module>``, expression) of each ``polyfit`` or
-    ``lstsq`` attribute read, such as ``np.polyfit`` or ``np.linalg.lstsq``."""
+def enclosed_matches(text: str, match) -> list[tuple[str, str]]:
+    """(innermost enclosing function or ``<module>``, expression) of each node that
+    ``match`` accepts."""
     found = []
 
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr in {"polyfit", "lstsq"}:
+            if match(child):
                 found.append((where, ast.unparse(child)))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             walk(child, child.name if inner else where)
 
     walk(ast.parse(text), "<module>")
     return found
+
+
+def line_fit_reads(text: str) -> list[tuple[str, str]]:
+    """Where and what each ``polyfit`` or ``lstsq`` attribute read is, such as
+    ``np.polyfit`` or ``np.linalg.lstsq``."""
+    return enclosed_matches(text, lambda node: isinstance(node, ast.Attribute)
+                            and node.attr in {"polyfit", "lstsq"})
 
 
 # the functions allowed a least-squares line of their own: geometry.line_fit, and
@@ -204,3 +211,29 @@ def test_lint_finds_a_line_fit_outside_line_fit():
             "def other():\n    return np.polyval(p, x)\n")
     assert line_fit_reads(text) == [("<module>", "np.polyfit"), ("line_fit", "np.linalg.lstsq"),
                                     ("inner", "numpy.polyfit"), ("fit", "np.lstsq")]
+
+
+def segment_bound_comparisons(text: str) -> list[tuple[str, str]]:
+    """Where and what each comparison reading an ``x0`` or ``x1`` attribute is, such as
+    ``x >= seg.x0 - 1e-15``."""
+    return enclosed_matches(text, lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(sub, ast.Attribute) and sub.attr in {"x0", "x1"} for sub in ast.walk(node)))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "pinchlab").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_segments_are_looked_up_by_segment_at(path):
+    # one boundary rule, [x0, x1): WarpedChain.segment_at is the only function
+    # that may place a point against a segment's ends
+    found = segment_bound_comparisons(path.read_text())
+    assert [f for f in found if (path.name, f[0]) != ("geometry.py", "segment_at")] == []
+
+
+def test_lint_finds_a_segment_bound_comparison():
+    text = ("def profile(seg, x):\n    return (x >= seg.x0 - 1e-15) & (x < seg.x1)\n"
+            "class WarpedChain:\n    def segment_at(self, x):\n"
+            "        return x < self.segments[0].x1\n"
+            "def length(seg):\n    return seg.x1 - seg.x0\nok = seg.length > 0\n")
+    assert segment_bound_comparisons(text) == [
+        ("profile", "x >= seg.x0 - 1e-15"), ("profile", "x < seg.x1"),
+        ("segment_at", "x < self.segments[0].x1")]
