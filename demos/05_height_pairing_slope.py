@@ -15,7 +15,6 @@ from pinchlab import (
     density_from_callable,
     density_from_spec,
     fit_log_asymptote,
-    holder_probe,
     neck_wave_profile,
     pairing_sweep,
     predicted_constant,
@@ -47,7 +46,5 @@ print(f"slope in t = {rep.slope_in_t:+.6f} = {rep.degree} x slope in s "
 print("\n== a pair that never blows up: neck-supported waves ==")
 nb = lambda chain: density_from_callable(neck_wave_profile(chain, 0), chain)
 curve = pairing_sweep(cfg, nb, nb, np.geomspace(25, 200, 9), resolution=32)
-probe = holder_probe(curve)
 print("values * L:", np.round(curve.values * curve.L, 4))
-print(f"decay family: {probe.best_family}, power exponent "
-      f"{probe.power_exponent:.3f}, limit {probe.limit_estimate:+.2e}")
+print("last values:", " ".join(f"{v:.3e}" for v in curve.values[-3:]), "(about 2/L)")

@@ -14,8 +14,8 @@ from pinchlab.nodeintegral import (
     asymptote_fit,
     constant_eta,
     fiber_annulus_integral,
+    fiber_integral,
     sample_curve,
-    smooth_fiber_continuity,
 )
 
 eta = constant_eta()
@@ -38,6 +38,6 @@ fit2 = asymptote_fit(sample_curve(eta2, np.geomspace(1e-2, 1e-6, 9)), eta2)
 print(f"A_fit = {fit2.A_fit:+.2e} (reference {fit2.A_ref:.1f})")
 
 print("\n== plain fiber integrals extend continuously ==")
-rep = smooth_fiber_continuity(eta, np.geomspace(1e-2, 1e-6, 7))
-print(f"limit = {rep.limit_estimate:.8f}, effective exponent "
-      f"{rep.exponent:.2f} (raw {rep.raw_exponent:.2f}), cauchy = {rep.cauchy}")
+for t in np.geomspace(1e-2, 1e-6, 7):
+    J = fiber_integral(eta, t)
+    print(f"|t|={t:.1e}  J={J:.12f}  pi - J={math.pi - J:.2e}")

@@ -23,7 +23,7 @@ _API = {
                 " cosine_bump_profile density_from_callable density_from_spec"
                 " neck_wave_profile sine_bump_profile step_density_spec",
     "pairing": "FitResult PairingCurve base_change_consistency fit_log_asymptote"
-               " holder_probe pairing_sweep pairing_value predicted_constant",
+               " pairing_sweep pairing_value predicted_constant",
     "potential": "PreferredPotential estimate_report solve_direct solve_spectral split_low_high",
     "spectral": "EigenSystem correlation_matrix full_spectra full_spectrum graph_limit_eigs"
                 " model_functions solve_modes truncated_green_min",

@@ -26,7 +26,7 @@ _PATTERN_KEYS = {
 
 _SCHEMA: dict[str, set[str] | str] = {
     "family": {
-        "n_components", "areas", "neck_length", "fat_circumference", "no_neck",
+        "n_components", "areas", "neck_length", "no_neck",
     },
     "density.alpha": "density",
     "density.beta": "density",
@@ -126,9 +126,6 @@ class ExperimentConfig:
             n_components=n,
             areas=areas,
             neck_length=self.get_float("family", "neck_length", "1.0"),
-            fat_circumference=self.get_float(
-                "family", "fat_circumference", repr(1.0 / (2 * math.pi))
-            ),
             no_neck=self.get_bool("family", "no_neck", "false"),
         )
         try:

@@ -2,7 +2,7 @@
 
 The model fiber is a circle of length P carrying the metric
 ``dx^2 + c(x)^2 dtheta^2`` with a piecewise-constant circumference profile:
-N "fat" segments of weight ``c_fat`` (one per irreducible component,
+N "fat" segments of weight ``C_FAT`` (one per irreducible component,
 Riemannian area A_i each) alternating with N "neck" segments of weight
 ``c_thin = 1/L``, where ``L = log(1/|s|)`` plays the role of the degeneration
 parameter.  Each neck then has conductance ``2*pi*c_thin/l0 = 2*pi/L``,
@@ -26,6 +26,8 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 2.0 * TWO_PI
+# circumference of every fat segment
+C_FAT = 1.0 / TWO_PI
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for the piecewise-constant
 # data used here and far beyond tolerance for the low trigonometric terms.
@@ -48,7 +50,6 @@ class FamilyConfig:
     n_components: int
     areas: tuple[float, ...] | None = None
     neck_length: float = 1.0
-    fat_circumference: float = 1.0 / TWO_PI
     no_neck: bool = False
 
     def __post_init__(self):
@@ -61,9 +62,6 @@ class FamilyConfig:
         if not 0 < self.neck_length < math.inf:
             raise ValidationError("neck_length must be positive and finite, "
                                   f"got {self.neck_length}")
-        if not 0 < self.fat_circumference < math.inf:
-            raise ValidationError("fat_circumference must be positive and finite, "
-                                  f"got {self.fat_circumference}")
         if self.no_neck and self.n_components != 1:
             raise ValidationError("the no-neck degenerate family requires N = 1")
 
@@ -111,10 +109,6 @@ class WarpedChain:
         return self.nodes.size
 
     @property
-    def c_fat(self) -> float:
-        return self.cfg.fat_circumference
-
-    @property
     def c_thin(self) -> float:
         # neck weight scaled so the conductance 2*pi*c_thin/l0 is exactly
         # the flat-annulus value 2*pi/L for every neck length
@@ -125,21 +119,10 @@ class WarpedChain:
         ext = np.append(self.nodes, self.total_length)
         return np.diff(ext)
 
-    @property
-    def neck_conductance(self) -> float:
-        """Per-neck conductance 2*pi*c_thin / neck_length (equals 2*pi/L)."""
-        return TWO_PI * self.c_thin / self.cfg.neck_length
-
     def segment_at(self, x) -> np.ndarray:
         """Index into ``segments`` of the [x0, x1) segment holding each x mod P."""
         starts = [seg.x0 for seg in self.segments]
         return np.searchsorted(starts, np.mod(x, self.total_length), side="right") - 1
-
-    def fat_segments(self) -> list[Segment]:
-        return [s for s in self.segments if s.kind == "fat"]
-
-    def neck_segments(self) -> list[Segment]:
-        return [s for s in self.segments if s.kind == "neck"]
 
     def integrate_area(self, values_at_quad: np.ndarray) -> float:
         """Integral against dA = 2*pi*c(x) dx of samples on the quad table."""
@@ -167,27 +150,27 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
     """Lay out the alternating fat/neck segments and the cyclic grid.
 
     Every interface lands exactly on a grid node, so piecewise data is smooth
-    within each cell.  Model validity requires ``c_thin = 1/L < c_fat``.
+    within each cell.  Model validity requires ``c_thin = 1/L < C_FAT``.
     """
     if resolution < 8:
         raise ValidationError("resolution must be at least 8 nodes per unit length")
     if not 0 < L < math.inf:
         raise ValidationError(f"L must be positive and finite, got {L}")
     c_thin = cfg.neck_length / L
-    if not cfg.no_neck and c_thin >= cfg.fat_circumference:
+    if not cfg.no_neck and c_thin >= C_FAT:
         raise ValidationError(
             f"model validity requires L > "
-            f"{cfg.neck_length / cfg.fat_circumference:.6g} "
-            f"(neck weight must stay below c_fat); got L = {L}"
+            f"{cfg.neck_length / C_FAT:.6g} "
+            f"(neck weight must stay below the fat circumference); got L = {L}"
         )
     areas = cfg.area_vector()
-    fat_lengths = areas / (TWO_PI * cfg.fat_circumference)
+    fat_lengths = areas / (TWO_PI * C_FAT)
 
     segments: list[Segment] = []
     x = 0.0
     for i in range(cfg.n_components):
         x1 = x + float(fat_lengths[i])
-        segments.append(Segment("fat", i, x, x1, cfg.fat_circumference))
+        segments.append(Segment("fat", i, x, x1, C_FAT))
         x = x1
         if not cfg.no_neck:
             x2 = x1 + cfg.neck_length

@@ -263,7 +263,8 @@ def asymptote_fit(curve: NodeIntegralCurve, eta: EtaSpec) -> AsymptoteFit:
     A_fit, B_fit, _ = geometry.line_fit(X, curve.values)
 
     A_ref = divisor_integral(eta)
-    B_ref = float(np.median(curve.values[-3:] - A_ref * X[-3:]))
+    # the middle of three; np.median would import numpy.ma for its NaN check
+    B_ref = float(sorted(curve.values[-3:] - A_ref * X[-3:])[1])
     remainder = curve.values - (A_ref * X + B_ref)
     denom = at * np.log(at) ** 2
     ratios = np.abs(remainder) / denom
@@ -293,43 +294,8 @@ def aitken_limit(values) -> float:
 
 def gap_to_limit(values):
     """(Aitken limit of ``values``, |values - limit|, mask of the gaps above the
-    rounding level 1e-13 * max(1, max|values|)): the start of both decay probes."""
+    rounding level 1e-13 * max(1, max|values|)): a converging sequence's error bar."""
     limit = aitken_limit(values)
     gap = np.abs(values - limit)
     return limit, gap, gap > 1e-13 * max(1.0, float(np.abs(values).max()))
 
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    limit_estimate: float
-    exponent: float          # reported in (0, 1]
-    raw_exponent: float
-    cauchy: bool
-
-
-def smooth_fiber_continuity(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
-                            n_theta: int = 64) -> ContinuityReport:
-    """Modulus-of-continuity probe for the plain fiber integral J(t).
-
-    Extrapolates the limit from the smallest samples and fits
-    |J - limit| ~ C |t|^a; the reported exponent is clipped into (0, 1]
-    (the asymptotic statement concerns small exponents only).
-    """
-    ts = sorted((complex(t) for t in t_grid), key=abs, reverse=True)
-    if len(ts) < 4:
-        raise ValidationError("need at least 4 samples")
-    J = np.array([fiber_integral(eta, t, radial_per_decade, n_theta) for t in ts])
-    at = np.abs(np.asarray(ts))
-    limit, diffs, mask = gap_to_limit(J)
-    if int(mask.sum()) >= 2:
-        raw = geometry.line_fit(np.log(at[mask]), np.log(diffs[mask]))[0]
-    else:
-        raw = 1.0  # indistinguishable from its limit at every sample
-    steps = np.abs(np.diff(J))
-    cauchy = bool(steps[-1] <= steps[0] + 1e-13)
-    return ContinuityReport(
-        limit_estimate=limit,
-        exponent=float(min(max(raw, 1e-6), 1.0)),
-        raw_exponent=raw,
-        cauchy=cauchy,
-    )

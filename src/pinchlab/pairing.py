@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dualgraph, geometry, nodeintegral, potential
+from . import dualgraph, geometry, potential
 from .errors import ValidationError
 
 
@@ -163,46 +163,3 @@ def base_change_consistency(cfg: geometry.FamilyConfig, d: int, t_L_grid, a_buil
         slope_in_s=slope_s,
     )
 
-
-@dataclass(frozen=True)
-class HolderProbe:
-    """Exploratory decay-model comparison for a converging pairing curve."""
-
-    converged: bool
-    limit_estimate: float
-    best_family: str            # "power" or "exponential"
-    power_exponent: float
-    power_rms: float            # of the line fitted to log|value - limit|
-    exp_rate: float
-    exp_rms: float              # likewise
-
-
-def holder_probe(curve: PairingCurve) -> HolderProbe:
-    """Fit |value - limit| against power-law and exponential decay families.
-
-    The limit is the Aitken extrapolation of the last three samples;
-    log|value - limit| is then fitted by a line in log L (power law) and in
-    L (exponential).  Output is exploratory data, never a pass/fail: the
-    sharp modulus of continuity of the extension is an open question.
-    """
-    L = curve.L
-    y = curve.values
-    if L.size < 5:
-        raise ValidationError("probe needs at least 5 samples")
-    diffs = np.abs(np.diff(y))
-    converged = bool(diffs[-1] <= diffs[0] + 1e-15)
-    limit, gap, mask = nodeintegral.gap_to_limit(y)
-    if int(mask.sum()) < 2:
-        raise ValidationError("probe needs 2 samples distinguishable from the limit")
-    log_gap = np.log(gap[mask])
-    power_slope, _, power_rms = geometry.line_fit(np.log(L[mask]), log_gap)
-    exp_slope, _, exp_rms = geometry.line_fit(L[mask], log_gap)
-    return HolderProbe(
-        converged=converged,
-        limit_estimate=limit,
-        best_family="power" if power_rms <= exp_rms else "exponential",
-        power_exponent=-power_slope,
-        power_rms=power_rms,
-        exp_rate=-exp_slope,
-        exp_rms=exp_rms,
-    )

@@ -243,6 +243,9 @@ class TestExitContract:
         # the chain is sharp: c is constant on each segment
         ("spectrum", ("n_components = 2", "n_components = 2\nsmoothing_width = 0.05"), [],
          "'smoothing_width' in [family]"),
+        # every fat segment has circumference 1/(2*pi)
+        ("spectrum", ("n_components = 2", "n_components = 2\nfat_circumference = 0.2"), [],
+         "'fat_circumference' in [family]"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG
@@ -308,12 +311,7 @@ class TestExitContract:
 
 
 def test_cli_import_skips_scipy_optimize():
-    # neither the CLI nor the holder probe, its last user, loads scipy.optimize
-    code = ("import sys, numpy as np, pinchlab.cli\n"
-            "from pinchlab.pairing import PairingCurve, holder_probe\n"
-            "L = np.geomspace(20, 300, 12)\n"
-            "holder_probe(PairingCurve(L=L, s=np.exp(-L), values=5.0 + 1.0 / L))\n"
-            "print('scipy.optimize' in sys.modules)")
+    code = "import sys, pinchlab.cli; print('scipy.optimize' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -346,6 +344,15 @@ def test_frozen_heap_leaves_command_output_unchanged():
                                 "sys.exit(main(['kodaira', '--type', 'I_4']))")
     assert frozen.returncode == unfrozen.returncode == 0, frozen.stderr + unfrozen.stderr
     assert frozen.stdout == unfrozen.stdout and "passed=True" in frozen.stdout
+
+
+def test_node_integral_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh process about 18 ms to import; np.median imports it
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "node.cfg")
+    proc = run_python("-c", "import sys; from pinchlab.cli import main; "
+                            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)",
+                      "node-integral", "--config", cfg, "--out", str(tmp_path))
+    assert proc.stdout.splitlines()[-1] == "False", proc.stderr
 
 
 # every section a table command reads, at sizes that keep each command well under a second

@@ -43,13 +43,13 @@ class TestBuildChain:
     def test_i2_defaults_at_L100(self):
         chain = build_chain(I2, L=100.0)
         assert chain.c_thin == pytest.approx(0.01)
-        fat_lengths = [s.length for s in chain.fat_segments()]
+        fat_lengths = [seg.length for seg in chain.segments if seg.kind == "fat"]
         assert fat_lengths == pytest.approx([0.5, 0.5])
         assert chain.total_length == pytest.approx(3.0)
 
     def test_thin_area_per_neck(self):
         chain = build_chain(I2, L=100.0)
-        neck = chain.neck_segments()[0]
+        neck = next(seg for seg in chain.segments if seg.kind == "neck")
         assert TWO_PI * neck.c * neck.length == pytest.approx(0.06283185, rel=1e-6)
 
     def test_no_neck_flat_torus(self):
@@ -75,7 +75,8 @@ class TestBuildChain:
     def test_conductance_law(self):
         for L in [20.0, 50.0, 200.0]:
             chain = build_chain(I3, L)
-            assert abs(chain.neck_conductance - TWO_PI / L) <= 1e-12
+            conductance = TWO_PI * chain.c_thin / chain.cfg.neck_length
+            assert abs(conductance - TWO_PI / L) <= 1e-12
 
     def test_refinement_keeps_geometry(self):
         a = build_chain(I2, 60.0, resolution=16)

@@ -2,7 +2,8 @@
 pinchlab module imports scipy when it loads, only ``spectral.load_scipy``
 imports it at all, the CLI imports no layer module when it loads, no layer
 imports names from another layer when it loads, least-squares lines are
-fitted in one place, and one method places points against segment ends."""
+fitted in one place, one method places points against segment ends, and every
+public function and class of the package has a user besides the tests."""
 
 import ast
 from pathlib import Path
@@ -237,3 +238,68 @@ def test_lint_finds_a_segment_bound_comparison():
     assert segment_bound_comparisons(text) == [
         ("profile", "x >= seg.x0 - 1e-15"), ("profile", "x < seg.x1"),
         ("segment_at", "x < self.segments[0].x1")]
+
+
+def names_read(node) -> set[str]:
+    """Names read under ``node``: names, attributes, imported names, and strings (perfbench's
+    tracer looks the layer functions up by name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def unreferenced_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class of ``modules`` (module
+    name -> source) that no code in ``modules`` or ``users`` reads outside its own
+    definition."""
+    trees = {module: ast.parse(text) for module, text in modules.items()}
+    read = set().union(*(names_read(ast.parse(text)) for text in users))
+    found = []
+    for module, tree in trees.items():
+        elsewhere = read.union(*(names_read(other) for name, other in trees.items()
+                                 if name != module))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = set().union(*(names_read(top) for top in tree.body if top is not node))
+                if node.name not in elsewhere | own:
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+# public definitions kept for the ROADMAP item that will use them
+AWAITING_USE = {
+    "dualgraph.parse_graph": "item 10, the [family] graph key",
+    "nodeintegral.check_quadrature_convergence": "item 8, the run records",
+    "potential.circuit_potentials": "item 5, criterion 8's circuit check",
+    "nodeintegral.gap_to_limit": "item 2, c_fit's L-remainder bar",
+}
+
+
+def test_every_public_definition_has_a_user_besides_the_tests():
+    # the package's __init__ only re-exports; tests do not count as users
+    package = ROOT / "src" / "pinchlab"
+    modules = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"}
+    users = [path.read_text() for path in sorted({*(ROOT / "demos").glob("*.py"),
+                                                  *(ROOT / "perfbench").glob("*.py")})]
+    assert sorted(unreferenced_definitions(modules, users)) == sorted(AWAITING_USE)
+
+
+def test_lint_finds_an_unreferenced_definition():
+    modules = {
+        "a": ("def used():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
+              "class Dead:\n    pass\ndef _private():\n    pass\n"
+              "def caller():\n    return used()\n"),
+        "b": "from .a import caller\nLOOKUP = 'by_name'\ndef by_name():\n    pass\n",
+    }
+    users = ["import pinchlab.a as a\na.caller()\n"]
+    assert unreferenced_definitions(modules, users) == ["a.recursive", "a.Dead"]

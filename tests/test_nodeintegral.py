@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import nodeintegral
 from pinchlab.errors import ValidationError
 from pinchlab.nodeintegral import (
     EtaSpec,
+    aitken_limit,
     asymptote_fit,
     check_quadrature_convergence,
     constant_eta,
     divisor_integral,
     fiber_annulus_integral,
     fiber_integral,
+    gap_to_limit,
     sample_curve,
-    smooth_fiber_continuity,
 )
 
 PI = math.pi
@@ -150,28 +150,36 @@ class TestAsymptoteFit:
 
 
 class TestSmoothFiberContinuity:
+    """The plain fiber integral J(t) extends continuously to the node: J(t) -> pi
+    on the constant density, with the Aitken limit of its samples."""
+
+    T_GRID = np.geomspace(1e-2, 1e-6, 7)
+
     def test_zero_eta(self):
-        rep = smooth_fiber_continuity(EtaSpec({}), np.geomspace(1e-2, 1e-6, 6))
-        assert rep.limit_estimate == 0.0
+        J = [fiber_integral(EtaSpec({}), t) for t in self.T_GRID]
+        assert J == [0.0] * len(J)
+        assert aitken_limit(J) == 0.0
 
     def test_constant_eta_cauchy_positive_exponent(self):
-        rep = smooth_fiber_continuity(constant_eta(), np.geomspace(1e-2, 1e-6, 7))
-        assert rep.cauchy
-        assert 0 < rep.exponent <= 1.0
-        assert rep.limit_estimate == pytest.approx(PI, abs=1e-6)
+        J = np.array([fiber_integral(constant_eta(), t) for t in self.T_GRID])
+        steps = np.abs(np.diff(J))
+        assert np.all(steps[1:] < steps[:-1])
+        limit, gap, mask = gap_to_limit(J)
+        assert limit == pytest.approx(PI, abs=1e-6)
+        assert mask.all() and np.all(gap[1:] < gap[:-1])
 
-    def test_aitken_limit_of_a_geometric_sequence(self, monkeypatch):
-        # J = 5 + |t| at |t| = 2, 1, 0.5, 0.25: the last three are 6, 5.5, 5.25
-        monkeypatch.setattr(nodeintegral, "fiber_integral", lambda eta, t, *args: 5.0 + abs(t))
-        rep = smooth_fiber_continuity(constant_eta(), [2.0, 1.0, 0.5, 0.25])
-        assert rep.limit_estimate == pytest.approx(5.0, abs=1e-12)
-        assert rep.raw_exponent == pytest.approx(1.0, abs=1e-9)
+    def test_aitken_limit_of_a_geometric_sequence(self):
+        # 6, 5.5, 5.25 -> 5; the second difference with its sign reversed gives 7
+        assert aitken_limit([6.0, 5.5, 5.25]) == 5.0
+        limit, gap, mask = gap_to_limit(np.array([5.0, 6.0, 5.5, 5.25]))
+        assert limit == 5.0
+        np.testing.assert_array_equal(gap, [0.0, 1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(mask, [False, True, True, True])
 
     def test_constant_eta_exponent_two(self):
-        # J(t) = pi - pi |t|^2 on the constant density
-        rep = smooth_fiber_continuity(constant_eta(), np.geomspace(1e-2, 1e-6, 7))
-        assert rep.raw_exponent == pytest.approx(2.0, abs=0.01)
-        assert rep.limit_estimate == pytest.approx(PI, abs=1e-11)
+        # J(t) = pi - pi |t|^2 on the constant density, to the quadrature's accuracy
+        for t in self.T_GRID:
+            assert abs(fiber_integral(constant_eta(), t) - (PI - PI * t**2)) <= 1e-8
 
     def test_refinement_stability(self):
         a = fiber_integral(constant_eta(), 1e-3, 32, 64)

@@ -1,6 +1,4 @@
-"""Height pairing: algebraic properties, slope law, base change, decay probe."""
-
-import math
+"""Height pairing: algebraic properties, slope law, base change."""
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from pinchlab.pairing import (
     PairingCurve,
     base_change_consistency,
     fit_log_asymptote,
-    holder_probe,
     pairing_energy,
     pairing_sweep,
     pairing_value,
@@ -192,27 +189,3 @@ class TestBaseChange:
         # log|t|^2 = log|s|^2 / d turns the slope by exactly d
         assert rep.slope_in_t == pytest.approx(3 * rep.slope_in_s, rel=1e-9)
 
-
-class TestHolderProbe:
-    def test_power_law_recovery(self):
-        L = np.geomspace(20, 300, 12)
-        curve = PairingCurve(L=L, s=np.exp(-L), values=5.0 + 1.0 / L)
-        probe = holder_probe(curve)
-        assert probe.best_family == "power"
-        assert probe.power_exponent == pytest.approx(1.0, abs=0.05)
-        assert probe.limit_estimate == pytest.approx(5.0, abs=1e-3)
-
-    def test_exponential_recovery(self):
-        L = np.linspace(10, 60, 12)
-        curve = PairingCurve(L=L, s=np.exp(-L), values=5.0 + np.exp(-0.3 * L))
-        probe = holder_probe(curve)
-        assert probe.best_family == "exponential"
-        assert probe.exp_rate == pytest.approx(0.3, rel=0.05)
-
-    def test_real_condition2_run_reports(self):
-        curve = pairing_sweep(I2, neck_builder(0), neck_builder(0),
-                              np.geomspace(25, 200, 9), resolution=24)
-        probe = holder_probe(curve)
-        assert probe.converged
-        assert math.isfinite(probe.limit_estimate)
-        assert probe.best_family == "power"  # the neck area decays like 1/L

@@ -41,7 +41,7 @@ def flux_report(chain, pot) -> np.ndarray:
     phi_ext = np.append(pot.phi, pot.phi[0])
     slope = np.diff(phi_ext) / h
     flux_at = {}
-    for neck in chain.neck_segments():
+    for neck in (seg for seg in chain.segments if seg.kind == "neck"):
         mid = neck.x0 + neck.length / 2
         cell = int(np.searchsorted(chain.nodes, mid, side="right") - 1)
         flux_at[neck.index] = TWO_PI * neck.c * slope[cell]
@@ -84,10 +84,9 @@ class TestDirectSolve:
         chain = build_chain(I2, 100.0, resolution=48)
         dens = density_from_spec(step_density_spec([2.0, -2.0]), chain)
         pot = solve_direct(chain, dens)
-        # network oracle: plateau gap a0*L/2 across each neck
-        plateaus = circuit_potentials(
-            [0.5, 0.5], [(0, 1), (0, 1)], chain.neck_conductance, [1.0, -1.0]
-        )
+        # network oracle: plateau gap a0*L/2 across each neck of conductance 2*pi/L
+        conductance = TWO_PI * chain.c_thin / chain.cfg.neck_length
+        plateaus = circuit_potentials([0.5, 0.5], [(0, 1), (0, 1)], conductance, [1.0, -1.0])
         assert plateaus[0] == pytest.approx(50.0, rel=1e-12)
         assert pot.sup_norm() == pytest.approx(50.0, rel=0.10)
 

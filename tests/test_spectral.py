@@ -13,7 +13,7 @@ from pinchlab import spectral
 from pinchlab.configfile import load_config
 from pinchlab.dualgraph import cycle_graph
 from pinchlab.errors import ConvergenceError, StructureError, ValidationError
-from pinchlab.geometry import FamilyConfig, build_chain
+from pinchlab.geometry import C_FAT, FamilyConfig, build_chain
 from pinchlab.spectral import (
     assemble_mode_operator,
     correlation_matrix,
@@ -59,8 +59,7 @@ class TestAssembly:
     def test_mode1_rayleigh_bound_uniform_weight(self):
         chain = torus_chain(resolution=32)
         lam, _ = solve_modes(chain, 1, 5)
-        c = chain.c_fat
-        assert np.all(lam >= 1.0 / c**2 - 1e-8)
+        assert np.all(lam >= 1.0 / C_FAT**2 - 1e-8)
 
 
 def config_chain(name: str, L: float = 100.0, resolution: int = 48):
@@ -251,7 +250,7 @@ class TestCertification:
     def test_certificate_below_excluded_mode_bound(self):
         chain = build_chain(I2, 60.0, resolution=24)
         eigsys = full_spectrum(chain, m_max=3, k_per_mode=10)
-        bound = 16 / chain.c_fat**2
+        bound = 16 / C_FAT**2
         assert eigsys.certified_below <= bound
         for e in eigsys.entries:
             if e.certified:
@@ -329,8 +328,9 @@ class TestModelFunctions:
         chain = build_chain(I3, L=60.0, resolution=24)
         mfs = model_functions(chain)
         x = chain.nodes
-        for i, fat in enumerate(chain.fat_segments()):
-            core = (x >= fat.x0) & (x < fat.x1)
+        fats = [(k, seg.index) for k, seg in enumerate(chain.segments) if seg.kind == "fat"]
+        for k, i in fats:
+            core = chain.segment_at(x) == k
             for j in range(3):
                 if j != i:
                     assert np.all(mfs.functions[j][core] == 0.0)
