@@ -236,9 +236,11 @@ def criterion_8_potential_oracles(seed: int) -> CriterionResult:
     torus_err = float(np.max(np.abs(phi - np.cos(2 * PI * torus.nodes) / PI)))
     torus_ok = torus_err <= 1e-8
 
-    chain2 = geometry.build_chain(I2, 100.0, resolution=48)
-    pot = potential.solve_direct(chain2, _step(chain2))
-    circuit_rel = abs(pot.sup_norm() - 50.0) / 50.0
+    step = _step(geometry.build_chain(I2, 100.0, resolution=48))
+    graph = dualgraph.cycle_graph(I2.area_vector())  # the circuit of the collapsed limit
+    circuit = float(np.max(np.abs(potential.circuit_potentials(
+        graph.areas, graph.edges, 2 * PI / step.chain.L, step.component_integrals))))
+    circuit_rel = abs(potential.solve_direct(step.chain, step).sup_norm() - circuit) / circuit
     circuit_ok = circuit_rel <= 0.10
     ok = spectral_ok and torus_ok and circuit_ok
     return _result(8, "potential_oracles",

@@ -317,7 +317,7 @@ def dynamics_flat_identity(cfg: configfile.ExperimentConfig, args) -> Run:
 def dynamics_limit_potential(cfg: configfile.ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
     alpha = _fiber_field(cfg, "alpha", "cosx", "1.0")
-    rho = _fiber_field(cfg, "rho", "cosxy", "0.04")
+    rho = _fiber_field(cfg, "rho", "cosx", "0.1")
     mean = _preset(cfg, _U_PRESETS, "f_mean_preset", "re_s")
     rep = dynamics.limit_potential_relation(fib, alpha, rho, f_fiber_mean=mean)
     rows = [(s.real, s.imag, u) for s, u in zip(fib.s_samples, rep.u_samples.tolist())]

@@ -26,7 +26,7 @@ _PATTERN_KEYS = {
 
 _SCHEMA: dict[str, set[str] | str] = {
     "family": {
-        "n_components", "areas", "neck_length", "no_neck",
+        "n_components", "areas", "neck_length",
     },
     "density.alpha": "density",
     "density.beta": "density",
@@ -100,8 +100,8 @@ class ExperimentConfig:
 
     def get_complexes(self, section, key, default=None) -> tuple[complex, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
-            complex(p.strip().replace(" ", "")) for p in raw.split(",") if p.strip()),
-            "a list of complex numbers")
+            finite_complex(p) for p in raw.split(",") if p.strip()),
+            "a list of finite complex numbers")
 
     def get_ints(self, section, key, default=None) -> tuple[int, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
@@ -126,7 +126,6 @@ class ExperimentConfig:
             n_components=n,
             areas=areas,
             neck_length=self.get_float("family", "neck_length", "1.0"),
-            no_neck=self.get_bool("family", "no_neck", "false"),
         )
         try:
             return geometry.FamilyConfig(**fields)
@@ -171,6 +170,13 @@ def finite_float(raw: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
+def finite_complex(raw: str) -> complex:
+    value = complex(raw.replace(" ", ""))
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite complex number, got {raw!r}")
     return value
 
 

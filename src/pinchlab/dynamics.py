@@ -1,9 +1,9 @@
 """Fiberwise translation dynamics on a model elliptic fibration.
 
 The fibration is a synthetic torus bundle over an annulus in the s-plane:
-every fiber is C/(Z + tau*Z) and the automorphism acts as the translation
-z -> z + T(s) with T a polynomial.  Fiber data lives on an n x n grid in
-lattice coordinates and every transform is spectral: translations act
+every fiber is the square torus C/(Z + iZ) and the automorphism acts as the
+translation z -> z + T(s) with T a polynomial.  Fiber data lives on an n x n
+grid in lattice coordinates and every transform is spectral: translations act
 diagonally on fiber Fourier modes, so pushforwards are exact for band-limited
 data and Birkhoff sums of 10^4 iterates reduce to closed-form Dirichlet
 kernels with no drift.
@@ -29,30 +29,21 @@ class TorusFibration:
     """Synthetic torus bundle with a polynomial translation section.
 
     ``t_coeffs`` are ascending coefficients of T(s); the section must be
-    non-constant (parabolic) unless ``allow_constant_t`` is set for negative
-    controls.  Base samples live on the annulus r_min <= |s| <= r_max.
+    non-constant (parabolic).  Every fiber is the square torus C/(Z + iZ).
+    Base samples live on the annulus r_min <= |s| <= r_max.
     """
 
     t_coeffs: tuple[complex, ...]
     s_samples: tuple[complex, ...]
-    tau: complex = 1j
     fiber_n: int = 64
-    allow_constant_t: bool = False
 
     def __post_init__(self):
         if self.fiber_n < 8 or self.fiber_n & (self.fiber_n - 1):
             raise ValidationError("fiber_n must be a power of two >= 8")
-        if self.tau.imag <= 0:
-            raise ValidationError("tau must have positive imaginary part")
         if not self.s_samples:
             raise ValidationError("need at least one base sample")
-        if not self.allow_constant_t and all(
-            abs(c) == 0 for c in self.t_coeffs[1:]
-        ):
-            raise ValidationError(
-                "translation section is constant; set allow_constant_t for "
-                "degenerate controls"
-            )
+        if all(abs(c) == 0 for c in self.t_coeffs[1:]):
+            raise ValidationError("translation section is constant")
 
     def T(self, s: complex) -> complex:
         acc = 0j
@@ -67,10 +58,8 @@ class TorusFibration:
         return acc
 
     def lattice_shift(self, t: complex) -> tuple[float, float]:
-        """Lattice coordinates (p, q) of a translation t = p + q*tau."""
-        q = t.imag / self.tau.imag
-        p = t.real - q * self.tau.real
-        return p, q
+        """Lattice coordinates (p, q) of a translation t = p + q*i."""
+        return t.real, t.imag
 
     def grid(self):
         n = self.fiber_n
@@ -123,36 +112,34 @@ def birkhoff_hat(fhat: np.ndarray, p: float, q: float, k_iters: int) -> np.ndarr
     return fhat * kernel
 
 
-def _dzdzbar_symbol(n: int, tau: complex) -> np.ndarray:
+def _dzdzbar_symbol(n: int) -> np.ndarray:
     """Fourier multiplier of d/dz d/dzbar on the n x n fiber grid."""
     k = _freqs(n)
-    return -(math.pi**2) * (
-        np.abs(k[None, :] - tau * k[:, None]) ** 2
-    ) / (tau.imag**2)
+    return -(math.pi**2) * np.abs(k[None, :] - 1j * k[:, None]) ** 2
 
 
-def dzdzbar_hat(fhat: np.ndarray, tau: complex) -> np.ndarray:
+def dzdzbar_hat(fhat: np.ndarray) -> np.ndarray:
     """Spectral d/dz d/dzbar (one quarter of the flat fiber Laplacian)."""
-    return fhat * _dzdzbar_symbol(fhat.shape[0], tau)
+    return fhat * _dzdzbar_symbol(fhat.shape[0])
 
 
-def fiber_poisson(rhs_values: np.ndarray, tau: complex) -> np.ndarray:
+def fiber_poisson(rhs_values: np.ndarray) -> np.ndarray:
     """Mean-zero solution of laplace(phi) = -4*pi*rhs on the fiber."""
     rhs_hat = np.fft.fft2(rhs_values)
-    lap = 4.0 * _dzdzbar_symbol(rhs_hat.shape[0], tau)
+    lap = 4.0 * _dzdzbar_symbol(rhs_hat.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_hat = -2 * math.tau * rhs_hat / lap
     phi_hat[0, 0] = 0.0
     return np.fft.ifft2(phi_hat).real
 
 
-def _check_periodicity(func, s: complex, scale_hint: float = 1.0):
+def _check_periodicity(func, s: complex):
     probes = [(0.31, 0.67), (0.05, 0.93)]
     for a, b in probes:
         base = np.asarray(func(s, np.array([[a]]), np.array([[b]])))
         for da, db in ((1.0, 0.0), (0.0, 1.0)):
             shifted = np.asarray(func(s, np.array([[a + da]]), np.array([[b + db]])))
-            if abs(float(shifted[0, 0] - base[0, 0])) > 1e-9 * max(1.0, scale_hint):
+            if abs(float(shifted[0, 0] - base[0, 0])) > 1e-9:
                 raise ValidationError(
                     "fiber function is not periodic across the lattice seam"
                 )
@@ -308,7 +295,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
     else:
         exponent = 0.0   # nothing measurably above the finite-difference floor
     rho0_hat = np.fft.fft2(np.asarray(rho(s0, A, B), dtype=float))
-    curv = np.fft.ifft2(dzdzbar_hat(rho0_hat, fib.tau)).real
+    curv = np.fft.ifft2(dzdzbar_hat(rho0_hat)).real
     expected = abs(fib.dT(s0)) ** 2 * float(np.max(np.abs(curv)))
     coefficient = float(sups[-1]) / n_list[-1] ** 2
     return GrowthReport(
@@ -325,9 +312,9 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
 
 # -- flat metric potential identity ------------------------------------------
 
-def _perturbed_density(rho_vals: np.ndarray, tau: complex) -> np.ndarray:
+def _perturbed_density(rho_vals: np.ndarray) -> np.ndarray:
     """Density of omega = omega_flat - ddc(rho) against the flat area form."""
-    lap = 4.0 * np.fft.ifft2(dzdzbar_hat(np.fft.fft2(rho_vals), tau)).real
+    lap = 4.0 * np.fft.ifft2(dzdzbar_hat(np.fft.fft2(rho_vals))).real
     w = 1.0 - lap / (2 * math.tau)
     if w.min() <= 0:
         raise ValidationError("rho is too large: the perturbed fiber density is not positive")
@@ -347,10 +334,10 @@ def flat_potential_identity(fib: TorusFibration, rho) -> float:
     scale = 0.0
     for s in fib.s_samples:
         vals = np.asarray(rho(s, A, B), dtype=float)
-        w = _perturbed_density(vals, fib.tau)
+        w = _perturbed_density(vals)
         p, q = fib.lattice_shift(fib.T(s))
         xi = translate(w, p, q) - w            # density of T_* omega - omega
-        phi = fiber_poisson(xi, fib.tau)
+        phi = fiber_poisson(xi)
         target = translate(vals, p, q) - vals
         target = target - target.mean()
         scale = max(scale, float(np.max(np.abs(target))))
@@ -391,13 +378,13 @@ def limit_potential_relation(fib: TorusFibration, alpha, rho,
     for s in fib.s_samples:
         a_vals = np.asarray(alpha(s, A, B), dtype=float)
         a_vals = a_vals - a_vals.mean()
-        w = _perturbed_density(np.asarray(rho(s, A, B), dtype=float), fib.tau)
+        w = _perturbed_density(np.asarray(rho(s, A, B), dtype=float))
         p, q = fib.lattice_shift(fib.T(s))
 
-        phi = fiber_poisson(a_vals, fib.tau)
+        phi = fiber_poisson(a_vals)
         # ddc f = (T_* alpha - alpha)|fiber, i.e. laplace f = 4 pi (T_* a - a)
         incr = translate(a_vals, p, q) - a_vals
-        f_vals = fiber_poisson(-incr, fib.tau) + float(np.real(f_fiber_mean(s)))
+        f_vals = fiber_poisson(-incr) + float(np.real(f_fiber_mean(s)))
 
         invariant = f_vals + translate(phi, p, q) - phi
         defect = max(defect, float(invariant.max() - invariant.min()))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,10 +95,10 @@ class WarpedChain:
     nodes: np.ndarray          # strictly increasing, nodes[0] = 0, last < P
     cell_segment: np.ndarray   # segment index per cyclic cell
 
-    # per-cell quadrature tables filled in by build_chain
-    quad_x: np.ndarray = field(repr=False, default=None)
-    quad_w: np.ndarray = field(repr=False, default=None)   # line measure dx
-    quad_c: np.ndarray = field(repr=False, default=None)
+    # per-cell quadrature tables, one row per cell
+    quad_x: np.ndarray = field(repr=False)
+    quad_w: np.ndarray = field(repr=False)   # line measure dx
+    cell_c: np.ndarray = field(repr=False)   # (n, 1): c is constant on each cell
 
     @property
     def s(self) -> float:
@@ -126,7 +126,7 @@ class WarpedChain:
 
     def integrate_area(self, values_at_quad: np.ndarray) -> float:
         """Integral against dA = 2*pi*c(x) dx of samples on the quad table."""
-        return TWO_PI * float(np.sum(values_at_quad * self.quad_c * self.quad_w))
+        return TWO_PI * float(np.sum(values_at_quad * self.cell_c * self.quad_w))
 
     @functools.cached_property
     def _p1_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +142,7 @@ class WarpedChain:
     def load_vector(self, values_at_quad: np.ndarray) -> np.ndarray:
         """q[v] = integral(a * hat_v dA) of samples a on the quad table."""
         psi_l, psi_r = self._p1_basis
-        common = TWO_PI * values_at_quad * self.quad_c * self.quad_w
+        common = TWO_PI * values_at_quad * self.cell_c * self.quad_w
         return np.sum(common * psi_l, axis=1) + np.roll(np.sum(common * psi_r, axis=1), 1)
 
 
@@ -189,21 +189,13 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
             nodes.append(seg.x0 + k * step)
             cell_segment.append(si)
     nodes_arr = np.asarray(nodes)
-    chain = WarpedChain(
-        cfg=cfg,
-        L=float(L),
-        segments=tuple(segments),
-        total_length=P,
-        nodes=nodes_arr,
-        cell_segment=np.asarray(cell_segment, dtype=int),
-    )
-    h = chain.cell_lengths
-    qx = nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None]
-    qw = (0.5 * GL_W)[None, :] * h[:, None]
-    # c is constant on each segment, so on each cell
-    cell_c = np.array([seg.c for seg in segments])[chain.cell_segment]
-    qc = np.repeat(cell_c[:, None], GL_X.size, axis=1)
-    return replace(chain, quad_x=qx, quad_w=qw, quad_c=qc)
+    cells = np.asarray(cell_segment, dtype=int)
+    h = np.diff(nodes_arr, append=P)
+    return WarpedChain(cfg=cfg, L=float(L), segments=tuple(segments), total_length=P,
+                       nodes=nodes_arr, cell_segment=cells,
+                       quad_x=nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None],
+                       quad_w=(0.5 * GL_W)[None, :] * h[:, None],
+                       cell_c=np.array([seg.c for seg in segments])[cells, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +277,7 @@ def chain_operators(chain: WarpedChain) -> ChainOperators:
     h = chain.cell_lengths
     psi_l, psi_r = chain._p1_basis
     w = chain.quad_w
-    c = chain.quad_c
+    c = chain.cell_c
 
     g = TWO_PI * np.sum(c * w, axis=1) / h**2        # gradient coupling per cell
 
@@ -393,7 +385,7 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True) -> Densit
         if seg.kind == "fat":
             mask = chain.cell_segment == seg_idx
             comp[seg.index] += TWO_PI * float(
-                np.sum(quad_vals[mask] * chain.quad_c[mask] * chain.quad_w[mask]))
+                np.sum(quad_vals[mask] * chain.cell_c[mask] * chain.quad_w[mask]))
     return DensityField(
         chain=chain,
         values=np.asarray(f(chain.nodes), dtype=float) - shift,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import configfile, geometry
 from .errors import ConvergenceError, ValidationError
 
 # monomial: (a1, b1, a2, b2, coefficient) for z1^a1 conj(z1)^b1 z2^a2 conj(z2)^b2
@@ -77,9 +77,9 @@ def parse_eta(raw: str) -> EtaSpec:
             raise ValidationError(f"bad eta slot {slot!r}")
         try:
             powers = [int(p) for p in parts[2].split(",")]
-            coeff = complex(parts[1].replace(" ", ""))
+            coeff = configfile.finite_complex(parts[1])
         except ValueError:
-            raise ValidationError(f"eta term {term!r} needs a numeric coefficient "
+            raise ValidationError(f"eta term {term!r} needs a finite coefficient "
                                   "and integer powers") from None
         if len(powers) != 4 or any(p < 0 for p in powers):
             raise ValidationError(f"bad power list in {term!r}")
@@ -101,8 +101,8 @@ def _canonical(monos) -> dict:
     return {k: v for k, v in acc.items() if abs(v) > 0}
 
 
-def constant_eta(slot: tuple[int, int] = (2, 2), value: float = 1.0) -> EtaSpec:
-    return EtaSpec({slot: ((0, 0, 0, 0, complex(value)),)})
+def constant_eta() -> EtaSpec:
+    return EtaSpec({(2, 2): ((0, 0, 0, 0, 1 + 0j),)})
 
 
 def _panels(edges):

@@ -83,24 +83,16 @@ def solve_direct(chain: geometry.WarpedChain, dens: geometry.DensityField) -> Pr
 
 
 def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
-                   eigsys: spectral.EigenSystem, k_trunc: int | None = None):
+                   eigsys: spectral.EigenSystem):
     """Expand the potential through the mode-0 eigenbasis.
 
-    phi = 4*pi * sum_i (b_i / lambda_i) Phi_i over the positive mode-0
-    eigenvalues; with the full basis this reproduces the direct solve.
-    Returns (PreferredPotential, SpectralCoefficients).
+    phi = 4*pi * sum_i (b_i / lambda_i) Phi_i over every positive mode-0
+    eigenvalue of ``eigsys``; with the full basis this reproduces the direct
+    solve.  Returns (PreferredPotential, SpectralCoefficients).
     """
     _require_mean_zero(dens)
-    positives = np.flatnonzero((eigsys.modes == 0) & (eigsys.lam > 1e-9))
-    if k_trunc is None:
-        k_trunc = positives.size
-    if k_trunc > positives.size:
-        raise ValidationError(
-            f"truncation {k_trunc} exceeds the {positives.size} available "
-            "mode-0 eigenpairs"
-        )
     q = chain.load_vector(dens.quad_values)
-    used = positives[:k_trunc]
+    used = np.flatnonzero((eigsys.modes == 0) & (eigsys.lam > 1e-9))
     lam = eigsys.lam[used]
     basis = eigsys.vecs[:, used].T
     b = basis @ q
@@ -172,7 +164,7 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
         sup_a = float(np.max(np.abs(dens.values))) if dens.values.size else 0.0
         quad_abs = np.abs(dens.quad_values)
         fat_cell = np.array([seg.kind == "fat" for seg in chain.segments])[chain.cell_segment]
-        weights = geometry.TWO_PI * chain.quad_c * chain.quad_w
+        weights = geometry.TWO_PI * chain.cell_c * chain.quad_w
         l1_fat = float(np.sum(quad_abs * weights * fat_cell[:, None]))
         l1_full = float(np.sum(quad_abs * weights))
         rows.append(EstimateRow(

@@ -204,6 +204,18 @@ directory = {out}
         stdout = capsys.readouterr().out
         assert "exponent=2.000" in stdout
 
+    def test_limit_potential_omitted_rho_is_cosx_01(self, tmp_path):
+        # one default per [dynamics] key: flat-identity and limit-potential share rho's
+        tables = []
+        for name, rho in (("omitted", ""), ("set", "rho_preset = cosx\nrho_amplitude = 0.1\n")):
+            (tmp_path / name).mkdir()
+            cfg_path, out = write_cfg(tmp_path / name, "[dynamics]\nfiber_n = 16\n" + rho
+                                      + "[output]\ndirectory = {out}\n")
+            assert main(["dynamics", "limit-potential", "--config", cfg_path]) == 0
+            # all but the first line, which carries the config hash
+            tables.append((out / "limit_potential.csv").read_text().splitlines()[1:])
+        assert tables[0] == tables[1]
+
 
 class TestExitContract:
     @pytest.mark.parametrize("command, edit, extra, named", [
@@ -246,6 +258,17 @@ class TestExitContract:
         # every fat segment has circumference 1/(2*pi)
         ("spectrum", ("n_components = 2", "n_components = 2\nfat_circumference = 0.2"), [],
          "'fat_circumference' in [family]"),
+        # non-finite complex inputs
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nt_poly = nan, 1"),
+         ["growth"], "[dynamics] t_poly"),
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\ns0 = inf"),
+         ["growth"], "[dynamics] s0"),
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nt_poly = 0, inf"),
+         ["birkhoff"], "[dynamics] t_poly"),
+        ("node-integral", None, ["--eta", "22:nan:0,0,0,0"], "eta term"),
+        # the flat torus is built in code only
+        ("spectrum", ("n_components = 2", "n_components = 2\nno_neck = true"), [],
+         "'no_neck' in [family]"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG

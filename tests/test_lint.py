@@ -279,7 +279,6 @@ def unreferenced_definitions(modules: dict[str, str], users: list[str]) -> list[
 AWAITING_USE = {
     "dualgraph.parse_graph": "item 10, the [family] graph key",
     "nodeintegral.check_quadrature_convergence": "item 8, the run records",
-    "potential.circuit_potentials": "item 5, criterion 8's circuit check",
     "nodeintegral.gap_to_limit": "item 2, c_fit's L-remainder bar",
 }
 

@@ -76,7 +76,7 @@ class TestAssembly:
         chain = build_chain(I2, 60.0, resolution=16)
         a = density_from_spec(step_density_spec([1.5, -1.5]), chain).quad_values
         xi = (chain.quad_x - chain.nodes[:, None]) / chain.cell_lengths[:, None]
-        common = geometry.TWO_PI * a * chain.quad_c * chain.quad_w
+        common = geometry.TWO_PI * a * chain.cell_c * chain.quad_w
         want, i = np.zeros(chain.n_nodes), np.arange(chain.n_nodes)
         np.add.at(want, i, np.sum(common * (1.0 - xi), axis=1))
         np.add.at(want, (i + 1) % chain.n_nodes, np.sum(common * xi, axis=1))

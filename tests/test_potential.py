@@ -178,7 +178,7 @@ class TestSpectralSolve:
         chain = torus_setup(resolution=64)
         eigsys = full_spectrum(chain, m_max=1, k_per_mode=20)
         dens = density_from_callable(lambda x: np.cos(2 * PI * np.asarray(x)), chain)
-        _, coeffs = solve_spectral(chain, dens, eigsys, k_trunc=12)
+        _, coeffs = solve_spectral(chain, dens, eigsys)
         b = np.abs(coeffs.b)
         # only the matching eigenpair picks up weight
         assert np.sum(b > 1e-8 * b.max()) == 1
@@ -189,15 +189,11 @@ class TestSpectralSolve:
         dens = density_from_spec(step_density_spec([2.0, -2.0]), chain)
         direct = solve_direct(chain, dens)
         low_direct, _ = split_low_high(direct, eigsys)
-        truncated, _ = solve_spectral(chain, dens, eigsys, k_trunc=eigsys.low_count)
-        assert np.max(np.abs(truncated.phi - low_direct)) <= 1e-8
-
-    def test_overlong_truncation_rejected(self):
-        chain = build_chain(I2, 80.0, resolution=16)
-        eigsys = full_spectrum(chain, m_max=1, k_per_mode=8)
-        dens = density_from_spec(step_density_spec([1.0, -1.0]), chain)
-        with pytest.raises(ValidationError, match="exceeds"):
-            solve_spectral(chain, dens, eigsys, k_trunc=10**6)
+        # the expansion 4*pi * sum_i (b_i / lambda_i) Phi_i cut to the collapsing terms
+        basis = eigsys.vecs[:, eigsys.low]
+        b = basis.T @ chain.load_vector(dens.quad_values)
+        truncated = 4 * PI * basis @ (b / eigsys.lam[eigsys.low])
+        assert np.max(np.abs(truncated - low_direct)) <= 1e-8
 
 
 class TestSplit:
