@@ -271,7 +271,7 @@ def criterion_10_pairing_algebra(seed: int) -> CriterionResult:
     v_ba = pairing.pairing_value(chain, b, a)
     sym = abs(v_ab - v_ba) / (1 + abs(v_ab))
     t = 0.41
-    combo = geometry.density_from_callable(lambda x: a.evaluate(x) + t * b.evaluate(x), chain)
+    combo = geometry.density_from_callable(lambda x: a.profile(x) + t * b.profile(x), chain)
     bil = abs(pairing.pairing_value(chain, combo, b)
               - (v_ab + t * pairing.pairing_value(chain, b, b))) / (1 + abs(v_ab))
     val, energy = pairing.pairing_energy(chain, a)

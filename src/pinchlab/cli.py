@@ -230,8 +230,12 @@ def cmd_pairing(cfg: configfile.ExperimentConfig, args) -> Run:
 
 
 def _fibration(cfg: configfile.ExperimentConfig) -> dynamics.TorusFibration:
+    t_coeffs = cfg.get_complexes("dynamics", "t_poly", "0,1")
+    if not any(t_coeffs[1:]):
+        raise ValidationError("[dynamics] t_poly must be a non-constant polynomial, got "
+                              f"{cfg.get('dynamics', 't_poly', '0,1')!r}")
     return dynamics.TorusFibration(
-        t_coeffs=cfg.get_complexes("dynamics", "t_poly", "0,1"),
+        t_coeffs=t_coeffs,
         s_samples=dynamics.annulus_samples(
             cfg.get_float("dynamics", "base_r_min", "0.5"),
             cfg.get_float("dynamics", "base_r_max", "1.5"),
@@ -243,17 +247,13 @@ def _fibration(cfg: configfile.ExperimentConfig) -> dynamics.TorusFibration:
 
 
 _U_PRESETS = {
-    "zero": lambda s: 0.0,
     "re_s": lambda s: s.real,
-    "abs_s": lambda s: abs(s),
 }
 
 _FIBER_PRESETS = {
-    "zero": lambda amp: (lambda s, A, B: 0.0 * A),
     "sinxcosy": lambda amp: (lambda s, A, B: amp * np.sin(math.tau * A) * np.cos(math.tau * B)),
     "sinxsiny": lambda amp: (lambda s, A, B: amp * np.sin(math.tau * A) * np.sin(math.tau * B)),
     "cosx": lambda amp: (lambda s, A, B: amp * np.cos(math.tau * A) + 0.0 * B),
-    "cosxy": lambda amp: (lambda s, A, B: amp * np.cos(math.tau * (A + B))),
 }
 
 
@@ -292,7 +292,7 @@ def dynamics_birkhoff(cfg: configfile.ExperimentConfig, args) -> Run:
 def dynamics_growth(cfg: configfile.ExperimentConfig, args) -> Run:
     fib = _fibration(cfg)
     rho = _fiber_field(cfg, "growth_rho", "sinxsiny", "1.0")
-    s0 = cfg.get_complexes("dynamics", "s0", "1")[0]
+    s0 = cfg.get_complex("dynamics", "s0", "1")
     rep = dynamics.pushforward_growth(
         fib, rho, cfg.get_ints("dynamics", "n_list", "64,128,256,512,1024"), s0)
     rows = list(zip(rep.n_list, rep.sup_values.tolist(), rep.error_floors.tolist()))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,18 +17,13 @@ import numpy as np
 from . import geometry
 from .errors import ValidationError
 
-_PATTERN_KEYS = {
-    "density": re.compile(
-        r"^(fat|neck)\.\d+$|^(cos|sin)\.\d+$|^(segment_cos|segment_sin|neck_wave)\.\d+$"
-    ),
-}
-
-_SCHEMA: dict[str, set[str] | str] = {
+# a [density.*] section also takes ``<term>.<index>`` keys (_density_term)
+_SCHEMA: dict[str, set[str]] = {
     "family": {
         "n_components", "areas", "neck_length",
     },
-    "density.alpha": "density",
-    "density.beta": "density",
+    "density.alpha": {"project"},
+    "density.beta": {"project"},
     "solver": {
         "resolution", "m_max", "k_per_mode", "seed", "tail_count",
         "green_cutoff",
@@ -45,8 +39,6 @@ _SCHEMA: dict[str, set[str] | str] = {
     "node": {"eta", "t_grid", "radial_per_decade", "angular"},
     "output": {"directory", "precision"},
 }
-
-_DENSITY_EXTRA = {"project"}
 
 
 @dataclass(frozen=True)
@@ -97,6 +89,9 @@ class ExperimentConfig:
     def get_floats(self, section, key, default=None) -> tuple[float, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
             finite_float(p) for p in raw.split(",") if p.strip()), "a list of finite numbers")
+
+    def get_complex(self, section, key, default=None) -> complex:
+        return self._typed(section, key, default, finite_complex, "a finite complex number")
 
     def get_complexes(self, section, key, default=None) -> tuple[complex, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
@@ -202,6 +197,15 @@ def parse_grid(raw: str) -> np.ndarray:
     return vals
 
 
+def _density_term(key: str) -> bool:
+    """Whether ``key`` is ``fat.<i>``, ``neck.<i>``, ``cos.<k>``, ``sin.<k>`` or
+    ``<wave>.<i>``, a wave being a key of ``geometry.WAVE_PROFILES``; only a
+    wave key runs ``geometry``, so a config without one parses without it."""
+    head, _, index = key.partition(".")
+    return index.isdecimal() and (head in {"fat", "neck", "cos", "sin"}
+                                  or head in geometry.WAVE_PROFILES)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
@@ -222,14 +226,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        allowed = _SCHEMA[current]
-        if isinstance(allowed, str):
-            pattern = _PATTERN_KEYS[allowed]
-            if not (pattern.match(key) or key in _DENSITY_EXTRA):
-                raise ValidationError(
-                    f"line {lineno}: unknown key {key!r} in [{current}]"
-                )
-        elif key not in allowed:
+        density_term = current.startswith("density.") and _density_term(key)
+        if key not in _SCHEMA[current] and not density_term:
             raise ValidationError(f"line {lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")

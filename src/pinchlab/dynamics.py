@@ -152,11 +152,9 @@ class LimitPotentialRun:
     """Averaged Birkhoff sums of an observable over the base samples."""
 
     ks: tuple[int, ...]
-    u: np.ndarray                    # fiber mean of f per base sample
     constancy_defect: np.ndarray     # (len(ks), n_samples): max-min of S_k/k
     sup_deviation: np.ndarray | None  # vs a reference potential, if given
-    sup_f: float
-    tate_bound_ok: bool
+    tate_bound_ok: bool              # fiber means of f obey |u| <= sup|f|
 
 
 def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
@@ -215,10 +213,8 @@ def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref=None) -> LimitPoten
     tate_ok = bool(np.max(np.abs(u)) <= sup_f + 1e-9)
     return LimitPotentialRun(
         ks=tuple(ks),
-        u=u,
         constancy_defect=defects,
         sup_deviation=sup_dev,
-        sup_f=sup_f,
         tate_bound_ok=tate_ok,
     )
 
@@ -233,8 +229,7 @@ class GrowthReport:
     exponent: float              # fitted over measurably-nonzero points only
     coefficient: float           # sup at n_max / n_max^2
     expected_coefficient: float  # |dT(s0)|^2 * sup|d_z d_zbar rho|
-    richardson_diagnostic: float
-    stable: bool
+    stable: bool                 # some sup > 3 floor, and each such floor < 5% of its sup
 
 
 def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthReport:
@@ -283,12 +278,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
     sups = np.asarray(sups)
     floors = np.asarray(floors)
     usable = sups > 3.0 * floors
-    if usable.any():
-        diag = float(np.max(floors[usable] / sups[usable]))
-        stable = diag < 0.05
-    else:
-        diag = 0.0
-        stable = False
+    stable = bool(usable.any()) and float(np.max(floors[usable] / sups[usable])) < 0.05
     if int(usable.sum()) >= 2:
         logs_n = np.log(np.asarray(n_list, dtype=float)[usable])
         exponent = float(np.polyfit(logs_n, np.log(sups[usable]), 1)[0])
@@ -305,7 +295,6 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
         exponent=exponent,
         coefficient=coefficient,
         expected_coefficient=expected,
-        richardson_diagnostic=diag,
         stable=stable,
     )
 

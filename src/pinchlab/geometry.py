@@ -109,12 +109,6 @@ class WarpedChain:
         return self.nodes.size
 
     @property
-    def c_thin(self) -> float:
-        # neck weight scaled so the conductance 2*pi*c_thin/l0 is exactly
-        # the flat-annulus value 2*pi/L for every neck length
-        return self.cfg.neck_length / self.L
-
-    @property
     def cell_lengths(self) -> np.ndarray:
         ext = np.append(self.nodes, self.total_length)
         return np.diff(ext)
@@ -345,14 +339,10 @@ class DensityField:
 
     chain: WarpedChain
     values: np.ndarray               # samples at grid nodes
-    projection_shift: float
     total_integral: float
     component_integrals: np.ndarray  # over fat segments only
     quad_values: np.ndarray = field(repr=False)  # samples on the chain's quad table
     profile: object = field(repr=False, default=None)  # raw callable, pre-shift
-
-    def evaluate(self, x) -> np.ndarray:
-        return np.asarray(self.profile(x), dtype=float) - self.projection_shift
 
     def norm_scale(self) -> float:
         vmax = float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -389,7 +379,6 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True) -> Densit
     return DensityField(
         chain=chain,
         values=np.asarray(f(chain.nodes), dtype=float) - shift,
-        projection_shift=float(shift),
         total_integral=float(chain.integrate_area(quad_vals)),
         component_integrals=comp,
         quad_values=quad_vals,
@@ -401,12 +390,9 @@ def density_from_spec(spec: DensitySpec, chain: WarpedChain) -> DensityField:
     return density_from_callable(spec.profile(chain), chain, project=spec.project)
 
 
-def step_density_spec(values, project: bool = True) -> DensitySpec:
+def step_density_spec(values) -> DensitySpec:
     """Constant value per fat segment, zero on necks."""
-    return DensitySpec(
-        fat_values=tuple((i, float(v)) for i, v in enumerate(values)),
-        project=project,
-    )
+    return DensitySpec(fat_values=tuple((i, float(v)) for i, v in enumerate(values)))
 
 
 def random_step_spec(n: int, areas, rng: np.random.Generator) -> DensitySpec:

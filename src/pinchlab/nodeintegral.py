@@ -130,22 +130,14 @@ def _chart_integral(eta: EtaSpec, t: complex, r, w_r, n_theta: int, chart: int):
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     zc = r[:, None] * np.exp(1j * theta[None, :])
     zo = t / zc
-    if chart == 1:
-        z1, z2 = zc, zo
-        f = (
-            eta.evaluate(1, 1, z1, z2)
-            - eta.evaluate(1, 2, z1, z2) * np.conj(t) / np.conj(z1) ** 2
-            - eta.evaluate(2, 1, z1, z2) * t / z1**2
-            + eta.evaluate(2, 2, z1, z2) * abs(t) ** 2 / np.abs(z1) ** 4
-        )
-    else:
-        z1, z2 = zo, zc
-        f = (
-            eta.evaluate(2, 2, z1, z2)
-            - eta.evaluate(1, 2, z1, z2) * t / z2**2
-            - eta.evaluate(2, 1, z1, z2) * np.conj(t) / np.conj(z2) ** 2
-            + eta.evaluate(1, 1, z1, z2) * abs(t) ** 2 / np.abs(z2) ** 4
-        )
+    # the chart's own slot a and the other slot b, whose differential is -t dz_a / z_a^2
+    (a, b), (z1, z2) = ((1, 2), (zc, zo)) if chart == 1 else ((2, 1), (zo, zc))
+    f = (
+        eta.evaluate(a, a, z1, z2)
+        - eta.evaluate(a, b, z1, z2) * np.conj(t) / np.conj(zc) ** 2
+        - eta.evaluate(b, a, z1, z2) * t / zc**2
+        + eta.evaluate(b, b, z1, z2) * abs(t) ** 2 / np.abs(zc) ** 4
+    )
     dens = f.real * r[:, None]
     dtheta = 2.0 * math.pi / n_theta
     plain = float(np.sum(dens * w_r[:, None]) * dtheta)

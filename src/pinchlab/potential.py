@@ -38,7 +38,6 @@ class PreferredPotential:
 
     chain: geometry.WarpedChain
     phi: np.ndarray
-    mean: float
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.phi)))
@@ -50,7 +49,6 @@ class SpectralCoefficients:
 
     b: np.ndarray
     c: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def solve_direct(chain: geometry.WarpedChain, dens: geometry.DensityField) -> PreferredPotential:
@@ -78,8 +76,7 @@ def solve_direct(chain: geometry.WarpedChain, dens: geometry.DensityField) -> Pr
     if not resid <= tol:
         raise ConvergenceError("direct solve residual beyond tolerance",
                                {"residual": resid, "tolerance": tol, "n": n})
-    mean = float(phi @ w / np.sum(w))
-    return PreferredPotential(chain=chain, phi=phi, mean=mean)
+    return PreferredPotential(chain=chain, phi=phi)
 
 
 def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
@@ -98,11 +95,7 @@ def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
     b = basis @ q
     c = b / lam
     phi = geometry.FOUR_PI * (c @ basis)
-    w = chain.operators.mass @ np.ones(chain.n_nodes)
-    mean = float(phi @ w / np.sum(w))
-    pot = PreferredPotential(chain=chain, phi=phi, mean=mean)
-    coeffs = SpectralCoefficients(b=b, c=c, eigenvalues=lam)
-    return pot, coeffs
+    return PreferredPotential(chain=chain, phi=phi), SpectralCoefficients(b=b, c=c)
 
 
 def split_low_high(pot: PreferredPotential, eigsys: spectral.EigenSystem):
@@ -136,8 +129,6 @@ class EstimateRow:
 @dataclass(frozen=True)
 class EstimateTable:
     rows: tuple[EstimateRow, ...]
-    high_endpoint_ratio: float
-    low_over_L_endpoint_ratio: float
     low_over_sqrtL_endpoint_ratio: float
     high_bounded: bool           # endpoint ratio <= 1.25
     low_over_sqrtL_decreasing: bool  # endpoint ratio <= 0.5
@@ -183,12 +174,9 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
         return b / a if a > 0 else (0.0 if b == 0 else float("inf"))
 
     high_ratio = ratio(lambda r: r.sup_high)
-    lL_ratio = ratio(lambda r: r.sup_low_over_L)
     lsq_ratio = ratio(lambda r: r.sup_low_over_sqrtL)
     return EstimateTable(
         rows=tuple(rows),
-        high_endpoint_ratio=high_ratio,
-        low_over_L_endpoint_ratio=lL_ratio,
         low_over_sqrtL_endpoint_ratio=lsq_ratio,
         high_bounded=high_ratio <= 1.25,
         low_over_sqrtL_decreasing=lsq_ratio <= 0.5,

@@ -255,7 +255,6 @@ class EigenEntry:
 
     lam: float
     mode: int
-    vec: np.ndarray
     multiplicity: int  # 1 for mode 0, 2 for the cos/sin pair when m >= 1
     certified: bool
 
@@ -306,8 +305,8 @@ class EigenSystem:
     def entries(self) -> tuple[EigenEntry, ...]:
         """Read view for the benchmark, built on access: the pairs in (lam, mode) order."""
         multiplicity, certified = self.multiplicity, self.certified
-        return tuple(EigenEntry(float(self.lam[j]), int(self.modes[j]), self.vecs[:, j],
-                                int(multiplicity[j]), certified[j]) for j in self.order)
+        return tuple(EigenEntry(float(self.lam[j]), int(self.modes[j]), int(multiplicity[j]),
+                                certified[j]) for j in self.order)
 
     def mode0_entries(self) -> list[EigenEntry]:
         """Read view for the benchmark: the mode-0 ``entries``."""
@@ -501,8 +500,8 @@ class ModelFunctionSet:
     Each function equals 1/sqrt(A_i) on its fat segment and decays linearly
     to 0 across both adjacent necks (the harmonic, i.e. energy-minimizing,
     profile for constant neck weight).  Functions of adjacent components
-    share a neck, where both ramps live; the overlap carries O(1/L) mass and
-    is reported in ``overlap_sup``/``overlap_mass``.
+    share a neck, where both ramps live; the overlap carries O(1/L) mass, and
+    ``overlap_sup`` is the largest product of two functions there.
     """
 
     functions: np.ndarray        # (N, n_nodes)
@@ -510,7 +509,6 @@ class ModelFunctionSet:
     norms: np.ndarray            # squared weighted L2 norms
     supports: tuple[tuple[float, float], ...]  # arc [ramp start, ramp end]
     overlap_sup: float
-    overlap_mass: float
 
 
 def _quadratic_forms(A, rows: np.ndarray) -> np.ndarray:
@@ -550,19 +548,15 @@ def model_functions(chain: geometry.WarpedChain) -> ModelFunctionSet:
     energies = _quadratic_forms(ops.gradient, funcs)
     norms = _quadratic_forms(ops.mass, funcs)
     overlap_sup = 0.0
-    overlap_mass = 0.0
     for i in range(N):
         for j in range(i + 1, N):
-            prod = funcs[i] * funcs[j]
-            overlap_sup = max(overlap_sup, float(np.max(prod)))
-            overlap_mass = max(overlap_mass, float(prod @ (ops.mass @ prod)) ** 0.5)
+            overlap_sup = max(overlap_sup, float(np.max(funcs[i] * funcs[j])))
     return ModelFunctionSet(
         functions=funcs,
         energies=energies,
         norms=norms,
         supports=tuple(supports),
         overlap_sup=overlap_sup,
-        overlap_mass=overlap_mass,
     )
 
 
@@ -580,7 +574,6 @@ class CorrelationReport:
     """
 
     E_fro: float
-    residual_norms: np.ndarray       # ||R_j||, j = 1..N-1
     scaled_residuals: np.ndarray     # ||R_j||^2 * L
 
 
@@ -598,11 +591,9 @@ def correlation_matrix(chain: geometry.WarpedChain, eigsys: EigenSystem,
     C = mfs.functions @ (ops.mass @ phi.T)
     E = C @ C.T - np.eye(N)
     resid = phi[1:] - C[:, 1:].T @ mfs.functions
-    res_norms = np.sqrt(_quadratic_forms(ops.mass, resid))
     return CorrelationReport(
         E_fro=float(np.linalg.norm(E)),
-        residual_norms=res_norms,
-        scaled_residuals=res_norms**2 * chain.L,
+        scaled_residuals=_quadratic_forms(ops.mass, resid) * chain.L,
     )
 
 

@@ -269,6 +269,13 @@ class TestExitContract:
         # the flat torus is built in code only
         ("spectrum", ("n_components = 2", "n_components = 2\nno_neck = true"), [],
          "'no_neck' in [family]"),
+        # s0 is one base point, and T(s) must vary
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\ns0 ="),
+         ["growth"], "[dynamics] s0"),
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\ns0 = 1, 2"),
+         ["growth"], "[dynamics] s0"),
+        ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nt_poly ="),
+         ["growth"], "[dynamics] t_poly"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG

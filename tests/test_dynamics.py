@@ -116,9 +116,13 @@ class TestBirkhoffLimit:
     def test_tate_bound(self):
         fib = make_fib(n=32)
         f, _ = synthesize_invariant_observable(fib, u_re, phi_sincos)
-        run = birkhoff_limit(fib, f, 1000)
-        assert run.tate_bound_ok
-        assert np.max(np.abs(run.u)) <= run.sup_f + 1e-9
+        assert birkhoff_limit(fib, f, 1000).tate_bound_ok
+        A, B = fib.grid()
+        for s in fib.s_samples:
+            values = np.asarray(f(s, A, B))
+            # the fiber mean of f is u(s), as phi - T_*phi has mean zero
+            assert values.mean() == pytest.approx(u_re(s), abs=1e-12)
+            assert abs(values.mean()) <= np.abs(values).max()
 
 
 class TestPushforwardGrowth:
@@ -150,7 +154,8 @@ class TestPushforwardGrowth:
         fib = make_fib(t_coeffs=(0, 1), n=32, samples=[1.0 + 0.0j])
         rho = lambda s, A, B: np.sin(TWO_PI * A) * np.sin(TWO_PI * B)
         rep = pushforward_growth(fib, rho, [1024], 1.0 + 0.0j)
-        assert rep.richardson_diagnostic < 0.01
+        assert rep.stable
+        assert np.max(rep.error_floors / rep.sup_values) < 0.01
 
 
 class TestFlatPotentialIdentity:

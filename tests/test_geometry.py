@@ -25,6 +25,12 @@ I3 = FamilyConfig(n_components=3)
 TORUS = FamilyConfig(n_components=1, no_neck=True)
 
 
+def projection_shift(chain, profile):
+    """The constant density_from_callable subtracts: the area mean of ``profile``."""
+    raw = np.asarray(profile(chain.quad_x.ravel()), dtype=float).reshape(chain.quad_x.shape)
+    return chain.integrate_area(raw) / total_area(chain)
+
+
 def areas(chain):
     """Fat area per component and the thin (neck) total, each segment 2*pi*c*length."""
     fats = np.zeros(chain.cfg.n_components)
@@ -42,7 +48,7 @@ def total_area(chain):
 class TestBuildChain:
     def test_i2_defaults_at_L100(self):
         chain = build_chain(I2, L=100.0)
-        assert chain.c_thin == pytest.approx(0.01)
+        assert [seg.c for seg in chain.segments if seg.kind == "neck"] == pytest.approx([0.01] * 2)
         fat_lengths = [seg.length for seg in chain.segments if seg.kind == "fat"]
         assert fat_lengths == pytest.approx([0.5, 0.5])
         assert chain.total_length == pytest.approx(3.0)
@@ -75,8 +81,8 @@ class TestBuildChain:
     def test_conductance_law(self):
         for L in [20.0, 50.0, 200.0]:
             chain = build_chain(I3, L)
-            conductance = TWO_PI * chain.c_thin / chain.cfg.neck_length
-            assert abs(conductance - TWO_PI / L) <= 1e-12
+            for neck in (seg for seg in chain.segments if seg.kind == "neck"):
+                assert abs(TWO_PI * neck.c / neck.length - TWO_PI / L) <= 1e-12
 
     def test_refinement_keeps_geometry(self):
         a = build_chain(I2, 60.0, resolution=16)
@@ -131,14 +137,15 @@ class TestDensities:
                            neck_values=((0, 1.0), (1, 1.0)))
         dens = density_from_spec(spec, chain)
         assert np.max(np.abs(dens.values)) <= 1e-12
-        assert dens.projection_shift == pytest.approx(1.0)
+        assert projection_shift(chain, spec.profile(chain)) == pytest.approx(1.0)
 
     def test_i2_step_component_integrals(self):
         chain = build_chain(I2, L=100.0)
-        dens = density_from_spec(step_density_spec([2.0, -2.0]), chain)
+        spec = step_density_spec([2.0, -2.0])
+        dens = density_from_spec(spec, chain)
         # +-2 times area 1/2; projection shift is exactly zero here since the
         # raw integral vanishes
-        assert dens.projection_shift == pytest.approx(0.0, abs=1e-14)
+        assert projection_shift(chain, spec.profile(chain)) == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(dens.component_integrals, [1.0, -1.0], atol=1e-12)
 
     def test_global_cosine_mean_zero(self):
@@ -172,7 +179,9 @@ class TestDensities:
         qx = chain.quad_x.ravel()
         raw = (DensitySpec(fat_values=((0, 1.0),)).profile(chain)(qx)
                + neck_wave_profile(chain, 1, 0.3)(qx) + cosine_bump_profile(chain, 0, 1.0)(qx))
-        np.testing.assert_array_equal(dens.quad_values.ravel(), raw - dens.projection_shift)
+        np.testing.assert_array_equal(dens.profile(qx), raw)
+        np.testing.assert_array_equal(dens.quad_values.ravel(),
+                                      raw - projection_shift(chain, dens.profile))
 
     def test_missing_wave_segment_rejected(self):
         chain = build_chain(I2, L=100.0)
@@ -188,5 +197,6 @@ class TestDensities:
         chain = build_chain(I2, L=100.0)
         spec = DensitySpec(fat_values=((0, 2.0), (1, -2.0)), cos_terms=((1, 0.5),))
         dens = density_from_spec(spec, chain)
-        np.testing.assert_allclose(dens.values, dens.evaluate(chain.nodes), atol=0)
+        np.testing.assert_array_equal(
+            dens.values, dens.profile(chain.nodes) - projection_shift(chain, dens.profile))
 

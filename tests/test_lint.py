@@ -3,7 +3,8 @@ pinchlab module imports scipy when it loads, only ``spectral.load_scipy``
 imports it at all, the CLI imports no layer module when it loads, no layer
 imports names from another layer when it loads, least-squares lines are
 fitted in one place, one method places points against segment ends, and every
-public function and class of the package has a user besides the tests."""
+public function and class of the package, and every field, public method and
+property of its classes, has a user besides the tests."""
 
 import ast
 from pathlib import Path
@@ -302,3 +303,84 @@ def test_lint_finds_an_unreferenced_definition():
     }
     users = ["import pinchlab.a as a\na.caller()\n"]
     assert unreferenced_definitions(modules, users) == ["a.recursive", "a.Dead"]
+
+
+def attributes_loaded(tree) -> set[str]:
+    """Attribute names ``tree`` loads: each ``x.name`` read, and each ``getattr(x, "name")``."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            loaded.add(node.args[1].value)
+    return loaded
+
+
+def classes_read_whole(tree) -> set[str]:
+    """Names passed to ``fields``, ``astuple`` or ``asdict``: such a class's fields are
+    read by reflection, as the columns of a table."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return {name(arg) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name(node.func) in {"fields", "astuple", "asdict"}
+            for arg in node.args}
+
+
+def unread_members(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.Class.member`` of each annotated field, public method and property of a
+    top-level class of ``modules`` (module name -> source) whose name no code in
+    ``modules`` or ``users`` loads as an attribute."""
+    trees = [ast.parse(text) for text in [*modules.values(), *users]]
+    loaded = set().union(*(attributes_loaded(tree) for tree in trees))
+    whole = set().union(*(classes_read_whole(tree) for tree in trees))
+    found = []
+    for module, text in modules.items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in whole:
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not node.name.startswith("_")):
+                    name = node.name
+                else:
+                    continue
+                if name not in loaded:
+                    found.append(f"{module}.{cls.name}.{name}")
+    return found
+
+
+# class members kept for the ROADMAP item that will read them
+MEMBERS_AWAITING_USE: dict[str, str] = {}
+
+
+def test_every_class_member_has_a_user_besides_the_tests():
+    # a name-level check: a member whose name some other attribute shares
+    # (``mean`` and ``ndarray.mean``) passes unread
+    package = ROOT / "src" / "pinchlab"
+    modules = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    users = [path.read_text() for path in sorted({*(ROOT / "demos").glob("*.py"),
+                                                  *(ROOT / "perfbench").glob("*.py")})]
+    assert sorted(unread_members(modules, users)) == sorted(MEMBERS_AWAITING_USE)
+
+
+def test_lint_finds_an_unread_member():
+    modules = {
+        "a": ("from dataclasses import astuple, dataclass\n"
+              "@dataclass\nclass Report:\n    value: float\n    unread: float\n"
+              "    def used(self):\n        return self.value\n"
+              "    def dead(self):\n        self.unread = 0.0\n"
+              "    def _private(self):\n        pass\n"
+              "    @property\n    def by_name(self):\n        return 1\n"
+              "    @property\n    def dead_view(self):\n        return 2\n"
+              "class Row:\n    column: int\n"
+              "def table(rows):\n    return [astuple(r) for r in rows], Row\n"
+              "TOLERANCE: float = 1e-9\n"),
+        "b": "from . import a\ndef run(r):\n    return r.used() + getattr(r, 'by_name')\n",
+    }
+    users = ["def run(rows):\n    return dataclasses.fields(a.Row)\n"]
+    assert unread_members(modules, users) == ["a.Report.unread", "a.Report.dead",
+                                              "a.Report.dead_view"]

@@ -82,7 +82,7 @@ class TestPairingValue:
         a2 = density_from_spec(DensitySpec(sin_terms=((1, 0.6),)), chain)
         b = density_from_spec(DensitySpec(cos_terms=((2, 1.0),)), chain)
         t = 0.37
-        combo = density_from_callable(lambda x: a1.evaluate(x) + t * a2.evaluate(x), chain)
+        combo = density_from_callable(lambda x: a1.profile(x) + t * a2.profile(x), chain)
         lhs = pairing_value(chain, combo, b)
         rhs = pairing_value(chain, a1, b) + t * pairing_value(chain, a2, b)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))

@@ -270,8 +270,6 @@ class TestCertification:
         assert [e.multiplicity for e in entries] == eigsys.multiplicity[order].tolist()
         assert [e.certified for e in entries] == eigsys.certified[order].tolist()
         assert not all(e.certified for e in entries)
-        for e, j in zip(entries, order):
-            np.testing.assert_array_equal(e.vec, eigsys.vecs[:, j])
         mode0 = eigsys.mode0_entries()
         assert [e.lam for e in mode0] == eigsys.lam[eigsys.modes == 0].tolist()
         assert {e.mode for e in mode0} == {0}
@@ -320,9 +318,12 @@ class TestModelFunctions:
 
     def test_overlap_is_order_one_over_L(self):
         # ramps of adjacent functions share a neck; the shared mass collapses
-        m1 = model_functions(build_chain(I2, 50.0, resolution=24))
-        m2 = model_functions(build_chain(I2, 500.0, resolution=24))
-        assert m2.overlap_mass < m1.overlap_mass / 2.5
+        def overlap_mass(L):
+            chain = build_chain(I2, L, resolution=24)
+            prod = np.prod(model_functions(chain).functions, axis=0)
+            return float(prod @ (chain.operators.mass @ prod)) ** 0.5
+
+        assert overlap_mass(500.0) < overlap_mass(50.0) / 2.5
 
     def test_fat_cores_disjoint(self):
         chain = build_chain(I3, L=60.0, resolution=24)
@@ -365,7 +366,7 @@ class TestCorrelation:
         flipped = dataclasses.replace(eigsys, vecs=vecs)
         rep2 = correlation_matrix(chain, flipped, mfs)
         assert rep2.E_fro == pytest.approx(rep.E_fro, abs=1e-12)
-        np.testing.assert_allclose(rep2.residual_norms, rep.residual_norms, atol=1e-12)
+        np.testing.assert_allclose(rep2.scaled_residuals, rep.scaled_residuals, atol=1e-12)
 
 
 class TestTruncatedGreen:
