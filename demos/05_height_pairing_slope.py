@@ -1,15 +1,15 @@
 """The height pairing, its log slope, and the pseudoinverse prediction.
 
 Sweeping the pairing over L and fitting an affine law in log|s|^2 = -2L
-recovers the intersection-matrix constant to many digits; the base-changed
-family reproduces the same numbers with the slope rescaled by the degree.
+recovers the intersection-matrix constant to many digits.  Over s = t^d each
+node becomes a chain of d - 1 exceptional curves; the family built that way
+has its slope in log|t|^2 rescaled by the degree.
 """
 
 import numpy as np
 
 from pinchlab import (
     FamilyConfig,
-    base_change_consistency,
     build_chain,
     cycle_graph,
     density_from_callable,
@@ -37,11 +37,17 @@ print(f"c_predicted= {pred:+.12f}")
 print(f"intercept  = {fit.intercept:+.6f}, residual rms = {fit.residual_rms:.2e}")
 
 print("\n== base change s = t^3 ==")
-rep = base_change_consistency(cfg, 3, [20.0, 30.0, 45.0, 65.0],
-                              builder, builder, resolution=32)
-print(f"reparametrization discrepancy: {rep.max_discrepancy:.2e}")
-print(f"slope in t = {rep.slope_in_t:+.6f} = {rep.degree} x slope in s "
-      f"({rep.slope_in_s:+.6f})")
+# each component is followed by two exceptional curves of area 0.1, density 0
+t_cfg = FamilyConfig(n_components=6, areas=(0.5, 0.1, 0.1, 0.5, 0.1, 0.1))
+t_spec = step_density_spec([2.0, 0.0, 0.0, -2.0, 0.0, 0.0])
+t_builder = lambda chain: density_from_spec(t_spec, chain)
+t_grid = np.array([20.0, 30.0, 45.0, 65.0])
+c_s = fit_log_asymptote(pairing_sweep(cfg, builder, builder, 3 * t_grid, resolution=32),
+                        (60.0, 195.0)).c_fit
+c_t = fit_log_asymptote(pairing_sweep(t_cfg, t_builder, t_builder, t_grid, resolution=32),
+                        (20.0, 65.0)).c_fit
+print(f"slope in t = {c_t:+.12f}")
+print(f"3 x slope in s = {3 * c_s:+.12f}")
 
 print("\n== a pair that never blows up: neck-supported waves ==")
 nb = lambda chain: density_from_callable(neck_wave_profile(chain, 0), chain)

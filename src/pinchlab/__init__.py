@@ -22,8 +22,8 @@ _API = {
     "geometry": "DensityField DensitySpec FamilyConfig WarpedChain build_chain"
                 " cosine_bump_profile density_from_callable density_from_spec"
                 " neck_wave_profile sine_bump_profile step_density_spec",
-    "pairing": "FitResult PairingCurve base_change_consistency fit_log_asymptote"
-               " pairing_sweep pairing_value predicted_constant",
+    "pairing": "FitResult PairingCurve fit_log_asymptote pairing_sweep pairing_value"
+               " predicted_constant",
     "potential": "PreferredPotential estimate_report solve_direct solve_spectral split_low_high",
     "spectral": "EigenSystem correlation_matrix full_spectra full_spectrum graph_limit_eigs"
                 " model_functions solve_modes truncated_green_min",

@@ -326,12 +326,33 @@ def criterion_12_continuity_law(seed: int) -> CriterionResult:
                    "|c_fit|<=1e-3 scale; intercept stable to 1%", ok)
 
 
+# areas do not enter M, and 0.1 keeps at least 2 cells at resolution 24
+EXCEPTIONAL_AREA = 0.1
+
+
+def _base_changed(cfg: geometry.FamilyConfig, fat_values, d: int):
+    """The family over s = t^d and its step density of ``fat_values``.
+
+    Each node becomes a chain of d - 1 exceptional curves: every component
+    is followed by d - 1 components of area EXCEPTIONAL_AREA and density 0.
+    """
+    areas = np.full((cfg.n_components, d), EXCEPTIONAL_AREA)
+    areas[:, 0] = cfg.area_vector()
+    spec = geometry.step_density_spec(np.outer(fat_values, np.eye(d)[0]).ravel())
+    return (geometry.FamilyConfig(areas.size, tuple(areas.ravel()), cfg.neck_length),
+            lambda chain: geometry.density_from_spec(spec, chain))
+
+
 def criterion_13_base_change(seed: int) -> CriterionResult:
+    t_grid = np.array([20.0, 30.0, 45.0, 65.0])
     worst = 0.0
     for d in (2, 3):
-        rep = pairing.base_change_consistency(I2, d, [20.0, 30.0, 45.0, 65.0],
-                                              _step, _step, resolution=24)
-        worst = max(worst, rep.max_discrepancy)
+        curve_s = pairing.pairing_sweep(I2, _step, _step, d * t_grid, resolution=24)
+        c_s = pairing.fit_log_asymptote(curve_s, (20.0 * d, 65.0 * d)).c_fit
+        family, step_t = _base_changed(I2, [2.0, -2.0], d)
+        curve_t = pairing.pairing_sweep(family, step_t, step_t, t_grid, resolution=24)
+        c_t = pairing.fit_log_asymptote(curve_t, (20.0, 65.0)).c_fit
+        worst = max(worst, abs(c_t - d * c_s) / max(abs(d * c_s), 0.01))
     ok = worst <= 1e-12
     return _result(13, "base_change_consistency",
                    f"max_discrepancy={worst:.2e}", "<=1e-12 for d in {2,3}", ok)

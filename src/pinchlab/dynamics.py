@@ -57,10 +57,6 @@ class TorusFibration:
             acc = acc * s + k * self.t_coeffs[k]
         return acc
 
-    def lattice_shift(self, t: complex) -> tuple[float, float]:
-        """Lattice coordinates (p, q) of a translation t = p + q*i."""
-        return t.real, t.imag
-
     def grid(self):
         n = self.fiber_n
         a = np.arange(n) / n
@@ -87,14 +83,14 @@ def _freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
 
 
-def translate(values: np.ndarray, p: float, q: float) -> np.ndarray:
-    """z -> f(z - (p, q)) (pushforward by +(p, q)), exact on the Fourier modes."""
+def translate(values: np.ndarray, t: complex) -> np.ndarray:
+    """z -> f(z - t) (pushforward by +t), exact on the Fourier modes."""
     k = _freqs(values.shape[0])
-    phase = np.exp(-math.tau * 1j * (k[:, None] * p + k[None, :] * q))
+    phase = np.exp(-math.tau * 1j * (k[:, None] * t.real + k[None, :] * t.imag))
     return np.fft.ifft2(np.fft.fft2(values) * phase).real
 
 
-def birkhoff_hat(fhat: np.ndarray, p: float, q: float, k_iters: int) -> np.ndarray:
+def birkhoff_hat(fhat: np.ndarray, t: complex, k_iters: int) -> np.ndarray:
     """Fourier coefficients of sum_{i<k} (pushforward)^i f, in closed form.
 
     Each mode sees the geometric sum of its own phase; the Dirichlet-kernel
@@ -102,7 +98,7 @@ def birkhoff_hat(fhat: np.ndarray, p: float, q: float, k_iters: int) -> np.ndarr
     """
     n = fhat.shape[0]
     kk = _freqs(n)
-    theta = -math.tau * (kk[:, None] * p + kk[None, :] * q)
+    theta = -math.tau * (kk[:, None] * t.real + kk[None, :] * t.imag)
     half = 0.5 * theta
     sin_half = np.sin(half)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,7 +150,9 @@ class LimitPotentialRun:
     ks: tuple[int, ...]
     constancy_defect: np.ndarray     # (len(ks), n_samples): max-min of S_k/k
     sup_deviation: np.ndarray | None  # vs a reference potential, if given
-    tate_bound_ok: bool              # fiber means of f obey |u| <= sup|f|
+    # the fiber means of f obey |u| <= sup|f|: true by construction on finite
+    # samples, because a mean never exceeds the largest absolute value
+    tate_bound_ok: bool
 
 
 def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
@@ -170,13 +168,12 @@ def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
 
     def f(s, Agrid, Bgrid):
         phi_here = np.asarray(phi_func(s, Agrid, Bgrid), dtype=float)
+        t = fib.T(s)
         if phi_here.shape == Agrid.shape and Agrid.shape == (fib.fiber_n, fib.fiber_n):
-            p, q = fib.lattice_shift(fib.T(s))
-            pushed = translate(phi_here, p, q)
+            pushed = translate(phi_here, t)
         else:
             # pointwise evaluation path (periodicity probes)
-            p, q = fib.lattice_shift(fib.T(s))
-            pushed = np.asarray(phi_func(s, Agrid - p, Bgrid - q), dtype=float)
+            pushed = np.asarray(phi_func(s, Agrid - t.real, Bgrid - t.imag), dtype=float)
         return float(np.real(u_func(s))) + phi_here - pushed
 
     return f, sup_phi
@@ -203,10 +200,10 @@ def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref=None) -> LimitPoten
         values = np.asarray(f(s, A, B), dtype=float)
         sup_f = max(sup_f, float(np.max(np.abs(values))))
         fhat = np.fft.fft2(values)
-        p, q = fib.lattice_shift(fib.T(s))
+        t = fib.T(s)
         u[j] = float(fhat[0, 0].real) / values.size
         for i, k in enumerate(ks):
-            avg = np.fft.ifft2(birkhoff_hat(fhat, p, q, k)).real / k
+            avg = np.fft.ifft2(birkhoff_hat(fhat, t, k)).real / k
             defects[i, j] = float(avg.max() - avg.min())
             if sup_dev is not None:
                 sup_dev[i, j] = float(np.max(np.abs(avg - np.real(u_ref(s)))))
@@ -252,8 +249,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
 
     def pushed_values(s: complex, n: int) -> np.ndarray:
         vals = np.asarray(rho(s, A, B), dtype=float)
-        p, q = fib.lattice_shift(fib.T(s))
-        return translate(vals, n * p, n * q)
+        return translate(vals, n * fib.T(s))
 
     def fd_field(n: int, h: float) -> np.ndarray:
         acc = -4.0 * pushed_values(s0, n)
@@ -324,10 +320,10 @@ def flat_potential_identity(fib: TorusFibration, rho) -> float:
     for s in fib.s_samples:
         vals = np.asarray(rho(s, A, B), dtype=float)
         w = _perturbed_density(vals)
-        p, q = fib.lattice_shift(fib.T(s))
-        xi = translate(w, p, q) - w            # density of T_* omega - omega
+        t = fib.T(s)
+        xi = translate(w, t) - w            # density of T_* omega - omega
         phi = fiber_poisson(xi)
-        target = translate(vals, p, q) - vals
+        target = translate(vals, t) - vals
         target = target - target.mean()
         scale = max(scale, float(np.max(np.abs(target))))
         defects.append(float(np.max(np.abs(phi - target))))
@@ -368,19 +364,19 @@ def limit_potential_relation(fib: TorusFibration, alpha, rho,
         a_vals = np.asarray(alpha(s, A, B), dtype=float)
         a_vals = a_vals - a_vals.mean()
         w = _perturbed_density(np.asarray(rho(s, A, B), dtype=float))
-        p, q = fib.lattice_shift(fib.T(s))
+        t = fib.T(s)
 
         phi = fiber_poisson(a_vals)
         # ddc f = (T_* alpha - alpha)|fiber, i.e. laplace f = 4 pi (T_* a - a)
-        incr = translate(a_vals, p, q) - a_vals
+        incr = translate(a_vals, t) - a_vals
         f_vals = fiber_poisson(-incr) + float(np.real(f_fiber_mean(s)))
 
-        invariant = f_vals + translate(phi, p, q) - phi
+        invariant = f_vals + translate(phi, t) - phi
         defect = max(defect, float(invariant.max() - invariant.min()))
         lhs.append(float((invariant * w).mean()))
 
         # pairing slot: (T^* - I) omega has density w(z + T) - w(z)
-        xi_pullback = translate(w, -p, -q) - w
+        xi_pullback = translate(w, -t) - w
         pairing = float((phi * xi_pullback).mean())
         rhs.append(float((f_vals * w).mean()) + pairing)
     lhs = np.asarray(lhs)

@@ -5,8 +5,7 @@ For two mean-zero densities a, b the pairing at parameter L = log(1/|s|) is
 leading behavior is affine in log|s|^2 = -2L, and the slope is predicted by
 the intersection-matrix pseudoinverse applied to the component-integral
 vectors.  This module evaluates the pairing, sweeps it over L, fits the
-log-asymptote, and checks the reparametrization consistency under base
-change s = t^d.
+log-asymptote, and predicts its slope.
 """
 
 from __future__ import annotations
@@ -107,59 +106,4 @@ def predicted_constant(g: dualgraph.DualGraph, dens_a: geometry.DensityField,
     v_b = v_b - v_b.mean()
     m_plus = dualgraph.pseudoinverse(dualgraph.build_intersection_matrix(g))
     return dualgraph.pairing_constant(m_plus, v_a, v_b)
-
-
-def pullback_chain(cfg: geometry.FamilyConfig, L_t: float, d: int,
-                   resolution: int = 48) -> geometry.WarpedChain:
-    """Chain of the base-changed family at parameter t: neck weight 1/(d*L_t).
-
-    Under s = t^d the degeneration parameter satisfies L_s = d * L_t; the
-    pulled-back family is the same model with the rescaled neck weight.
-    """
-    if d < 1:
-        raise ValidationError("base-change degree must be a positive integer")
-    return geometry.build_chain(cfg, d * L_t, resolution=resolution)
-
-
-@dataclass(frozen=True)
-class BaseChangeReport:
-    degree: int
-    max_discrepancy: float
-    slope_in_t: float
-    slope_in_s: float
-
-
-def base_change_consistency(cfg: geometry.FamilyConfig, d: int, t_L_grid, a_builder,
-                            b_builder, resolution: int = 48) -> BaseChangeReport:
-    """Check pairing(s = t^d) against the pairing of the pulled-back family.
-
-    In the model both sides are the same chain by construction, so this is a
-    reparametrization consistency check; the fitted slopes in the two
-    conventions must differ by exactly the factor d.
-    """
-    t_Ls = np.sort(np.asarray(list(t_L_grid), dtype=float))
-    vals_s = []
-    vals_t = []
-    for L_t in t_Ls:
-        chain_s = geometry.build_chain(cfg, d * float(L_t), resolution=resolution)
-        vals_s.append(pairing_value(chain_s, a_builder(chain_s), b_builder(chain_s)))
-        chain_t = pullback_chain(cfg, float(L_t), d, resolution=resolution)
-        vals_t.append(pairing_value(chain_t, a_builder(chain_t), b_builder(chain_t)))
-    vals_s = np.asarray(vals_s)
-    vals_t = np.asarray(vals_t)
-    disc = float(np.max(np.abs(vals_s - vals_t)))
-    scale = max(1.0, float(np.max(np.abs(vals_s))))
-
-    curve_t = PairingCurve(L=t_Ls, s=np.exp(-t_Ls), values=vals_t)
-    curve_s = PairingCurve(L=d * t_Ls, s=np.exp(-d * t_Ls), values=vals_s)
-    window_t = (float(t_Ls[0]), float(t_Ls[-1]))
-    window_s = (float(d * t_Ls[0]), float(d * t_Ls[-1]))
-    slope_t = fit_log_asymptote(curve_t, window_t).c_fit
-    slope_s = fit_log_asymptote(curve_s, window_s).c_fit
-    return BaseChangeReport(
-        degree=d,
-        max_discrepancy=disc / scale,
-        slope_in_t=slope_t,
-        slope_in_s=slope_s,
-    )
 

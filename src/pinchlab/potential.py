@@ -45,10 +45,9 @@ class PreferredPotential:
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """Raw expansion data b_i = (Phi_i, a), c_i = b_i / lambda_i."""
+    """Raw expansion data b_i = (Phi_i, a); the potential's coefficients are b_i / lambda_i."""
 
     b: np.ndarray
-    c: np.ndarray
 
 
 def solve_direct(chain: geometry.WarpedChain, dens: geometry.DensityField) -> PreferredPotential:
@@ -93,9 +92,8 @@ def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
     lam = eigsys.lam[used]
     basis = eigsys.vecs[:, used].T
     b = basis @ q
-    c = b / lam
-    phi = geometry.FOUR_PI * (c @ basis)
-    return PreferredPotential(chain=chain, phi=phi), SpectralCoefficients(b=b, c=c)
+    phi = geometry.FOUR_PI * ((b / lam) @ basis)
+    return PreferredPotential(chain=chain, phi=phi), SpectralCoefficients(b=b)
 
 
 def split_low_high(pot: PreferredPotential, eigsys: spectral.EigenSystem):

@@ -42,28 +42,28 @@ class TestSpectralPrimitives:
     def test_translation_preserves_fiber_integral(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(32, 32))
-        shifted = translate(vals, 0.237, 0.911)
+        shifted = translate(vals, 0.237 + 0.911j)
         assert shifted.mean() == pytest.approx(vals.mean(), abs=1e-12)
 
     def test_group_law(self):
         fib = make_fib(n=32)
         A, B = fib.grid()
         vals = np.sin(TWO_PI * A) + np.cos(TWO_PI * (A + 2 * B))
-        one = translate(translate(vals, 0.3, 0.1), 0.45, 0.22)
-        両 = translate(vals, 0.75, 0.32)
+        one = translate(translate(vals, 0.3 + 0.1j), 0.45 + 0.22j)
+        両 = translate(vals, 0.75 + 0.32j)
         np.testing.assert_allclose(one, 両, atol=1e-12)
 
     def test_birkhoff_matches_explicit_sum(self):
         vals = np.cos(TWO_PI * np.arange(16) / 16)[:, None] * np.ones((16, 16))
-        p, q = 0.137, 0.0
+        t = 0.137 + 0j
         fhat = np.fft.fft2(vals)
         k = 7
-        closed = np.fft.ifft2(birkhoff_hat(fhat, p, q, k)).real
+        closed = np.fft.ifft2(birkhoff_hat(fhat, t, k)).real
         brute = np.zeros_like(vals)
         cur = vals.copy()
         for _ in range(k):
             brute += cur
-            cur = translate(cur, p, q)
+            cur = translate(cur, t)
         np.testing.assert_allclose(closed, brute, atol=1e-10)
 
     def test_fiber_poisson_single_mode(self):

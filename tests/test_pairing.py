@@ -1,4 +1,4 @@
-"""Height pairing: algebraic properties, slope law, base change."""
+"""Height pairing: algebraic properties and the slope law."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from pinchlab.geometry import (
 )
 from pinchlab.pairing import (
     PairingCurve,
-    base_change_consistency,
     fit_log_asymptote,
     pairing_energy,
     pairing_sweep,
@@ -172,20 +171,4 @@ class TestSweepAndFit:
                               [50.0, 60.0, 80.0, 120.0, 200.0], resolution=16)
         with pytest.raises(ValidationError):
             fit_log_asymptote(curve, (110, 130))
-
-
-class TestBaseChange:
-    def test_degree_one_exact(self):
-        rep = base_change_consistency(I2, 1, [30.0, 40.0, 55.0, 75.0],
-                                      step_builder(STEP), step_builder(STEP),
-                                      resolution=24)
-        assert rep.max_discrepancy == 0.0
-
-    def test_degree_three_consistency(self):
-        rep = base_change_consistency(I2, 3, [20.0, 28.0, 40.0, 60.0],
-                                      step_builder(STEP), step_builder(STEP),
-                                      resolution=24)
-        assert rep.max_discrepancy <= 1e-12
-        # log|t|^2 = log|s|^2 / d turns the slope by exactly d
-        assert rep.slope_in_t == pytest.approx(3 * rep.slope_in_s, rel=1e-9)
 
