@@ -121,9 +121,9 @@ def criterion_3_small_eigenvalues(seed: int) -> CriterionResult:
             ok = ok and count_ok and rel <= 0.10
         ok = ok and errs[0] > errs[1] > errs[2]
         coarse = spectral.full_spectrum(geometry.build_chain(cfg, 120.0, resolution=48),
-                                        m_max=1, k_per_mode=4).expanded_eigenvalues()[1]
+                                        m_max=0, k_per_mode=4).expanded_eigenvalues()[1]
         fine = spectral.full_spectrum(geometry.build_chain(cfg, 120.0, resolution=96),
-                                      m_max=1, k_per_mode=4).expanded_eigenvalues()[1]
+                                      m_max=0, k_per_mode=4).expanded_eigenvalues()[1]
         refine = abs(coarse - fine) / fine
         ok = ok and refine <= 0.005
         detail.append(f"N={cfg.n_components}:rel={errs[-1]:.3f},refine={refine:.1e}")
@@ -214,7 +214,7 @@ def criterion_7_truncated_green(seed: int) -> CriterionResult:
 def criterion_8_potential_oracles(seed: int) -> CriterionResult:
     rng = np.random.default_rng(seed)
     chain = geometry.build_chain(I3, 100.0, resolution=24)
-    eigsys = spectral.full_spectrum(chain, m_max=1, k_per_mode=chain.n_nodes)
+    eigsys = spectral.full_spectrum(chain, m_max=0, k_per_mode=chain.n_nodes)
     M = chain.operators.mass
     worst = 0.0
     for _ in range(10):

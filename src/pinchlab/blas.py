@@ -1,5 +1,6 @@
-"""Thread counts of the OpenBLAS libraries loaded into this process, pinned
-for the solver pool's workers (spectral) and the CLI's own process (cli.main)."""
+"""Thread counts of the OpenBLAS libraries loaded into this process, and the
+allocator's thresholds, set for the solver pool's workers (spectral) and the
+CLI's own process (cli.main)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,25 @@ _OPENBLAS_THREADS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),        # scipy wheels
     ("openblas_set_num_threads", "openblas_get_num_threads"),                    # a plain OpenBLAS
 )
+
+
+def keep_freed_memory():
+    """Serve blocks below 1 GiB from this process's heap, and keep up to 1 GiB
+    of freed memory there.
+
+    glibc otherwise hands the work arrays of each LAPACK call back to the
+    system, and the next call page-faults them in again.  The setting lasts
+    for the process: glibc cannot restore its dynamic thresholds.  Does
+    nothing where the C library has no ``mallopt`` (musl, macOS).
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for option in (-3, -1):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        mallopt(option, 1 << 30)
 
 
 def blas_threads(threads=None) -> dict | None:

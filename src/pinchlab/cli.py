@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blas import blas_threads
+from .blas import blas_threads, keep_freed_memory
 from .errors import ConvergenceError, ValidationError
 
 
@@ -184,8 +184,8 @@ def cmd_potential(cfg: configfile.ExperimentConfig, args) -> Run:
     chain = geometry.build_chain(family, args.L, resolution=solver["resolution"])
     builder = cfg.density_builder("alpha")
     dens = builder(chain)
-    # split_low_high reads mode 0 only: solve the fewest modes full_spectrum allows
-    eigsys = spectral.full_spectrum(chain, m_max=1, k_per_mode=solver["k_per_mode"])
+    # split_low_high reads mode 0 only
+    eigsys = spectral.full_spectrum(chain, m_max=0, k_per_mode=solver["k_per_mode"])
     pot = potential.solve_direct(chain, dens)
     low, high = potential.split_low_high(pot, eigsys)
     rows = list(zip(chain.nodes.tolist(), pot.phi.tolist(), low.tolist(), high.tolist()))
@@ -468,6 +468,7 @@ def main(argv=None) -> int:
     # pool workers and with other processes for the cores
     chosen = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
     pinned = None if chosen else blas_threads(1)
+    keep_freed_memory()  # never restored, unlike the threads
     try:
         if args.command == "kodaira":
             return cmd_kodaira(args)

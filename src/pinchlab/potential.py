@@ -145,7 +145,7 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
     for L in L_values:
         chain = geometry.build_chain(cfg, L, resolution=resolution)
         dens = density_builder(chain)
-        eigsys = spectral.full_spectrum(chain, m_max=1, k_per_mode=8)  # the split reads mode 0
+        eigsys = spectral.full_spectrum(chain, m_max=0, k_per_mode=8)  # the split reads mode 0
         pot = solve_direct(chain, dens)
         low, high = split_low_high(pot, eigsys)
         sup_low = float(np.max(np.abs(low)))

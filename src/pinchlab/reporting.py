@@ -32,7 +32,15 @@ def render_csv(columns, rows, config_hash: str = "", comments=(),
     for col in zip(*rows, strict=True):
         kinds = set(map(type, col))
         if len(kinds) == 1:  # one formatter for the whole column
-            cells.append(list(map(_formatter(kinds.pop(), precision), col)))
+            kind = kinds.pop()
+            fmt = _formatter(kind, precision)
+            # equal values print alike, except 1+0j and 1-0j, and 0.0 and -0.0
+            if issubclass(kind, complex) or 0 in col:
+                cells.append(list(map(fmt, col)))
+            else:  # each distinct value formatted once
+                distinct = set(col)
+                text = dict(zip(distinct, map(fmt, distinct)))
+                cells.append(list(map(text.__getitem__, col)))
         else:
             cells.append([_formatter(type(x), precision)(x) for x in col])
     lines += map(",".join, zip(*cells))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualgraph, geometry
-from .blas import blas_threads
+from .blas import blas_threads, keep_freed_memory
 from .errors import ConvergenceError, StructureError, ValidationError
 
 RESIDUAL_TOL = 1e-8
@@ -315,15 +315,15 @@ class EigenSystem:
 
 def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
                   k_per_mode: int = 32) -> EigenSystem:
-    """Solve modes 0..m_max, merge, and certify completeness.
+    """Solve modes 0..m_max (m_max >= 0), merge, and certify completeness.
 
     Excluded modes m > m_max have lambda >= (m_max+1)^2 / c_max^2; within a
     solved mode everything up to its k-th eigenvalue is known.  The
     certificate is the minimum of the two, and a flag records when k_per_mode
     (not m_max) is the binding constraint.
     """
-    if m_max < 1:
-        raise ValidationError("m_max must be at least 1")
+    if m_max < 0:
+        raise ValidationError("m_max must be at least 0")
     if k_per_mode < 1:
         raise ValidationError("k_per_mode must be at least 1")
     n = chain.n_nodes
@@ -419,6 +419,7 @@ def _init_worker(parent: int):
 
     _IN_WORKER = True
     blas_threads(1)
+    keep_freed_memory()
     # a worker holds its own end of the call queue, so it never sees EOF
     # when its parent is killed: it watches for the parent to go instead
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()

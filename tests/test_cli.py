@@ -1,5 +1,6 @@
 """Config parsing, command driver, exit codes, and output determinism."""
 
+import ctypes
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchlab import acceptance, spectral
+from pinchlab import acceptance, blas, spectral
 from pinchlab.cli import COMMANDS, main
 from pinchlab.configfile import parse_config, parse_grid
 from pinchlab.errors import ConvergenceError, ValidationError
@@ -289,7 +290,9 @@ class TestExitContract:
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--L", "1e200"], OVERFLOW + "200"),
         (["spectrum", "--L", "1e300"], OVERFLOW + "300"),
-        (["potential", "--L", "1e200"], OVERFLOW + "200"),
+        # potential solves mode 0 alone, so the Poisson residual fails first
+        (["potential", "--L", "1e200"],
+         r"direct solve residual beyond tolerance residual=inf tolerance=1\.44e-06 n=144"),
         (["green", "--L-grid", "1e200"], OVERFLOW + "200"),
         (["pairing", "--L-grid", "1e150:1e300:6", "--fit-window", "1e150,1e300"],
          r"direct solve residual beyond tolerance residual=\S+ tolerance=\S+ n=144"),
@@ -538,6 +541,49 @@ def test_openblas_mapped_by_the_first_solve_runs_the_commands_threads(tmp_path, 
         pytest.skip("no OpenBLAS that runs two threads here")
     want = 2 if variable else 1  # the user's count is left alone
     assert all(set(counts.values()) == {want} for counts in seen["inside"])
+
+
+# Run in a child process, so that no earlier test has shaped its heap: the
+# minor page faults of the second of two eighs of one 576x576 matrix, in a
+# pool worker and in this process after an in-process main.
+FAULTS_PROBE = """
+import json, resource
+import numpy as np
+from pinchlab import spectral
+from pinchlab.cli import main
+
+def second_eigh_faults():
+    a = np.random.default_rng(0).standard_normal((576, 576))
+    a = a + a.T
+    np.linalg.eigh(a)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.linalg.eigh(a)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+pool = spectral._pool()
+worker = None if pool is None else pool.submit(second_eigh_faults).result()
+code = main(["kodaira", "--type", "I_4"])
+print(json.dumps({"code": code, "worker": worker, "cli": second_eigh_faults()}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_cli_and_pool_workers_keep_lapack_work_arrays_in_the_heap():
+    # glibc would otherwise unmap eigh's work arrays after each call, and the
+    # next call would fault them in again (about 2,000 faults at n = 576)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PROBE], capture_output=True,
+                          text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0 and seen["cli"] < 100
+    assert seen["worker"] is None or seen["worker"] < 100
+
+
+def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert blas.keep_freed_memory() is None
 
 
 NO_SCIPY_PROBE = """

@@ -256,6 +256,23 @@ class TestCertification:
             if e.certified:
                 assert e.lam <= eigsys.certified_below
 
+    def test_mode_0_alone_is_the_mode_0_block(self):
+        # callers that read mode 0 only skip the m >= 1 solves; the excluded
+        # modes' bound is then 1 / c_max^2
+        chain = build_chain(I2, 60.0, resolution=24)
+        k = 10
+        alone = full_spectrum(chain, m_max=0, k_per_mode=k)
+        both = full_spectrum(chain, m_max=1, k_per_mode=k)
+        assert np.array_equal(alone.lam, both.lam[:k])
+        assert np.array_equal(alone.vecs, both.vecs[:, :k])
+        assert np.array_equal(alone.modes, np.zeros(k))
+        assert alone.certified_below == min(1 / C_FAT**2, alone.lam[k - 1])
+        assert alone.low_count == both.low_count
+
+    def test_negative_m_max_rejected(self):
+        with pytest.raises(ValidationError, match="m_max must be at least 0"):
+            full_spectrum(build_chain(I2, 60.0, resolution=24), m_max=-1)
+
     def test_entries_view_matches_arrays(self):
         # the benchmark reads this view: entries in (lam, mode) order, each
         # with the fields of its pair's arrays
