@@ -239,7 +239,7 @@ def criterion_8_potential_oracles(seed: int) -> CriterionResult:
     step = _step(geometry.build_chain(I2, 100.0, resolution=48))
     graph = dualgraph.cycle_graph(I2.area_vector())  # the circuit of the collapsed limit
     circuit = float(np.max(np.abs(potential.circuit_potentials(
-        graph.areas, graph.edges, 2 * PI / step.chain.L, step.component_integrals))))
+        graph, 2 * PI / step.chain.L, step.component_integrals))))
     circuit_rel = abs(potential.solve_direct(step.chain, step).sup_norm() - circuit) / circuit
     circuit_ok = circuit_rel <= 0.10
     ok = spectral_ok and torus_ok and circuit_ok

@@ -164,13 +164,9 @@ def cmd_modelfns(cfg: configfile.ExperimentConfig, args) -> Run:
 
 
 def cmd_green(cfg: configfile.ExperimentConfig, args) -> Run:
-    cutoff = (cfg.get_float("solver", "green_cutoff")
-              if cfg.has("solver", "green_cutoff") else None)
-    tail = cfg.get_int("solver", "tail_count", "24")
     rows = []
     for L, chain, eigsys in _spectra(cfg, args.L_grid):
-        rep = spectral.truncated_green_min(chain, eigsys, tail_count=tail,
-                                           lambda_cutoff=cutoff)
+        rep = spectral.truncated_green_min(chain, eigsys)
         rows.append((L, chain.s, rep.min_value, rep.diag_min,
                      rep.cutoff, rep.tail_bound))
     return Run([Table(
@@ -190,8 +186,7 @@ def cmd_potential(cfg: configfile.ExperimentConfig, args) -> Run:
     low, high = potential.split_low_high(pot, eigsys)
     rows = list(zip(chain.nodes.tolist(), pot.phi.tolist(), low.tolist(), high.tolist()))
 
-    grid = cfg.get_grid("sweep", "estimate_L_grid", "20:200:4")
-    table = potential.estimate_report(family, grid, builder,
+    table = potential.estimate_report(family, np.geomspace(20.0, 200.0, 4), builder,
                                       resolution=solver["resolution"])
     return Run([
         Table("potential.csv", ["x", "phi", "phi_low", "phi_high"], rows),
@@ -464,9 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # one BLAS thread for the length of the command, unless the user chose a
-    # count: the dense solves are small, and default threads compete with the
-    # pool workers and with other processes for the cores
-    chosen = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
+    # count (OpenBLAS reads an empty variable as unset): the dense solves are
+    # small, and default threads compete with the pool workers and with other
+    # processes for the cores
+    chosen = bool(os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"))
     pinned = None if chosen else blas_threads(1)
     keep_freed_memory()  # never restored, unlike the threads
     try:

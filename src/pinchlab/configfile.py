@@ -17,18 +17,15 @@ import numpy as np
 from . import geometry
 from .errors import ValidationError
 
-# a [density.*] section also takes ``<term>.<index>`` keys (_density_term)
+# a [density.*] section takes only ``<term>.<index>`` keys (_density_term)
 _SCHEMA: dict[str, set[str]] = {
     "family": {
         "n_components", "areas", "neck_length",
     },
-    "density.alpha": {"project"},
-    "density.beta": {"project"},
-    "solver": {
-        "resolution", "m_max", "k_per_mode", "seed", "tail_count",
-        "green_cutoff",
-    },
-    "sweep": {"L", "L_grid", "estimate_L_grid", "fit_window"},
+    "density.alpha": set(),
+    "density.beta": set(),
+    "solver": {"resolution", "m_max", "k_per_mode", "seed"},
+    "sweep": {"L", "L_grid", "fit_window"},
     "dynamics": {
         "t_poly", "s0", "fiber_n", "k_max", "n_list", "u_preset",
         "phi_preset", "phi_amplitude", "rho_preset", "rho_amplitude",
@@ -78,14 +75,6 @@ class ExperimentConfig:
     def get_int(self, section, key, default=None) -> int:
         return self._typed(section, key, default, int, "an integer")
 
-    def get_bool(self, section, key, default=None) -> bool:
-        raw = self.get(section, key, default).strip().lower()
-        if raw in {"true", "yes", "1"}:
-            return True
-        if raw in {"false", "no", "0"}:
-            return False
-        raise ValidationError(f"[{section}] {key} must be a boolean, got {raw!r}")
-
     def get_floats(self, section, key, default=None) -> tuple[float, ...]:
         return self._typed(section, key, default, lambda raw: tuple(
             finite_float(p) for p in raw.split(",") if p.strip()), "a list of finite numbers")
@@ -133,8 +122,6 @@ class ExperimentConfig:
         terms = {"fat": [], "neck": [], "cos": [], "sin": []}
         waves = []  # (kind, index, amplitude), in file order
         for key in self.sections.get(section, {}):
-            if key == "project":
-                continue
             head, idx = key.split(".")
             value = self.get_float(section, key)
             if head in terms:
@@ -144,7 +131,7 @@ class ExperimentConfig:
         spec = geometry.DensitySpec(
             fat_values=tuple(sorted(terms["fat"])), neck_values=tuple(sorted(terms["neck"])),
             cos_terms=tuple(sorted(terms["cos"])), sin_terms=tuple(sorted(terms["sin"])),
-            project=self.get_bool(section, "project", "true"), waves=tuple(waves),
+            waves=tuple(waves),
         )
         # a lambda, not a partial: density_from_spec is looked up at each call,
         # so a wrapper installed on geometry later still sees it

@@ -149,7 +149,7 @@ class LimitPotentialRun:
 
     ks: tuple[int, ...]
     constancy_defect: np.ndarray     # (len(ks), n_samples): max-min of S_k/k
-    sup_deviation: np.ndarray | None  # vs a reference potential, if given
+    sup_deviation: np.ndarray        # (len(ks), n_samples): sup|S_k/k - u_ref|
     # the fiber means of f obey |u| <= sup|f|: true by construction on finite
     # samples, because a mean never exceeds the largest absolute value
     tate_bound_ok: bool
@@ -179,12 +179,12 @@ def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
     return f, sup_phi
 
 
-def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref=None) -> LimitPotentialRun:
+def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref) -> LimitPotentialRun:
     """Average the pushforward sums S_k(f)/k over a ladder of k values.
 
-    For observables of the form pi^*u + phi - T_*phi the deviation from u is
-    |phi - T^k phi|/k <= 2 sup|phi|/k; the fiber means always obey the
-    sup bound |u(s)| <= sup|f|.
+    For observables of the form pi^*u + phi - T_*phi the deviation from
+    u_ref = u is |phi - T^k phi|/k <= 2 sup|phi|/k; the fiber means always
+    obey the sup bound |u(s)| <= sup|f|.
     """
     if k_max < 1:
         raise ValidationError("k_max must be positive")
@@ -194,7 +194,7 @@ def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref=None) -> LimitPoten
     n_s = len(fib.s_samples)
     u = np.zeros(n_s)
     defects = np.zeros((len(ks), n_s))
-    sup_dev = np.zeros((len(ks), n_s)) if u_ref is not None else None
+    sup_dev = np.zeros((len(ks), n_s))
     sup_f = 0.0
     for j, s in enumerate(fib.s_samples):
         values = np.asarray(f(s, A, B), dtype=float)
@@ -205,8 +205,7 @@ def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref=None) -> LimitPoten
         for i, k in enumerate(ks):
             avg = np.fft.ifft2(birkhoff_hat(fhat, t, k)).real / k
             defects[i, j] = float(avg.max() - avg.min())
-            if sup_dev is not None:
-                sup_dev[i, j] = float(np.max(np.abs(avg - np.real(u_ref(s)))))
+            sup_dev[i, j] = float(np.max(np.abs(avg - np.real(u_ref(s)))))
     tate_ok = bool(np.max(np.abs(u)) <= sup_f + 1e-9)
     return LimitPotentialRun(
         ks=tuple(ks),
@@ -343,20 +342,18 @@ class RelationReport:
 
 
 def limit_potential_relation(fib: TorusFibration, alpha, rho,
-                             f_fiber_mean=None) -> RelationReport:
+                             f_fiber_mean) -> RelationReport:
     """Check u(s) = integral(f omega_s) + pairing(alpha, (T^* - I) omega).
 
     All ingredients are synthesized consistently: alpha is a fiberwise
     mean-zero density, omega = omega_flat - ddc(rho), f solves
-    ddc f = (T_* alpha - alpha) fiberwise with prescribed fiber means, and
-    phi is the preferred potential of alpha.  Both sides of the identity are
-    then evaluated independently on every base sample.
+    ddc f = (T_* alpha - alpha) fiberwise with fiber means f_fiber_mean(s),
+    and phi is the preferred potential of alpha.  Both sides of the identity
+    are then evaluated independently on every base sample.
     """
     A, B = fib.grid()
     _check_periodicity(alpha, fib.s_samples[0])
     _check_periodicity(rho, fib.s_samples[0])
-    if f_fiber_mean is None:
-        f_fiber_mean = lambda s: 0.0
     lhs = []
     rhs = []
     defect = 0.0

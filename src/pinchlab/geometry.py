@@ -297,15 +297,13 @@ class DensitySpec:
     segments, similarly for necks; ``cos_terms``/``sin_terms`` hold
     (harmonic k, amplitude) pairs for cos/sin(2*pi*k*x/P).  ``waves`` holds
     (kind, segment index, amplitude) triples, ``kind`` a key of ``WAVE_PROFILES``;
-    they are added last, in order.  With ``project`` the sampled density is
-    shifted to zero mean against the area measure.
+    they are added last, in order.
     """
 
     fat_values: tuple[tuple[int, float], ...] = ()
     neck_values: tuple[tuple[int, float], ...] = ()
     cos_terms: tuple[tuple[int, float], ...] = ()
     sin_terms: tuple[tuple[int, float], ...] = ()
-    project: bool = True
     waves: tuple[tuple[str, int, float], ...] = ()
 
     def profile(self, chain: WarpedChain):
@@ -349,26 +347,15 @@ class DensityField:
         return max(1.0, vmax)
 
 
-def density_from_callable(f, chain: WarpedChain, project: bool = True) -> DensityField:
+def density_from_callable(f, chain: WarpedChain) -> DensityField:
     """Sample a profile a(x) on a chain and enforce zero total integral.
 
-    With ``project`` the constant component is removed (orthogonal projection
-    against 1 in the area inner product); otherwise a nonzero total integral
-    is rejected, since admissible densities integrate to zero on every fiber.
+    The constant component is removed (orthogonal projection against 1 in
+    the area inner product), since admissible densities integrate to zero on
+    every fiber.
     """
     raw_quad = np.asarray(f(chain.quad_x.ravel()), dtype=float).reshape(chain.quad_x.shape)
-    total_raw = chain.integrate_area(raw_quad)
-    total_area = chain.integrate_area(np.ones_like(chain.quad_w))
-    scale = max(1.0, float(np.max(np.abs(raw_quad))) if raw_quad.size else 1.0)
-    if project:
-        shift = total_raw / total_area
-    else:
-        if abs(total_raw) > 1e-12 * scale:
-            raise ValidationError(
-                "density has nonzero fiber integral and projection is disabled; "
-                "integrability on general fibers is violated"
-            )
-        shift = 0.0
+    shift = chain.integrate_area(raw_quad) / chain.integrate_area(np.ones_like(chain.quad_w))
     quad_vals = raw_quad - shift
     comp = np.zeros(chain.cfg.n_components)
     for seg_idx, seg in enumerate(chain.segments):
@@ -387,7 +374,7 @@ def density_from_callable(f, chain: WarpedChain, project: bool = True) -> Densit
 
 
 def density_from_spec(spec: DensitySpec, chain: WarpedChain) -> DensityField:
-    return density_from_callable(spec.profile(chain), chain, project=spec.project)
+    return density_from_callable(spec.profile(chain), chain)
 
 
 def step_density_spec(values) -> DensitySpec:

@@ -181,15 +181,16 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
     )
 
 
-def circuit_potentials(g_areas, edges, conductance: float, v: np.ndarray) -> np.ndarray:
+def circuit_potentials(g: dualgraph.DualGraph, conductance: float,
+                       v: np.ndarray) -> np.ndarray:
     """Network oracle: plateau potentials from the conductance circuit.
 
     Solves kappa * L_G phi = 4*pi*v on the component network (mean zero
     against the areas), the collapsed limit of the chain Poisson problem.
+    L_G = -M holds on reduced graphs, so phi = -(4*pi/kappa) M^+ v.
     """
-    areas = np.asarray(g_areas, dtype=float)
-    counts = dualgraph.edge_counts(areas.size, edges)
-    L_G = conductance * (np.diag(counts.sum(axis=1)) - counts)
-    phi = np.linalg.pinv(L_G) @ (geometry.FOUR_PI * np.asarray(v, dtype=float))
-    phi -= np.dot(phi, areas) / areas.sum()
-    return phi
+    if not g.reduced:
+        raise ValidationError("the circuit oracle requires a reduced graph")
+    m_plus = dualgraph.pseudoinverse(dualgraph.build_intersection_matrix(g))
+    phi = -(geometry.FOUR_PI / conductance) * (m_plus @ np.asarray(v, dtype=float))
+    return phi - np.dot(phi, g.areas) / g.areas.sum()

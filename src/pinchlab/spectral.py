@@ -612,7 +612,7 @@ class GreenReport:
 
 
 def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
-                        tail_count: int = 200,
+                        tail_count: int = 24,
                         lambda_cutoff: float | None = None) -> GreenReport:
     """Minimum of the Green's kernel truncated past the collapsing modes.
 

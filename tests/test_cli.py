@@ -149,14 +149,6 @@ class TestCommands:
         main(["pairing", "--config", cfg_path])
         assert (out / "pairing.csv").read_bytes() == first
 
-    def test_unprojected_density_exits_2(self, tmp_path, capsys):
-        text = BASE_CFG.replace("fat.0 = 2.0\nfat.1 = -2.0",
-                                "fat.0 = 2.0\nproject = false", 1)
-        cfg_path, _ = write_cfg(tmp_path, text)
-        assert main(["pairing", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "general fibers" in err
-
     def test_verify_missing_seed_exits_2(self, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, "[solver]\nresolution = 16\n"
                                           "[output]\ndirectory = {out}\n")
@@ -228,7 +220,9 @@ class TestExitContract:
         ("pairing", None, ["--fit-window", "50"], "--fit-window"),
         ("spectrum", ("k_per_mode = 16", "k_per_mode = 0"), [], "k_per_mode"),
         ("spectrum", ("precision = 17", "precision = -3"), [], "[output] precision"),
-        ("green", ("k_per_mode = 16", "k_per_mode = 16\ntail_count = -3"), [], "tail_count"),
+        # the Green tail is 24 pairs
+        ("green", ("k_per_mode = 16", "k_per_mode = 16\ntail_count = -3"), [],
+         "'tail_count' in [solver]"),
         ("spectrum", ("precision = 17", "precision = 17\n[node]\nsplit_factor = 5.0"), [],
          "split_factor"),
         ("spectrum", ("fit_window = 50, 200", "fit_window = 50, 200\nt_grid = 1e-3:1e-1:3"), [],
@@ -237,12 +231,14 @@ class TestExitContract:
          ["birkhoff"], "[dynamics] phi_preset"),
         ("node-integral", None, ["--eta", "22:abc:0,0,0,0"], "eta term"),
         ("node-integral", None, ["--eta", "22:1:0,x,0,0"], "eta term"),
-        # a cutoff below every pair beyond the collapsing ones leaves an empty kernel sum
-        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = 0"), [], "green cutoff 0"),
-        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = -1"), [],
-         "green cutoff -1"),
-        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = 1e-30"), [],
-         "green cutoff 1e-30"),
+        # the Green tail sets the cutoff, the estimate grid is 20:200:4, and
+        # every density is projected to zero mean
+        ("green", ("k_per_mode = 16", "k_per_mode = 16\ngreen_cutoff = 500"), [],
+         "'green_cutoff' in [solver]"),
+        ("potential", ("fit_window = 50, 200", "fit_window = 50, 200\nestimate_L_grid = 20:200:4"),
+         [], "'estimate_L_grid' in [sweep]"),
+        ("pairing", ("[density.alpha]", "[density.alpha]\nproject = false"), [],
+         "'project' in [density.alpha]"),
         ("node-integral", ("precision = 17", "precision = 17\n[node]\nangular = 0"), [],
          "angular node count must be at least 1, got 0"),
         ("node-integral", ("precision = 17", "precision = 17\n[node]\nangular = -4"), [],
@@ -475,12 +471,15 @@ print(json.dumps({"code": code, "before": before, "inside": inside,
 """
 
 
-@pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+# "NAME" sets NAME=2; "NAME=" sets it empty, which OpenBLAS reads as unset
+@pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "OPENBLAS_NUM_THREADS=", "OMP_NUM_THREADS="])
 def test_cli_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, variable):
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
                                                             "OMP_NUM_THREADS")}
-    if variable:
-        env[variable] = "2"
+    name, empty, _ = (variable or "").partition("=")
+    if name:
+        env[name] = "" if empty else "2"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
     config = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
@@ -491,7 +490,7 @@ def test_cli_runs_one_blas_thread_unless_the_user_set_a_count(tmp_path, variable
     if seen["before"] is None or set(seen["before"].values()) == {1}:
         pytest.skip("no OpenBLAS that runs more than one thread here")
     assert seen["after"] == seen["before"]  # restored when main returns
-    if variable:
+    if name and not empty:
         assert seen["inside"] == [seen["before"]]  # the user's count is left alone
     else:
         assert seen["inside"] == [dict.fromkeys(seen["before"], 1)]

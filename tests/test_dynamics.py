@@ -83,7 +83,7 @@ class TestSpectralPrimitives:
         fib = make_fib(n=16)
         bad = lambda s, A, B: A  # not 1-periodic
         with pytest.raises(ValidationError, match="seam"):
-            birkhoff_limit(fib, bad, 10)
+            birkhoff_limit(fib, bad, 10, u_ref=u_re)
 
 
 class TestBirkhoffLimit:
@@ -105,7 +105,7 @@ class TestBirkhoffLimit:
     def test_convergence_between_ladder_steps(self):
         fib = make_fib(n=32)
         f, sup_phi = synthesize_invariant_observable(fib, u_re, phi_sincos)
-        run = birkhoff_limit(fib, f, 1000)
+        run = birkhoff_limit(fib, f, 1000, u_ref=u_re)
         # |u_k - u_2k|-type contraction: defects shrink like 1/k
         for i in range(len(run.ks) - 1):
             ratio = run.ks[i] / run.ks[i + 1]
@@ -116,7 +116,7 @@ class TestBirkhoffLimit:
     def test_tate_bound(self):
         fib = make_fib(n=32)
         f, _ = synthesize_invariant_observable(fib, u_re, phi_sincos)
-        assert birkhoff_limit(fib, f, 1000).tate_bound_ok
+        assert birkhoff_limit(fib, f, 1000, u_ref=u_re).tate_bound_ok
         A, B = fib.grid()
         for s in fib.s_samples:
             values = np.asarray(f(s, A, B))
@@ -188,7 +188,8 @@ class TestLimitPotentialRelation:
         rho = lambda s, A, B: 5.0 * np.cos(TWO_PI * A)
         with pytest.raises(ValidationError, match="rho is too large: the perturbed fiber "
                                                   "density is not positive"):
-            limit_potential_relation(fib, lambda s, A, B: np.cos(TWO_PI * A), rho)
+            limit_potential_relation(fib, lambda s, A, B: np.cos(TWO_PI * A), rho,
+                                     f_fiber_mean=lambda s: 0.0)
 
     def test_zero_alpha_reduces_to_mean(self):
         fib = make_fib(n=32)

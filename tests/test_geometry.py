@@ -159,12 +159,6 @@ class TestDensities:
         dens = density_from_spec(spec, chain)
         assert abs(dens.total_integral) <= 1e-12 * max(1.0, np.abs(dens.values).max())
 
-    def test_unprojected_nonzero_mean_rejected(self):
-        chain = build_chain(I2, L=100.0)
-        spec = DensitySpec(fat_values=((0, 1.0),), project=False)
-        with pytest.raises(ValidationError, match="general fibers"):
-            density_from_spec(spec, chain)
-
     def test_missing_segment_rejected(self):
         chain = build_chain(I2, L=100.0)
         with pytest.raises(ValidationError, match="missing fat segment"):

@@ -4,7 +4,8 @@ imports it at all, the CLI imports no layer module when it loads, no layer
 imports names from another layer when it loads, least-squares lines are
 fitted in one place, one method places points against segment ends, and every
 public function and class of the package, and every field, public method and
-property of its classes, has a user besides the tests."""
+property of its classes, has a user besides the tests; the package stays below
+its line baseline."""
 
 import ast
 from pathlib import Path
@@ -384,3 +385,14 @@ def test_lint_finds_an_unread_member():
     users = ["def run(rows):\n    return dataclasses.fields(a.Row)\n"]
     assert unread_members(modules, users) == ["a.Report.unread", "a.Report.dead",
                                               "a.Report.dead_view"]
+
+
+# the lines of src/pinchlab/*.py when the line baseline was measured
+# (ROADMAP item 9): deletions pay for every addition
+SRC_LINE_BASELINE = 3935
+
+
+def test_src_stays_below_its_baseline():
+    lines = sum(len(path.read_text().splitlines())
+                for path in (ROOT / "src" / "pinchlab").glob("*.py"))
+    assert lines <= SRC_LINE_BASELINE

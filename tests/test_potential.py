@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pinchlab.dualgraph import cycle_graph, kodaira_catalog
 from pinchlab.errors import ValidationError
 from pinchlab.geometry import (
     TWO_PI,
@@ -88,9 +89,14 @@ class TestDirectSolve:
         # network oracle: plateau gap a0*L/2 across each neck of conductance 2*pi/L
         neck = next(seg for seg in chain.segments if seg.kind == "neck")
         conductance = TWO_PI * neck.c / neck.length
-        plateaus = circuit_potentials([0.5, 0.5], [(0, 1), (0, 1)], conductance, [1.0, -1.0])
+        plateaus = circuit_potentials(cycle_graph([0.5, 0.5]), conductance, [1.0, -1.0])
         assert plateaus[0] == pytest.approx(50.0, rel=1e-12)
         assert pot.sup_norm() == pytest.approx(50.0, rel=0.10)
+
+    def test_circuit_oracle_rejects_a_non_reduced_graph(self):
+        # L_G = -M needs every multiplicity 1; I_0* has a double component
+        with pytest.raises(ValidationError, match="reduced graph"):
+            circuit_potentials(kodaira_catalog("I_0*"), 1.0, [1.0, -1.0, 0.0, 0.0, 0.0])
 
     def test_linear_growth_in_L(self):
         sups = []

@@ -439,3 +439,20 @@ class TestTruncatedGreen:
         eigsys = full_spectrum(chain, m_max=1, k_per_mode=4)
         with pytest.raises(ValidationError, match="insufficient"):
             truncated_green_min(chain, eigsys, tail_count=500)
+
+    # each check in its own case: a cutoff below every pair beyond the
+    # collapsing ones leaves an empty kernel sum
+    @pytest.mark.parametrize("options, message", [
+        (lambda eigsys: {"lambda_cutoff": 0.0}, "green cutoff 0 admits no pair"),
+        (lambda eigsys: {"lambda_cutoff": -1.0}, "green cutoff -1 admits no pair"),
+        (lambda eigsys: {"lambda_cutoff": 1e-30}, "green cutoff 1e-30 admits no pair"),
+        (lambda eigsys: {"tail_count": 0}, "tail_count must be at least 1, got 0"),
+        (lambda eigsys: {"lambda_cutoff": 2 * eigsys.certified_below},
+         "exceeds the certified part"),
+    ], ids=["cutoff-0", "cutoff-minus-1", "cutoff-1e-30", "tail-0", "cutoff-above-certified"])
+    def test_bad_tail_or_cutoff_rejected(self, options, message):
+        chain = build_chain(I2, 60.0, resolution=24)
+        eigsys = full_spectrum(chain, m_max=4, k_per_mode=24)
+        assert math.isfinite(eigsys.certified_below)
+        with pytest.raises(ValidationError, match=message):
+            truncated_green_min(chain, eigsys, **options(eigsys))
