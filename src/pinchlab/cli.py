@@ -20,6 +20,7 @@ only when it reads one of that layer's names.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import math
@@ -130,7 +131,8 @@ def _spectrum_rows(cfg: configfile.ExperimentConfig, L_values):
     for L, chain, eigsys in _spectra(cfg, L_values):
         # one row per eigenvalue counted with multiplicity, in (lam, mode) order
         pairs = np.repeat(eigsys.order, eigsys.multiplicity[eigsys.order])
-        rows += [(L, chain.s, i, m, lam, lam * L, eigsys.gap_value, ok) for i, (m, lam, ok)
+        s, gap = chain.s, eigsys.gap_value
+        rows += [(L, s, i, m, lam, lam * L, gap, ok) for i, (m, lam, ok)
                  in enumerate(zip(eigsys.modes[pairs].tolist(), eigsys.lam[pairs].tolist(),
                                   eigsys.certified[pairs]))]
     return rows
@@ -431,6 +433,7 @@ def run_command(command: Command, args) -> int:
     return run.exit_code
 
 
+@functools.cache  # one per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchlab",

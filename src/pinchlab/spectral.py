@@ -81,12 +81,12 @@ def assemble_mode_operator(chain: geometry.WarpedChain, m: int) -> tuple[np.ndar
     return chain.operators.stiffness(m).toarray(), chain.operators.mass.toarray()
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: largest-magnitude entry positive."""
+def _signs(vecs: np.ndarray) -> np.ndarray:
+    """Column signs of the deterministic convention: largest-magnitude entry positive."""
     idx = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
-    return vecs * signs
+    return signs
 
 
 def _residuals(S, M, lam: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +152,8 @@ def _shift_invert(S, M, k: int):
     top = k - 1 + int(np.argmax(gaps))      # first gap at or above the k-th value
     if _negative_count(S, M, 0.5 * (lam[top] + lam[top + 1])) != top + 1:
         return None
-    lam, vecs = lam[:k], _fix_signs(vecs[:, :k])
+    lam, vecs = lam[:k], vecs[:, :k]
+    vecs = vecs * _signs(vecs)
     resid, bound = _residuals(S, M, lam, vecs)
     return (lam, vecs) if _within(resid, bound) else None
 
@@ -164,16 +165,22 @@ def _forms_key(ops) -> tuple:
 
 
 def _substitute(F, X: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """X overwritten by F^-1 X, or F^-T X, for the factor F = (d, l, r) of ``_mass_factor``."""
+    """X overwritten by F^-1 X, or F^-T X, for the factor F = (d, l, r) of ``_mass_factor``.
+
+    The row loop runs in Python, so every call pays a fixed cost per row on
+    top of the arithmetic: callers pass all their columns in one call.
+    """
     d, l, r = F
     X /= d[:, None]  # prescaled: each row then subtracts multiples of solved rows
+    rows, scratch = list(X), np.empty(X.shape[1])
     if transpose:
         X[:-1] -= (r / d[:-1])[:, None] * X[-1]
-        for i in reversed(range(l.size)):
-            X[i] -= l[i] / d[i] * X[i + 1]
+        steps = zip(rows[-3::-1], rows[-2:0:-1], (l / d[:-2]).tolist()[::-1])
     else:
-        for i in range(1, l.size + 1):
-            X[i] -= l[i - 1] / d[i] * X[i - 1]
+        steps = zip(rows[1:-1], rows[:-2], (l / d[1:-1]).tolist())
+    for row, solved, ratio in steps:  # row -= ratio * solved, without temporaries
+        np.subtract(row, np.multiply(ratio, solved, out=scratch), out=row)
+    if not transpose:
         X[-1] -= (r / d[-1]) @ X[:-1]
     return X
 
@@ -206,46 +213,70 @@ def _mass_factor(chain: geometry.WarpedChain):
     return _FACTOR[1]
 
 
-def solve_modes(chain: geometry.WarpedChain, m: int, k: int):
-    """k smallest eigenpairs of the mode-m generalized problem.
+def solve_modes(chain: geometry.WarpedChain, m, k: int):
+    """k smallest eigenpairs of the mode-m generalized problem, for one mode or a sequence.
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
     inertia count, with the dense solver as fallback when the certificate
     fails; every other case uses the dense solver, which reduces the
-    problem with the chain's shared mass factor.  Returns (lam, vecs) with
-    vecs[:, j] mass-orthonormal.  A reduced matrix that is not finite (the
-    potential form overflows first, on huge L), a residual bound that is not
-    finite (||v|| overflows) and residuals beyond tolerance raise
-    ConvergenceError with diagnostics.
+    problem with the chain's shared mass factor.  The dense modes of one
+    call share one back-substitution and one sign fix.  Returns (lam, vecs),
+    for a sequence the modes' k-blocks side by side in the order given, with
+    vecs[:, j] mass-orthonormal (Fortran order, so each pair's column is
+    contiguous).  A reduced matrix that is not finite (the potential form
+    overflows first, on huge L), a residual bound that is not finite (||v||
+    overflows) and residuals beyond tolerance raise ConvergenceError with
+    diagnostics, mode by mode in the order given.
     """
-    S, M = chain.operators.stiffness(m), chain.operators.mass
-    n = chain.n_nodes
-    if k > n:
-        raise ValidationError(f"requested {k} eigenpairs from an n = {n} grid")
-    if n > _SPARSE_MIN_NODES and 0 < _SPARSE_K_RATIO * k <= n:
-        found = _shift_invert(S, M, k)
+    modes = [m] if np.isscalar(m) else list(m)
+    ops, n = chain.operators, chain.n_nodes
+    if not modes:
+        raise ValidationError("solve_modes needs at least one mode")
+    if not 1 <= k <= n:
+        raise ValidationError(f"requested {k} eigenpairs from an n = {n} grid: need 1 <= k <= n")
+    lam = np.empty(len(modes) * k)
+    vecs = np.empty((n, lam.size), order="F")
+    X = np.empty((n, lam.size))  # the dense modes' blocks; C order, as _substitute walks rows
+    sparse = n > _SPARSE_MIN_NODES and _SPARSE_K_RATIO * k <= n
+    dense, failure = [], None  # dense: the (slot, mode) of each block of X
+    for slot, mode in enumerate(modes):
+        found = _shift_invert(ops.stiffness(mode), ops.mass, k) if sparse else None
         if found is not None:
-            return found
-    # the exact dense path; slicing after a full solve keeps the basis LAPACK
-    # picks inside degenerate eigenspaces independent of k
-    F, A, B = _mass_factor(chain)
-    H = A if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
-    if not np.all(np.isfinite(H)):
-        raise ConvergenceError("reduced mode matrix is not finite",
-                               {"mode": m, "n": n, "L": chain.L})
-    lam, vecs = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
-    with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
-        vecs = _fix_signs(_substitute(F, vecs[:, :k], transpose=True))
-    lam = lam[:k]
-    resid, bound = _residuals(S, M, lam, vecs)
-    if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
-        raise ConvergenceError("eigen residual bound is not finite",
-                               {"mode": m, "n": n, "L": chain.L})
-    if not _within(resid, bound):
-        raise ConvergenceError(
-            "eigen residual beyond tolerance",
-            {"mode": m, "worst_residual": float(resid.max()), "n": n},
-        )
+            lam[slot * k:(slot + 1) * k], vecs[:, slot * k:(slot + 1) * k] = found
+            continue
+        # the exact dense path; slicing after a full solve keeps the basis LAPACK
+        # picks inside degenerate eigenspaces independent of k
+        F, A, B = _mass_factor(chain)
+        H = A if mode == 0 else A + (mode * mode) * B  # mode 0 reads no B: 0 * inf is NaN
+        if not np.all(np.isfinite(H)):  # raised when its mode's turn comes, below
+            failure = ConvergenceError("reduced mode matrix is not finite",
+                                       {"mode": mode, "n": n, "L": chain.L})
+            break
+        lam_m, y = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
+        lam[slot * k:(slot + 1) * k] = lam_m[:k]
+        X[:, len(dense) * k:(len(dense) + 1) * k] = y[:, :k]
+        dense.append((slot, mode))
+    if dense:
+        X = X[:, :len(dense) * k]
+        with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
+            _substitute(F, X, transpose=True)
+            signs = _signs(X)
+    for i, (slot, mode) in enumerate(dense):
+        cols, block = slice(slot * k, (slot + 1) * k), slice(i * k, (i + 1) * k)
+        # the gates read X, not the Fortran-order vecs: a sign fix leaves the norms
+        # unchanged, and summed along X's rows they do not depend on X's width
+        resid, bound = _residuals(ops.stiffness(mode), ops.mass, lam[cols], X[:, block])
+        if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
+            raise ConvergenceError("eigen residual bound is not finite",
+                                   {"mode": mode, "n": n, "L": chain.L})
+        if not _within(resid, bound):
+            raise ConvergenceError(
+                "eigen residual beyond tolerance",
+                {"mode": mode, "worst_residual": float(resid.max()), "n": n},
+            )
+        np.multiply(X[:, block], signs[block], out=vecs[:, cols])
+    if failure is not None:
+        raise failure
     return lam, vecs
 
 
@@ -317,6 +348,8 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
                   k_per_mode: int = 32) -> EigenSystem:
     """Solve modes 0..m_max (m_max >= 0), merge, and certify completeness.
 
+    Serially, one ``solve_modes`` call solves every mode and its arrays are the
+    spectrum's; a chain with n > _SPARSE_MIN_NODES sends one pool task per mode.
     Excluded modes m > m_max have lambda >= (m_max+1)^2 / c_max^2; within a
     solved mode everything up to its k-th eigenvalue is known.  The
     certificate is the minimum of the two, and a flag records when k_per_mode
@@ -333,18 +366,18 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
 
     modes = range(m_max + 1)
     pool = _pool() if n > _SPARSE_MIN_NODES else None
-    if pool is None:
-        solved = (solve_modes(chain, m, k) for m in modes)
+    if pool is None:  # one call: the dense modes share one back-substitution
+        lam, vecs = solve_modes(chain, modes, k)
     else:
         chain.operators  # assembled here, so that each task's pickled chain carries them
         solved = _solve_in_pool(pool, functools.partial(_solve_mode, chain, k), modes)
-    # each mode's block is copied into place, one contiguous (Fortran) stretch,
-    # as it arrives; sorting the columns would hold a second copy of every vector
-    lam = np.empty(len(modes) * k)
-    vecs = np.empty((n, lam.size), order="F")
-    for m, (lam_m, vecs_m) in zip(modes, solved):
-        lam[m * k:(m + 1) * k] = lam_m
-        vecs[:, m * k:(m + 1) * k] = vecs_m
+        # each mode's block is copied into place, one contiguous (Fortran) stretch,
+        # as it arrives; sorting the columns would hold a second copy of every vector
+        lam = np.empty(len(modes) * k)
+        vecs = np.empty((n, lam.size), order="F")
+        for m, (lam_m, vecs_m) in zip(modes, solved):
+            lam[m * k:(m + 1) * k] = lam_m
+            vecs[:, m * k:(m + 1) * k] = vecs_m
     lowest_top = lam[k - 1::k].min()
     certified_below = min(excluded_bound, lowest_top)
 

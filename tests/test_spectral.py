@@ -88,14 +88,17 @@ def assert_matches_generalized_solve(chain, m, lam, vecs):
     assert np.linalg.norm(vecs.T @ M @ vecs - np.eye(vecs.shape[1])) <= 1e-10
 
 
+DENSE_CHAINS = pytest.mark.parametrize("make", [lambda: config_chain("i2_step"),
+                                                 lambda: config_chain("i3_bump"),
+                                                 seeded_four_component_chain],
+                                        ids=["i2_step", "i3_bump", "seeded_4_components"])
+
+
 class TestSharedMassFactor:
     """Every dense mode solve reduces the problem with one factorization of M per
     chain's forms, kept in a one-slot cache keyed by the bytes of those forms."""
 
-    @pytest.mark.parametrize("make", [lambda: config_chain("i2_step"),
-                                      lambda: config_chain("i3_bump"),
-                                      seeded_four_component_chain],
-                             ids=["i2_step", "i3_bump", "seeded_4_components"])
+    @DENSE_CHAINS
     def test_matches_the_generalized_solve(self, make):
         chain = make()
         n = chain.n_nodes
@@ -163,6 +166,93 @@ class TestSharedMassFactor:
         assert b"WarpedChain" not in data
         arrays = eigsys.lam.nbytes + eigsys.modes.nbytes + eigsys.vecs.nbytes
         assert arrays <= len(data) <= arrays + 4096
+
+
+def substitute_by_rows(F, X, transpose=False):
+    """The back- and forward substitution of ``_substitute`` as one statement per row."""
+    d, l, r = F
+    X /= d[:, None]
+    if transpose:
+        X[:-1] -= (r / d[:-1])[:, None] * X[-1]
+        for i in reversed(range(l.size)):
+            X[i] -= l[i] / d[i] * X[i + 1]
+    else:
+        for i in range(1, l.size + 1):
+            X[i] -= l[i - 1] / d[i] * X[i - 1]
+        X[-1] -= (r / d[-1]) @ X[:-1]
+    return X
+
+
+class TestBatchedModes:
+    """``solve_modes`` over a sequence of modes shares one back-substitution and
+    one sign fix between the dense modes, with the bits of one call per mode."""
+
+    @DENSE_CHAINS
+    @pytest.mark.parametrize("k", [32, "n"])
+    def test_blocks_equal_one_call_per_mode(self, make, k):
+        chain = make()
+        k = chain.n_nodes if k == "n" else k
+        lam, vecs = solve_modes(chain, range(9), k)
+        assert lam.shape == (9 * k,) and vecs.shape == (chain.n_nodes, 9 * k)
+        assert vecs.flags.f_contiguous
+        for m in range(9):
+            lam_m, vecs_m = solve_modes(chain, m, k)
+            assert np.array_equal(lam[m * k:(m + 1) * k], lam_m)
+            assert np.array_equal(vecs[:, m * k:(m + 1) * k], vecs_m)
+
+    def test_blocks_follow_the_order_given(self):
+        chain = config_chain("i2_step")
+        lam, vecs = solve_modes(chain, [3, 0, 3], 8)
+        for slot, m in enumerate([3, 0, 3]):
+            lam_m, vecs_m = solve_modes(chain, m, 8)
+            assert np.array_equal(lam[slot * 8:(slot + 1) * 8], lam_m)
+            assert np.array_equal(vecs[:, slot * 8:(slot + 1) * 8], vecs_m)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("width", [1, 32, "2n"])
+    def test_substitute_equals_the_row_loop(self, transpose, width):
+        chain = config_chain("i3_bump")
+        n = chain.n_nodes
+        F, _, _ = spectral._mass_factor(chain)
+        X = np.random.default_rng(5).standard_normal((n, 2 * n if width == "2n" else width))
+        expected = substitute_by_rows(F, X.copy(), transpose)
+        got = X.copy()
+        assert spectral._substitute(F, got, transpose) is got  # in place
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k", [0, -3, 25])
+    def test_k_outside_one_to_n_rejected(self, k):
+        chain = build_chain(I2, 60.0, resolution=8)
+        assert chain.n_nodes == 24
+        with pytest.raises(ValidationError, match=rf"requested {k} eigenpairs .* 1 <= k <= n"):
+            solve_modes(chain, 0, k)
+
+    def test_empty_mode_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="at least one mode"):
+            solve_modes(build_chain(I2, 60.0, resolution=8), [], 4)
+
+    @staticmethod
+    def _overflowing_b(monkeypatch, chain, corrupt):
+        """Mode 1's reduced matrix not finite; with ``corrupt``, mode 0's residual gate fails."""
+        (d, l, r), A, B = spectral._mass_factor(chain)
+        l = l.copy()
+        if corrupt:
+            l[0] += 1e-6 * d[1]  # F[1, 0]: x = F^-T y is then no eigenvector
+        B = B.copy()
+        B[0, 0] = np.inf
+        monkeypatch.setattr(spectral, "_mass_factor", lambda c: ((d, l, r), A, B))
+
+    def test_errors_are_raised_in_mode_order(self, monkeypatch):
+        chain = config_chain("i2_step")
+        self._overflowing_b(monkeypatch, chain, corrupt=True)
+        with pytest.raises(ConvergenceError, match="eigen residual beyond tolerance mode=0"):
+            solve_modes(chain, range(3), 32)
+
+    def test_a_later_mode_matrix_that_is_not_finite_is_named(self, monkeypatch):
+        chain = config_chain("i2_step")
+        self._overflowing_b(monkeypatch, chain, corrupt=False)
+        with pytest.raises(ConvergenceError, match="reduced mode matrix is not finite mode=1"):
+            solve_modes(chain, range(3), 32)
 
 
 class TestFlatTorusSpectrum:
