@@ -119,9 +119,9 @@ def criterion_3_small_eigenvalues(seed: int) -> CriterionResult:
             rel = float(np.max(np.abs(small / pred - 1.0))) if count_ok else np.inf
             errs.append(rel)
             ok = ok and count_ok and rel <= 0.10
+            if L == 120.0:  # the coarse end of the refinement check below
+                coarse = lams[1]
         ok = ok and errs[0] > errs[1] > errs[2]
-        coarse = spectral.full_spectrum(geometry.build_chain(cfg, 120.0, resolution=48),
-                                        m_max=0, k_per_mode=4).expanded_eigenvalues()[1]
         fine = spectral.full_spectrum(geometry.build_chain(cfg, 120.0, resolution=96),
                                       m_max=0, k_per_mode=4).expanded_eigenvalues()[1]
         refine = abs(coarse - fine) / fine

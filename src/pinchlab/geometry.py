@@ -231,12 +231,10 @@ class CyclicTridiagonal:
         return A
 
     def tocsr(self):
-        """This form as a scipy CSR array, built on the first call; it loads scipy."""
-        if "_csr" not in vars(self):
-            from .spectral import load_scipy
-            coo = load_scipy().sparse.coo_array(self._entries(), shape=(self.diag.size,) * 2)
-            object.__setattr__(self, "_csr", coo.tocsr())  # sums the entries that meet
-        return self._csr
+        """This form as a scipy CSR array; it loads scipy."""
+        from .spectral import load_scipy
+        coo = load_scipy().sparse.coo_array(self._entries(), shape=(self.diag.size,) * 2)
+        return coo.tocsr()  # sums the entries that meet
 
 
 @dataclass(frozen=True)

@@ -105,19 +105,15 @@ def constant_eta() -> EtaSpec:
     return EtaSpec({(2, 2): ((0, 0, 0, 0, 1 + 0j),)})
 
 
-def _panels(edges):
-    """4-point Gauss-Legendre nodes and weights for integral f(r) dr, panel by panel."""
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    return (mid + half * geometry.GL_X[None, :]).ravel(), (half * geometry.GL_W[None, :]).ravel()
-
-
 def _log_radial_nodes(r_in: float, r_out: float, per_decade: int):
     """Quadrature nodes/weights for integral f(r) dr on log-spaced panels."""
     decades = math.log10(r_out / r_in)
     panels = max(2, int(math.ceil(decades * per_decade / 4.0)))
-    return _panels(np.geomspace(r_in, r_out, panels + 1))
+    edges = np.geomspace(r_in, r_out, panels + 1)
+    lo, hi = edges[:-1], edges[1:]  # 4-point Gauss-Legendre, panel by panel
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    return (mid + half * geometry.GL_X[None, :]).ravel(), (half * geometry.GL_W[None, :]).ravel()
 
 
 def _chart_integral(eta: EtaSpec, t: complex, r, w_r, n_theta: int, chart: int):
@@ -158,6 +154,10 @@ def _split_fiber(eta: EtaSpec, t: complex, radial_per_decade: int, n_theta: int,
     split = split_factor * math.sqrt(at)
     if not at < split < 1:
         raise ValidationError("split radius must lie strictly inside the annulus")
+    # |t|^2, and |z|^4 down to the radius min(split, at/split), must be normal floats
+    floor = math.sqrt(np.finfo(float).tiny) * max(split_factor, 1.0 / split_factor) ** 2
+    if at < floor:
+        raise ValidationError(f"|t| = {at:.3g} is below {floor:.3g}, where |t|^2 underflows")
     r1, w1 = _log_radial_nodes(split, 1.0, radial_per_decade)
     # inner region in the z2 chart: |z2| from at/split up to 1
     r2, w2 = _log_radial_nodes(at / split, 1.0, radial_per_decade)
@@ -195,17 +195,15 @@ def check_quadrature_convergence(eta: EtaSpec, t: complex,
 
 
 def divisor_integral(eta: EtaSpec) -> float:
-    """Reference slope: integral of eta_{22} over the branch {z1 = 0}.
+    """Reference slope: integral of eta_{22}(0, z2) over the unit disk {z1 = 0}.
 
-    Deliberately a different quadrature (96 linear-radius panels, 128
-    angles) from the fiber integrals it certifies.
+    In closed form: only monomials free of z1 (a1 = b1 = 0) survive on the
+    branch, and the angular integral keeps those with a2 = b2, each worth
+    Re(c) * pi / (a2 + 1), the integral of |z2|^(2 a2) over the disk.
     """
-    n_r, n_theta = 96, 128
-    r, w = _panels(np.linspace(0.0, 1.0, n_r + 1))
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    z2 = r[:, None] * np.exp(1j * theta[None, :])
-    vals = eta.evaluate(2, 2, np.zeros_like(z2), z2).real * r[:, None]
-    return float(np.sum(vals * w[:, None]) * (2.0 * math.pi / n_theta))
+    monos = eta.coeffs.get((2, 2), ())
+    return float(sum(c.real * math.pi / (a2 + 1) for a1, b1, a2, b2, c in monos
+                     if a1 == b1 == 0 and a2 == b2))
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,7 @@ def sample_curve(eta: EtaSpec, t_grid, radial_per_decade: int = 32,
 class AsymptoteFit:
     A_fit: float
     B_fit: float
-    A_ref: float                  # independent divisor-integral oracle
+    A_ref: float                  # closed-form divisor integral, the exact slope
     remainder_ratios: np.ndarray  # |I - A_ref X - B_ref| / (|t| log^2|t|)
     remainder_bounded: bool
 

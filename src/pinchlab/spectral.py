@@ -35,7 +35,7 @@ RESIDUAL_TOL = 1e-8
 # m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Every other solve is
 # dense, and the dense solves of a chain share one factorization of M
 # (_mass_factor), in a pool worker as in the caller's process.  Only the
-# shift-invert path and its inertia count load scipy.
+# shift-invert path loads scipy; its inertia count reads the cyclic forms.
 _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
@@ -105,24 +105,26 @@ def _within(resid: np.ndarray, bound: np.ndarray) -> bool:
     return bool(np.all((resid <= bound) & np.isfinite(bound)))
 
 
-def _negative_count(S, M, shift: float) -> int | None:
-    """Eigenvalues of (S, M) below ``shift``, by Sylvester's law of inertia.
+def _negative_count(S, M, shift: float) -> int:
+    """Eigenvalues of (S, M) below ``shift``, by Sylvester's law of inertia; n >= 2.
 
-    S - shift*M is factored as P (L D L^T) P^T: SuperLU in symmetric mode
-    with diagonal pivoting keeps the row and column permutations equal, and
-    then U = D L^T, so the negative entries of diag(U) count the negative
-    eigenvalues.  Returns None when no such factorization was produced.
+    Eliminating the cyclic tridiagonal S - shift*M without pivoting gives the
+    pivots of rows 0..n-2, one fill entry r per column of the last row, and the
+    last pivot d[-1] - sum(r^2 / p).  M is positive definite, so the negative
+    pivots count the eigenvalues below the shift (Kahan's Sturm count).  A zero
+    pivot becomes eps times the size of the entries, a change within rounding.
     """
-    scipy = load_scipy()
-    try:
-        lu = scipy.sparse.linalg.splu((S.tocsr() - shift * M.tocsr()).tocsc(),
-                                      permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular pivot
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    a, b = (S.diag - shift * M.diag).tolist(), (S.off - shift * M.off).tolist()
+    tiny = np.finfo(float).eps * (max(map(abs, a)) + 2.0 * max(map(abs, b)))
+    p, r, last, count = a[0], b[-1], a[-1], 0  # r: the last row's entry in column i
+    for i in range(len(a) - 1):
+        p = p or tiny
+        if i == len(a) - 2:
+            r += b[-2]  # the band's own entry (n-1, n-2); for n = 2 it meets b[-1]
+        count += p < 0.0
+        last -= r * r / p
+        p, r = a[i + 1] - b[i] * b[i] / p, -r * b[i] / p
+    return count + ((last or tiny) < 0.0)
 
 
 def _shift_invert(S, M, k: int):
@@ -134,13 +136,13 @@ def _shift_invert(S, M, k: int):
     Lanczos iteration skipped (spectrum slicing).  The pole SIGMA is negative
     because S is singular for m = 0.
     """
-    S, M, scipy = S.tocsr(), M.tocsr(), load_scipy()
-    n = S.shape[0]
-    lu = scipy.sparse.linalg.splu((S - _SIGMA * M).tocsc())
+    scipy, n = load_scipy(), S.diag.size
+    S_csr, M_csr = S.tocsr(), M.tocsr()
+    lu = scipy.sparse.linalg.splu((S_csr - _SIGMA * M_csr).tocsc())
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
     try:
-        lam, vecs = scipy.sparse.linalg.eigsh(S, min(k + 2, n - 1), M, sigma=_SIGMA,
+        lam, vecs = scipy.sparse.linalg.eigsh(S_csr, min(k + 2, n - 1), M_csr, sigma=_SIGMA,
                                               OPinv=opinv, which="LM", v0=start)
     except scipy.sparse.linalg.ArpackError:
         return None

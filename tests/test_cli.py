@@ -273,6 +273,9 @@ class TestExitContract:
          ["growth"], "[dynamics] s0"),
         ("dynamics", ("precision = 17", "precision = 17\n[dynamics]\nt_poly ="),
          ["growth"], "[dynamics] t_poly"),
+        # |t|^2 underflows below sqrt of the smallest normal float
+        ("node-integral", None, ["--t-grid", "1e-200:1e-2:9"],
+         "|t| = 5.62e-176 is below 1.49e-154"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG

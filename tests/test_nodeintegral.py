@@ -112,7 +112,7 @@ class TestAsymptoteFit:
         curve = sample_curve(constant_eta(), np.geomspace(1e-2, 1e-6, 9))
         fit = asymptote_fit(curve, constant_eta())
         assert abs(fit.A_fit - PI) <= 0.01 * PI
-        assert fit.A_ref == pytest.approx(PI, abs=1e-10)
+        assert fit.A_ref == PI  # the closed form, exactly
         assert fit.remainder_bounded
 
     def test_brute_force_divisor_oracle(self):
@@ -126,6 +126,31 @@ class TestAsymptoteFit:
         vals = eta.evaluate(2, 2, np.zeros_like(z2), z2).real
         brute = float(np.sum(vals * inside) * (2.0 / n) ** 2)
         assert divisor_integral(eta) == pytest.approx(brute, rel=1e-2)
+
+    @pytest.mark.parametrize("monos", [
+        ((0, 0, 1, 0, 1.0), (0, 0, 0, 1, 1.0)),               # a2 != b2
+        ((0, 0, 3, 1, 0.5 + 2j), (0, 0, 1, 3, 0.5 - 2j)),
+        ((1, 0, 1, 1, 1.0), (0, 1, 1, 1, 1.0)),               # a1 > 0 or b1 > 0
+        ((1, 1, 0, 0, 2.0),),
+    ])
+    def test_divisor_integral_drops_angular_and_z1_monomials(self, monos):
+        assert divisor_integral(EtaSpec({(2, 2): monos})) == 0.0
+
+    @pytest.mark.parametrize("monos", [
+        ((0, 0, 0, 0, 0.5),),
+        ((0, 0, 2, 2, -1.25),),
+        ((0, 0, 1, 1, 1.0), (0, 0, 2, 1, 0.3 + 0.4j), (0, 0, 1, 2, 0.3 - 0.4j)),
+    ])
+    def test_divisor_integral_matches_mpmath(self, monos):
+        mpmath = pytest.importorskip("mpmath")
+
+        def density(r, theta):  # eta_{22}(0, z2) r in polar coordinates
+            z = mpmath.mpc(r * mpmath.cos(theta), r * mpmath.sin(theta))
+            eta = sum(c * z**a2 * mpmath.conj(z) ** b2 for _, _, a2, b2, c in monos)
+            return r * mpmath.re(eta)
+
+        want = mpmath.quad(density, [0, 1], [0, 2 * mpmath.pi])
+        assert abs(divisor_integral(EtaSpec({(2, 2): monos})) - float(want)) <= 1e-12
 
     def test_vanishing_slope_case(self):
         eta = EtaSpec({(2, 2): ((1, 1, 0, 0, 1.0),)})  # |z1|^2: zero on z1 = 0

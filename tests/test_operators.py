@@ -125,15 +125,42 @@ class TestShiftInvert:
         np.testing.assert_allclose(lam, scipy.linalg.eigh(S, M, eigvals_only=True)[:8],
                                    rtol=1e-12, atol=1e-9)
 
-    def test_inertia_counts_eigenvalues_below_shift(self):
+    def test_inertia_counts_eigenvalues_below_shift(self, monkeypatch):
         chain = build_chain(I2, 40.0, resolution=16)
         ops = chain_operators(chain)
         S, M = ops.stiffness(1), ops.mass
         lam = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
         gaps = [j for j in range(lam.size - 1) if lam[j + 1] - lam[j] > 1e-6 * lam[j + 1]]
         assert len(gaps) > 10
+        _forbid(monkeypatch, spectral, "load_scipy")  # the count reads the cyclic forms only
         for j in gaps:
             assert spectral._negative_count(S, M, 0.5 * (lam[j] + lam[j + 1])) == j + 1
+
+    @staticmethod
+    def _random_pencil(n):
+        """A symmetric S and a diagonally dominant, so positive definite, M."""
+        rng = np.random.default_rng(n)
+        return (geometry.CyclicTridiagonal(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)),
+                geometry.CyclicTridiagonal(rng.uniform(2.5, 3.5, n), rng.uniform(-1.0, 1.0, n)))
+
+    # at n = 2 the corner entry adds to the band's; at n = 3 they are neighbours in the last row
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    def test_inertia_counts_random_cyclic_pencils(self, n):
+        S, M = self._random_pencil(n)
+        lam = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+        shifts = np.concatenate([[lam[0] - 1.0], 0.5 * (lam[:-1] + lam[1:]), [lam[-1] + 1.0]])
+        for j, shift in enumerate(shifts):
+            negative = np.count_nonzero(np.linalg.eigvalsh(S.toarray() - shift * M.toarray()) < 0)
+            assert spectral._negative_count(S, M, shift) == negative == j
+
+    def test_inertia_survives_a_zero_leading_pivot(self):
+        S, M = self._random_pencil(64)
+        S.diag[0], M.diag[0] = 1.5, 3.0
+        shift = 0.5  # S - shift*M has an exactly zero (0, 0) entry, the first pivot
+        assert S.diag[0] - shift * M.diag[0] == 0.0
+        lam = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+        assert np.min(np.abs(lam - shift)) > 1e-6
+        assert spectral._negative_count(S, M, shift) == np.count_nonzero(lam < shift)
 
     def test_small_grid_stays_dense(self, monkeypatch):
         _forbid(monkeypatch, scipy.sparse.linalg, "eigsh")
