@@ -116,13 +116,14 @@ def cmd_kodaira(args) -> int:
     return 0
 
 
-def _spectra(cfg: configfile.ExperimentConfig, L_values):
+def _spectra(cfg: configfile.ExperimentConfig, L_values, green_tail=None):
     """(L, chain, eigsys) at each L in ascending order; the chains are built
     here, the spectra may come from the worker pool, one chain per task."""
     solver = _solver(cfg)
     Ls = [float(L) for L in np.sort(L_values)]
     chains = [geometry.build_chain(cfg.family(), L, resolution=solver["resolution"]) for L in Ls]
-    spectra = spectral.full_spectra(chains, m_max=solver["m_max"], k_per_mode=solver["k_per_mode"])
+    spectra = spectral.full_spectra(chains, m_max=solver["m_max"], k_per_mode=solver["k_per_mode"],
+                                    green_tail=green_tail)
     return zip(Ls, chains, spectra)
 
 
@@ -165,10 +166,13 @@ def cmd_modelfns(cfg: configfile.ExperimentConfig, args) -> Run:
     )])
 
 
+GREEN_TAIL = 24  # pairs past the collapsing ones below the Green cutoff
+
+
 def cmd_green(cfg: configfile.ExperimentConfig, args) -> Run:
-    rows = []
-    for L, chain, eigsys in _spectra(cfg, args.L_grid):
-        rep = spectral.truncated_green_min(chain, eigsys)
+    rows = []  # each chain's spectrum holds only the modes its cutoff can reach
+    for L, chain, eigsys in _spectra(cfg, args.L_grid, green_tail=GREEN_TAIL):
+        rep = spectral.truncated_green_min(chain, eigsys, tail_count=GREEN_TAIL)
         rows.append((L, chain.s, rep.min_value, rep.diag_min,
                      rep.cutoff, rep.tail_bound))
     return Run([Table(

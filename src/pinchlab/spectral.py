@@ -17,6 +17,7 @@ from __future__ import annotations
 import atexit
 import functools
 import itertools
+import math
 import os
 import time
 from collections import deque
@@ -44,7 +45,9 @@ _GAP_RTOL = 1e-8       # Ritz values closer than this count as one cluster
 # A persistent pool of forked workers, one per usable CPU, each with every
 # loaded OpenBLAS pinned to one thread, solves the modes of a chain with
 # n > _SPARSE_MIN_NODES (full_spectrum) and the chains of a sweep, one task
-# per chain (full_spectra).  A loaded BLAS library that blas.blas_threads
+# per chain (full_spectra).  A green task solves only the modes its cutoff
+# can reach, one after another (_green_modes), and a single chain's green
+# modes never go to the pool.  A loaded BLAS library that blas.blas_threads
 # cannot pin keeps the solves serial, since its threads would compete with
 # the other workers.
 _FACTOR = None      # (key of a chain's forms, their _mass_factor): one slot
@@ -105,7 +108,7 @@ def _within(resid: np.ndarray, bound: np.ndarray) -> bool:
     return bool(np.all((resid <= bound) & np.isfinite(bound)))
 
 
-def _negative_count(S, M, shift: float) -> int:
+def _negative_count(S, M, shift: float) -> int | None:
     """Eigenvalues of (S, M) below ``shift``, by Sylvester's law of inertia; n >= 2.
 
     Eliminating the cyclic tridiagonal S - shift*M without pivoting gives the
@@ -113,8 +116,14 @@ def _negative_count(S, M, shift: float) -> int:
     last pivot d[-1] - sum(r^2 / p).  M is positive definite, so the negative
     pivots count the eigenvalues below the shift (Kahan's Sturm count).  A zero
     pivot becomes eps times the size of the entries, a change within rounding.
+    None when S - shift*M has an entry that is not finite: no comparison with NaN
+    holds, so its pivots would go uncounted.
     """
-    a, b = (S.diag - shift * M.diag).tolist(), (S.off - shift * M.off).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = S.diag - shift * M.diag, S.off - shift * M.off
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return None
+    a, b = a.tolist(), b.tolist()
     tiny = np.finfo(float).eps * (max(map(abs, a)) + 2.0 * max(map(abs, b)))
     p, r, last, count = a[0], b[-1], a[-1], 0  # r: the last row's entry in column i
     for i in range(len(a) - 1):
@@ -299,8 +308,9 @@ class EigenSystem:
     Pair j is (``lam[j]``, ``modes[j]``, ``vecs[:, j]``), in solve order: mode by
     mode, ascending within a mode; ``order`` sorts the indices by (lam, mode).
     ``certified_below`` bounds the region where every eigenvalue (counted
-    with angular multiplicity) is present; ``gap_value`` is the first
-    eigenvalue above the N-1 collapsing ones.
+    with angular multiplicity) is present, but for the ``counted_tail`` pairs
+    of the modes a Green solve only counted (``full_spectrum``'s green_tail);
+    ``gap_value`` is the first eigenvalue above the N-1 collapsing ones.
     """
 
     lam: np.ndarray       # (K,)
@@ -310,6 +320,7 @@ class EigenSystem:
     gap_value: float
     certified_below: float
     certification_limited_by_k: bool
+    counted_tail: int = 0  # certified pairs, with multiplicity, of modes not solved
 
     @property
     def multiplicity(self) -> np.ndarray:
@@ -347,7 +358,7 @@ class EigenSystem:
 
 
 def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
-                  k_per_mode: int = 32) -> EigenSystem:
+                  k_per_mode: int = 32, green_tail: int | None = None) -> EigenSystem:
     """Solve modes 0..m_max (m_max >= 0), merge, and certify completeness.
 
     Serially, one ``solve_modes`` call solves every mode and its arrays are the
@@ -355,7 +366,10 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
     Excluded modes m > m_max have lambda >= (m_max+1)^2 / c_max^2; within a
     solved mode everything up to its k-th eigenvalue is known.  The
     certificate is the minimum of the two, and a flag records when k_per_mode
-    (not m_max) is the binding constraint.
+    (not m_max) is the binding constraint.  With ``green_tail``, only the modes
+    ``truncated_green_min(chain, eigsys, green_tail)`` can reach are solved
+    (_green_modes): the spectrum then holds modes 0..j, with the same
+    certificate, and ``counted_tail`` the certified pairs of modes j+1..m_max.
     """
     if m_max < 0:
         raise ValidationError("m_max must be at least 0")
@@ -363,12 +377,11 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
         raise ValidationError("k_per_mode must be at least 1")
     n = chain.n_nodes
     k = min(k_per_mode, n)
-    c_max = max(seg.c for seg in chain.segments)
-    excluded_bound = (m_max + 1) ** 2 / c_max**2
-
-    modes = range(m_max + 1)
-    pool = _pool() if n > _SPARSE_MIN_NODES else None
-    if pool is None:  # one call: the dense modes share one back-substitution
+    modes, counted = range(m_max + 1), 0
+    pool = _pool() if n > _SPARSE_MIN_NODES and green_tail is None else None
+    if green_tail is not None:
+        lam, vecs, counted = _green_modes(chain, m_max, k, green_tail)
+    elif pool is None:  # one call: the dense modes share one back-substitution
         lam, vecs = solve_modes(chain, modes, k)
     else:
         chain.operators  # assembled here, so that each task's pickled chain carries them
@@ -380,27 +393,71 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
         for m, (lam_m, vecs_m) in zip(modes, solved):
             lam[m * k:(m + 1) * k] = lam_m
             vecs[:, m * k:(m + 1) * k] = vecs_m
-    lowest_top = lam[k - 1::k].min()
-    certified_below = min(excluded_bound, lowest_top)
+    if lam.min() > 1e-8:
+        raise ConvergenceError("missing zero eigenvalue", {"lambda0": lam.min()})
+    return _eigen_system(chain, lam, vecs, k, m_max, counted)
 
+
+def _eigen_system(chain: geometry.WarpedChain, lam: np.ndarray, vecs: np.ndarray, k: int,
+                  m_max: int, counted_tail: int = 0) -> EigenSystem:
+    """The spectrum of the k-blocks of modes 0, 1, ... in ``lam`` and ``vecs``."""
+    c_max = max(seg.c for seg in chain.segments)
+    excluded_bound = (m_max + 1) ** 2 / c_max**2
+    lowest_top = lam[k - 1::k].min()  # mode 0's: S_m - S_0 = m^2 potential >= 0
+    certified_below = min(excluded_bound, lowest_top)
     N = chain.cfg.n_components
     expanded = np.sort(np.concatenate([lam, lam[k:]]))  # modes m >= 1 count twice
-    if expanded[0] > 1e-8:
-        raise ConvergenceError("missing zero eigenvalue", {"lambda0": expanded[0]})
     gap_value = float(expanded[N]) if expanded.size > N else float("nan")
     limited = lowest_top < excluded_bound or gap_value > certified_below
     return EigenSystem(
         lam=lam,
-        modes=np.repeat(modes, k),
+        modes=np.repeat(np.arange(lam.size // k), k),
         vecs=vecs,
         low_count=N - 1,
         gap_value=gap_value,
         certified_below=float(certified_below),
         certification_limited_by_k=bool(limited),
+        counted_tail=counted_tail,
     )
 
 
-def full_spectra(chains, m_max: int = 16, k_per_mode: int = 32):
+def _green_modes(chain: geometry.WarpedChain, m_max: int, k: int, tail_count: int):
+    """(lam, vecs, counted) of modes 0..j: the modes the Green cutoff can reach.
+
+    Mode 0 is solved, then modes 1, 2, ... one at a time, until the Rayleigh
+    bound m^2/c_max^2 of the next mode lies above the pair just past the
+    cutoff of the modes solved so far (and above their gap value).  Every
+    eigenvalue of modes m..m_max is at least that bound (potential >= M/c_max^2),
+    so the cutoff, the used pairs, the certificate and the gap value are those
+    of all modes, and every column is that of a one-mode call.  Modes m..m_max
+    are only counted: 2 min(k, eigenvalues below certified_below) pairs each,
+    by the O(n) inertia count.  Without a cutoff every mode is solved, so
+    ``truncated_green_min`` raises what it raises on the full spectrum.
+    """
+    ops, n = chain.operators, chain.n_nodes
+    c_max = max(seg.c for seg in chain.segments)
+    lam = np.empty((m_max + 1) * k)
+    vecs = np.empty((n, lam.size), order="F")  # the layout of a one-call solve
+    lam[:k], vecs[:, :k] = solve_modes(chain, 0, k)
+    for m in range(1, m_max + 1):
+        eigsys = _eigen_system(chain, lam[:m * k], vecs[:, :m * k], k, m_max)
+        expanded = _green_tail(eigsys)[1]
+        try:
+            reach = max(expanded[_green_cutoff(expanded, tail_count) + 1], eigsys.gap_value)
+        except ValidationError:  # no cutoff yet
+            reach = math.inf
+        if m * m / c_max**2 > reach:
+            counts = [_negative_count(ops.stiffness(j), ops.mass, eigsys.certified_below)
+                      for j in range(m, m_max + 1)]
+            if None in counts:
+                raise ConvergenceError("mode form is not finite",
+                                       {"mode": m + counts.index(None), "n": n, "L": chain.L})
+            return lam[:m * k], vecs[:, :m * k], sum(2 * min(k, c) for c in counts)
+        lam[m * k:(m + 1) * k], vecs[:, m * k:(m + 1) * k] = solve_modes(chain, m, k)
+    return lam, vecs, 0
+
+
+def full_spectra(chains, m_max: int = 16, k_per_mode: int = 32, green_tail: int | None = None):
     """``full_spectrum`` of each chain, yielded in order.
 
     With more than one chain and a pool, each chain is one pool task, whose
@@ -409,10 +466,9 @@ def full_spectra(chains, m_max: int = 16, k_per_mode: int = 32):
     """
     chains = list(chains)
     pool = _pool() if len(chains) > 1 else None
-    if pool is None:
-        return (full_spectrum(chain, m_max, k_per_mode) for chain in chains)
-    return _solve_in_pool(pool, functools.partial(full_spectrum, m_max=m_max,
-                                                  k_per_mode=k_per_mode), chains)
+    solve = functools.partial(full_spectrum, m_max=m_max, k_per_mode=k_per_mode,
+                              green_tail=green_tail)
+    return map(solve, chains) if pool is None else _solve_in_pool(pool, solve, chains)
 
 
 def _usable_cpus() -> int:
@@ -646,6 +702,33 @@ class GreenReport:
     tail_bound: float
 
 
+def _green_tail(eigsys: EigenSystem):
+    """The certified pairs past the zero and the collapsing ones, as a mask, and
+    their eigenvalues repeated by multiplicity, sorted."""
+    lam = eigsys.lam
+    tail = eigsys.certified & (lam > 1e-8)
+    tail[eigsys.low] = False
+    return tail, np.sort(np.repeat(lam[tail], eigsys.multiplicity[tail]))
+
+
+def _green_cutoff(expanded: np.ndarray, tail_count: int) -> int:
+    """The position of the Green cutoff: it lies between ``expanded[pos]`` and
+    ``expanded[pos + 1]``, in the first gap at or past the tail_count-th pair, so
+    ties never straddle it."""
+    if tail_count < 1:
+        raise ValidationError(f"tail_count must be at least 1, got {tail_count}")
+    if len(expanded) < tail_count + 1:
+        raise ValidationError(
+            f"insufficient certified pairs: need {tail_count + 1} beyond "
+            f"the low part, have {len(expanded)}"
+        )
+    above = expanded[tail_count - 1:]
+    gaps = np.flatnonzero(np.diff(above) > 1e-9 * above[:-1])
+    if gaps.size == 0:
+        raise ValidationError("no clean spectral gap for the requested tail")
+    return tail_count - 1 + int(gaps[0])
+
+
 def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
                         tail_count: int = 24,
                         lambda_cutoff: float | None = None) -> GreenReport:
@@ -655,26 +738,13 @@ def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
     Angular offsets are handled analytically: each m >= 1 eigenvalue
     contributes 2 u(x1) u(x2) cos(m dtheta), bounded below by its worst-case
     alignment -2|u(x1) u(x2)|.  The reported minimum is that conservative
-    lower envelope over all grid pairs.
+    lower envelope over all grid pairs.  The tail bound counts the certified
+    pairs past the cutoff, those of the modes ``eigsys`` only counted too.
     """
     lam, modes = eigsys.lam, eigsys.modes
-    tail = eigsys.certified & (lam > 1e-8)
-    tail[eigsys.low] = False
-    expanded = np.sort(np.repeat(lam[tail], eigsys.multiplicity[tail]))
+    tail, expanded = _green_tail(eigsys)
     if lambda_cutoff is None:
-        if tail_count < 1:
-            raise ValidationError(f"tail_count must be at least 1, got {tail_count}")
-        if len(expanded) < tail_count + 1:
-            raise ValidationError(
-                f"insufficient certified pairs: need {tail_count + 1} beyond "
-                f"the low part, have {len(expanded)}"
-            )
-        # place the cutoff in a spectral gap so ties never straddle it
-        above = expanded[tail_count - 1:]
-        gaps = np.flatnonzero(np.diff(above) > 1e-9 * above[:-1])
-        if gaps.size == 0:
-            raise ValidationError("no clean spectral gap for the requested tail")
-        pos = tail_count - 1 + int(gaps[0])
+        pos = _green_cutoff(expanded, tail_count)
         lambda_cutoff = 0.5 * (expanded[pos] + expanded[pos + 1])
     if lambda_cutoff > eigsys.certified_below:
         raise ValidationError(
@@ -698,7 +768,7 @@ def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
     diag = (V0**2) @ inv0 + (V**2) @ inv  # actual value at dtheta = 0
     included = V0.shape[1] + 2 * V.shape[1]
     sup_u = float(max(np.abs(V0).max(initial=0.0), V.max(initial=0.0)))
-    remaining = max(0, len(expanded) - included)
+    remaining = max(0, len(expanded) + eigsys.counted_tail - included)
     return GreenReport(
         min_value=float(lower.min()),
         diag_min=float(diag.min()),

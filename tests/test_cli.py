@@ -297,8 +297,14 @@ class TestExitContract:
          r"direct solve residual beyond tolerance residual=\S+ tolerance=\S+ n=144"),
         (["spectrum", "--L", "1.7e308"],
          r"eigen residual bound is not finite mode=0 n=144 L=1\.7e\+308"),
+        # green solves modes 0-2 only (see test_green_reads_no_mode_beyond_its_reach)
+        (["sweep-spectrum", "--L-grid", "5e3"],
+         r"eigen residual beyond tolerance mode=6 worst_residual=\S+ n=144"),
+        (["green", "--L-grid", "2e4"],
+         r"eigen residual beyond tolerance mode=2 worst_residual=\S+ n=144"),
     ], ids=["spectrum-1e200", "spectrum-1e300", "potential-1e200", "green-1e200",
-            "pairing-poisson-residual", "spectrum-residual-bound-1.7e308"])
+            "pairing-poisson-residual", "spectrum-residual-bound-1.7e308",
+            "sweep-spectrum-5e3-mode-6", "green-2e4-mode-2"])
     def test_numerical_failure_exits_3_naming_it(self, tmp_path, capsys, argv, message):
         # huge L overflows the reduced potential form, the Poisson residual and,
         # at 1.7e308, the residual bound RESIDUAL_TOL * max(1, ||v||) of mode 0
@@ -306,6 +312,13 @@ class TestExitContract:
         assert main([argv[0], "--config", cfg, "--out", str(tmp_path), *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(f"numerical non-convergence: {message}\n", err), err
+
+    def test_green_reads_no_mode_beyond_its_reach(self, tmp_path, capsys):
+        # at L = 5e3 mode 6 fails its residual gate (sweep-spectrum exits 3), but
+        # no mode above 2 can hold a pair below green's cutoff: it is only counted
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
+        assert main(["green", "--config", cfg, "--out", str(tmp_path), "--L-grid", "5e3"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_nan_residual_exits_3(self, tmp_path, capsys, monkeypatch):
         # NaN passes no comparison, so a gate written as "fail if above the

@@ -153,6 +153,25 @@ class TestShiftInvert:
             negative = np.count_nonzero(np.linalg.eigvalsh(S.toarray() - shift * M.toarray()) < 0)
             assert spectral._negative_count(S, M, shift) == negative == j
 
+    # a shift a relative 1e-10 from an eigenvalue leaves a pivot of S - shift*M
+    # far smaller than the entries
+    @pytest.mark.parametrize("n", [2, 5, 64, 200])
+    def test_inertia_at_shifts_next_to_each_eigenvalue(self, n):
+        S, M = self._random_pencil(n)
+        lam = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+        for shift in np.concatenate([lam * (1.0 - 1e-10), lam * (1.0 + 1e-10)]):
+            negative = np.count_nonzero(np.linalg.eigvalsh(S.toarray() - shift * M.toarray()) < 0)
+            assert spectral._negative_count(S, M, shift) == negative == np.count_nonzero(lam < shift)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_inertia_of_a_form_that_is_not_finite_is_none(self, value):
+        # a NaN pivot passes no comparison, so counting on would come out short
+        ops = build_chain(I2, 100.0, resolution=48).operators
+        S = ops.stiffness(3)
+        assert spectral._negative_count(S, ops.mass, 500.0) == 4
+        S.diag[5] = value
+        assert spectral._negative_count(S, ops.mass, 500.0) is None
+
     def test_inertia_survives_a_zero_leading_pivot(self):
         S, M = self._random_pencil(64)
         S.diag[0], M.diag[0] = 1.5, 3.0

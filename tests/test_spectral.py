@@ -546,3 +546,99 @@ class TestTruncatedGreen:
         assert math.isfinite(eigsys.certified_below)
         with pytest.raises(ValidationError, match=message):
             truncated_green_min(chain, eigsys, **options(eigsys))
+
+
+def random_family_chain(seed: int, resolution: int):
+    """A chain of a seeded family: 1-5 components, neck lengths 0.25-1, L in 20-300."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    family = FamilyConfig(n_components=n, areas=tuple(rng.uniform(0.3, 1.5, n).tolist()),
+                          neck_length=float(rng.uniform(0.25, 1.0)))
+    return build_chain(family, float(np.exp(rng.uniform(np.log(20.0), np.log(300.0)))),
+                       resolution)
+
+
+class TestGreenModes:
+    """``full_spectrum(..., green_tail=t)`` solves only the modes the Green cutoff of
+    ``truncated_green_min(..., tail_count=t)`` can reach and counts the rest: every
+    field of the report equals that of the full spectrum."""
+
+    @staticmethod
+    def assert_reduced_equals_full(chain, m_max, tail_count):
+        full = full_spectrum(chain, m_max=m_max, k_per_mode=32)
+        reduced = full_spectrum(chain, m_max=m_max, k_per_mode=32, green_tail=tail_count)
+        solved = int(reduced.modes.max()) + 1
+        assert solved <= m_max  # some mode is only counted
+        k = reduced.lam.size // solved
+        assert np.array_equal(reduced.lam, full.lam[:solved * k])
+        assert np.array_equal(reduced.vecs, full.vecs[:, :solved * k])
+        counted = full.certified & (full.modes >= solved)
+        assert reduced.counted_tail == int(full.multiplicity[counted].sum())
+        assert (reduced.certified_below, reduced.gap_value, reduced.certification_limited_by_k) \
+            == (full.certified_below, full.gap_value, full.certification_limited_by_k)
+        assert truncated_green_min(chain, reduced, tail_count) \
+            == truncated_green_min(chain, full, tail_count)
+        return solved
+
+    # i3_bump is D3-symmetric: its Green envelope depends on the basis picked
+    # inside degenerate eigenspaces
+    @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
+    def test_shipped_grids(self, name):
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        for L in cfg.get_grid("sweep", "L_grid", ""):
+            chain = build_chain(cfg.family(), float(L), cfg.get_int("solver", "resolution", ""))
+            self.assert_reduced_equals_full(chain, cfg.get_int("solver", "m_max", ""), 24)
+
+    @pytest.mark.parametrize("resolution", [32, 48])
+    @pytest.mark.parametrize("m_max", [8, 16])
+    @pytest.mark.parametrize("tail_count", [24, 20])
+    def test_seeded_families(self, resolution, m_max, tail_count):
+        for seed in range(3):
+            chain = random_family_chain(100 * resolution + 10 * m_max + tail_count + seed,
+                                        resolution)
+            self.assert_reduced_equals_full(chain, m_max, tail_count)
+
+    def test_i2_step_solves_modes_0_to_2(self, monkeypatch):
+        chain = config_chain("i2_step")
+        assert chain.n_nodes == 144
+        solved = []
+        solve = spectral.solve_modes
+        monkeypatch.setattr(spectral, "solve_modes",
+                            lambda chain, m, k: solved.append(m) or solve(chain, m, k))
+        eigsys = full_spectrum(chain, m_max=8, k_per_mode=32, green_tail=24)
+        assert solved == [0, 1, 2]
+        assert np.array_equal(np.unique(eigsys.modes), [0, 1, 2])
+
+    def test_without_a_cutoff_every_mode_is_solved(self):
+        chain = config_chain("i2_step")
+        eigsys = full_spectrum(chain, m_max=8, k_per_mode=32, green_tail=500)
+        assert np.array_equal(np.unique(eigsys.modes), np.arange(9))
+        assert eigsys.counted_tail == 0
+        with pytest.raises(ValidationError, match="insufficient certified pairs: need 501"):
+            truncated_green_min(chain, eigsys, tail_count=500)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_counted_mode_form_not_finite_is_named(self, monkeypatch, value):
+        chain = config_chain("i2_step")
+        stiffness = type(chain.operators).stiffness
+
+        def corrupted(ops, m):
+            S = stiffness(ops, m)
+            if m == 3:
+                S = dataclasses.replace(S, diag=S.diag.copy())
+                S.diag[5] = value
+            return S
+
+        monkeypatch.setattr(type(chain.operators), "stiffness", corrupted)
+        with pytest.raises(ConvergenceError, match=r"^mode form is not finite mode=3 n=144 L=100\.0$"):
+            full_spectrum(chain, m_max=8, k_per_mode=32, green_tail=24)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_computed_eigenvalues_obey_the_rayleigh_bound(self, seed):
+        # the stop rule: no mode-m eigenvalue lies below m^2 / c_max^2
+        chain = random_family_chain(seed, 16)
+        c_max = max(seg.c for seg in chain.segments)
+        lam, _ = solve_modes(chain, range(9), chain.n_nodes)
+        for m in range(1, 9):
+            block = lam[m * chain.n_nodes:(m + 1) * chain.n_nodes]
+            assert block.min() >= m * m / c_max**2 * (1.0 - 1e-12)
