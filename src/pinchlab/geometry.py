@@ -217,6 +217,24 @@ class CyclicTridiagonal:
     def sum(self) -> float:
         return float(self.diag.sum() + 2.0 * self.off.sum())
 
+    def eliminate(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pivots, fill) of elimination without pivoting, n >= 2: Kahan's Sturm recurrence
+        down the band, and fill[i] the last row's entry in column i as row i is eliminated.
+        A zero pivot becomes eps times the size of the entries.  The negative pivots of S - x*M
+        (M positive definite) count the eigenvalues below x exactly when x is 5e-9 relative or
+        more from every multiple one; nearer, or within an ulp of one, #(< x) to #(<= x)."""
+        a, b = self.diag.tolist(), self.off.tolist()
+        tiny = np.finfo(float).eps * (max(map(abs, a)) + 2.0 * max(map(abs, b)))
+        p, r, last, pivots, fill = a[0], b[-1], a[-1], [], []  # r: last row, column i
+        for i in range(len(a) - 1):
+            p = p or tiny
+            r += b[-2] * (i == len(a) - 2)  # the band's (n-1, n-2); for n = 2 it meets b[-1]
+            pivots.append(p)
+            fill.append(r)
+            last -= r * r / p
+            p, r = a[i + 1] - b[i] * b[i] / p, -r * b[i] / p
+        return np.array(pivots + [last or tiny]), np.array(fill)
+
     def _entries(self):
         """Values and (row, column) indices of the entries; those that meet when n < 3 add up."""
         i = np.arange(self.diag.size)

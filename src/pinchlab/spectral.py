@@ -34,7 +34,7 @@ RESIDUAL_TOL = 1e-8
 # k * _SPARSE_K_RATIO <= n.  Measured on a 2-core Xeon with OpenBLAS: at
 # k = n/12 shift-invert takes 0.2-0.6x the dense time for n = 576-1152 and
 # m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Every other solve is
-# dense, and the dense solves of a chain share one factorization of M
+# dense, and the dense solves of a chain share one O(n) factorization of M
 # (_mass_factor), in a pool worker as in the caller's process.  Only the
 # shift-invert path loads scipy; its inertia count reads the cyclic forms.
 _SPARSE_MIN_NODES = 384
@@ -109,31 +109,14 @@ def _within(resid: np.ndarray, bound: np.ndarray) -> bool:
 
 
 def _negative_count(S, M, shift: float) -> int | None:
-    """Eigenvalues of (S, M) below ``shift``, by Sylvester's law of inertia; n >= 2.
-
-    Eliminating the cyclic tridiagonal S - shift*M without pivoting gives the
-    pivots of rows 0..n-2, one fill entry r per column of the last row, and the
-    last pivot d[-1] - sum(r^2 / p).  M is positive definite, so the negative
-    pivots count the eigenvalues below the shift (Kahan's Sturm count).  A zero
-    pivot becomes eps times the size of the entries, a change within rounding.
-    None when S - shift*M has an entry that is not finite: no comparison with NaN
-    holds, so its pivots would go uncounted.
-    """
+    """Eigenvalues of (S, M) below ``shift``, M positive definite, n >= 2: the negative
+    pivots of S - shift*M (Sylvester).  None when S - shift*M has an entry that is not
+    finite: no comparison with NaN holds, so its pivots would go uncounted."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = S.diag - shift * M.diag, S.off - shift * M.off
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        form = geometry.CyclicTridiagonal(S.diag - shift * M.diag, S.off - shift * M.off)
+    if not (np.all(np.isfinite(form.diag)) and np.all(np.isfinite(form.off))):
         return None
-    a, b = a.tolist(), b.tolist()
-    tiny = np.finfo(float).eps * (max(map(abs, a)) + 2.0 * max(map(abs, b)))
-    p, r, last, count = a[0], b[-1], a[-1], 0  # r: the last row's entry in column i
-    for i in range(len(a) - 1):
-        p = p or tiny
-        if i == len(a) - 2:
-            r += b[-2]  # the band's own entry (n-1, n-2); for n = 2 it meets b[-1]
-        count += p < 0.0
-        last -= r * r / p
-        p, r = a[i + 1] - b[i] * b[i] / p, -r * b[i] / p
-    return count + ((last or tiny) < 0.0)
+    return int(np.count_nonzero(form.eliminate()[0] < 0.0))
 
 
 def _shift_invert(S, M, k: int):
@@ -146,13 +129,10 @@ def _shift_invert(S, M, k: int):
     because S is singular for m = 0.
     """
     scipy, n = load_scipy(), S.diag.size
-    S_csr, M_csr = S.tocsr(), M.tocsr()
-    lu = scipy.sparse.linalg.splu((S_csr - _SIGMA * M_csr).tocsc())
-    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
-    try:
-        lam, vecs = scipy.sparse.linalg.eigsh(S_csr, min(k + 2, n - 1), M_csr, sigma=_SIGMA,
-                                              OPinv=opinv, which="LM", v0=start)
+    try:  # eigsh factors S - SIGMA*M itself, with SuperLU
+        lam, vecs = scipy.sparse.linalg.eigsh(S.tocsr(), min(k + 2, n - 1), M.tocsr(),
+                                              sigma=_SIGMA, which="LM", v0=start)
     except scipy.sparse.linalg.ArpackError:
         return None
     order = np.argsort(lam)
@@ -203,10 +183,11 @@ def _mass_factor(chain: geometry.WarpedChain):
     A + m^2 B, whose eigenvector y gives x = F^-T y.  M is cyclic
     tridiagonal, so its Cholesky factor is lower bidiagonal plus a dense last
     row: F = (d, l, r) holds its diagonal, the subdiagonal above the last row
-    and the last row left of d.  One slot keeps the factor of the last forms
-    asked, keyed by the bytes of their diagonals, so a pool worker that gets
-    each mode as a fresh copy of the chain factors it once; the slot keeps
-    2n^2 doubles resident (5 MB at n = 576) and never travels with a chain.
+    and the last row left of d, from the pivots and fill of ``M.eliminate()``.
+    One slot keeps the factor of the last forms asked, keyed by the bytes of
+    their diagonals, so a pool worker that gets each mode as a fresh copy of
+    the chain factors it once; the slot keeps 2n^2 doubles resident (5 MB at
+    n = 576) and never travels with a chain.
     """
     global _FACTOR
     ops = chain.operators
@@ -214,9 +195,9 @@ def _mass_factor(chain: geometry.WarpedChain):
     if _FACTOR is None or _FACTOR[0] != key:
         _FACTOR = None  # freed first: the old and new factors would peak at 4n^2 doubles
         n = chain.n_nodes
-        C = np.linalg.cholesky(ops.mass.toarray())
-        F = (np.diag(C).copy(), np.diag(C, -1)[:-1].copy(), C[-1, :-1].copy())
-        del C  # with the substitutions in place, the peak is 4n^2 doubles
+        pivots, fill = ops.mass.eliminate()
+        d = np.sqrt(pivots)
+        F = (d, ops.mass.off[:-2] / d[:-2], fill / d[:-1])
         with np.errstate(over="ignore", invalid="ignore"):
             W = _substitute(F, np.hstack([ops.gradient.toarray(), ops.potential.toarray()]))
             W = _substitute(F, np.hstack([W[:, :n].T, W[:, n:].T]))
@@ -739,17 +720,22 @@ def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
     contributes 2 u(x1) u(x2) cos(m dtheta), bounded below by its worst-case
     alignment -2|u(x1) u(x2)|.  The reported minimum is that conservative
     lower envelope over all grid pairs.  The tail bound counts the certified
-    pairs past the cutoff, those of the modes ``eigsys`` only counted too.
+    pairs past the cutoff, those of the modes ``eigsys`` only counted too; the
+    cutoff, or the pair past it, lies below every mode ``eigsys`` lacks.
     """
     lam, modes = eigsys.lam, eigsys.modes
     tail, expanded = _green_tail(eigsys)
+    edge = lambda_cutoff
     if lambda_cutoff is None:
         pos = _green_cutoff(expanded, tail_count)
-        lambda_cutoff = 0.5 * (expanded[pos] + expanded[pos + 1])
+        lambda_cutoff, edge = 0.5 * (expanded[pos] + expanded[pos + 1]), expanded[pos + 1]
     if lambda_cutoff > eigsys.certified_below:
         raise ValidationError(
             "lambda cutoff exceeds the certified part of the spectrum"
         )
+    if edge >= (modes.max() + 1) ** 2 / max(seg.c for seg in chain.segments) ** 2:
+        raise ValidationError(f"green cutoff {lambda_cutoff:g} reaches mode {modes.max() + 1}, "
+                              "which the spectrum lacks")
 
     # the used pairs in (lam, mode) order, which fixes the GEMM summation order
     order = eigsys.order

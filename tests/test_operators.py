@@ -187,6 +187,80 @@ class TestShiftInvert:
         solve_modes(chain, 0, 8)
 
 
+def _mp_eliminate(form):
+    """Pivots and last-row fill of dense Gaussian elimination at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n = form.diag.size
+    with mpmath.workdps(50):
+        A = mpmath.matrix(form.toarray().tolist())  # the entries that meet add up exactly
+        fill = []
+        for i in range(n - 1):
+            fill.append(A[n - 1, i])
+            for row in range(i + 1, n):
+                if A[row, i] != 0:
+                    factor = A[row, i] / A[i, i]
+                    for col in range(i, n):
+                        A[row, col] -= factor * A[i, col]
+        return [A[i, i] for i in range(n)], fill
+
+
+def _circulant(n: int, a: float, b: float):
+    """The form with a on the diagonal and b beside it, and its eigenvalues a + 2b cos(2 pi j / n),
+    those at cos = 0, +-1/2 and +-1 exact."""
+    c = np.cos(2.0 * np.pi * np.arange(n) / n)
+    for exact in (0.0, 0.5, -0.5, 1.0, -1.0):
+        c[np.abs(c - exact) < 1e-12] = exact
+    return geometry.CyclicTridiagonal(np.full(n, a), np.full(n, b)), a + 2.0 * b * c
+
+
+class TestElimination:
+    """``CyclicTridiagonal.eliminate``, the one elimination of a chain form: the inertia
+    count reads the signs of its pivots, and the mass factor their square roots."""
+
+    # at n = 2 the corner entry adds to the band's; at n = 3 they are neighbours in the last row
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    def test_pivots_and_fill_match_mpmath(self, n):
+        rng = np.random.default_rng(100 + n)
+        # diagonally dominant, of either sign: no pivot comes near zero
+        form = geometry.CyclicTridiagonal(rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 3.5, n),
+                                          rng.uniform(-1.0, 1.0, n))
+        pivots, fill = form.eliminate()
+        want_pivots, want_fill = _mp_eliminate(form)
+        assert pivots.shape == (n,) and fill.shape == (n - 1,)
+        assert np.all(np.sign(pivots) == np.sign(np.array(want_pivots, dtype=float)))
+        np.testing.assert_allclose(pivots, np.array(want_pivots, dtype=float), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(fill, np.array(want_fill, dtype=float), rtol=0, atol=1e-14)
+
+    def test_count_near_multiple_eigenvalues(self):
+        # with M = I the count is exact a relative 1e-12 from a simple eigenvalue and
+        # 1e-8 from a double one; nearer a double one, and within an ulp of any, it
+        # lies between the eigenvalues below it and those at or below it
+        a, b = 3.0, 1.0
+        ns = [n for n in range(2, 601) if n < 13 or n % 4 == 0 or n % 6 == 0]
+        wrong = 0
+        for n in ns:
+            S, lam = _circulant(n, a, b)
+            M = geometry.CyclicTridiagonal(np.ones(n), np.zeros(n))
+            for target in (a - 2 * b, a - b, a, a + b, a + 2 * b):
+                multiple = np.count_nonzero(lam == target)
+                if multiple == 0:
+                    continue
+                below, at_or_below = (np.count_nonzero(lam < target),
+                                      np.count_nonzero(lam <= target))
+                near = [target, np.nextafter(target, 0.0), np.nextafter(target, np.inf)]
+                if multiple > 1:
+                    near += [target * (1.0 + s * rel)
+                             for s in (-1, 1) for rel in (1e-12, 1e-10, 1e-9)]
+                for shift in near:
+                    count = spectral._negative_count(S, M, shift)
+                    assert below <= count <= at_or_below, (n, target, shift)
+                    wrong += count != np.count_nonzero(lam < shift)
+                far = (1e-12,) if multiple == 1 else (1e-8, 1e-6)
+                for shift in (target * (1.0 + s * rel) for s in (-1, 1) for rel in far):
+                    assert spectral._negative_count(S, M, shift) == np.count_nonzero(lam < shift)
+        assert wrong > 0  # the bracket is all that holds near a double eigenvalue
+
+
 def test_green_kernel_matches_per_pair_loop(monkeypatch):
     chain = build_chain(I2S, 60.0, resolution=32)
     eigsys = full_spectrum(chain, m_max=4, k_per_mode=24)

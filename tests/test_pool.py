@@ -18,7 +18,7 @@ import pytest
 
 from pinchlab import blas, spectral
 from pinchlab.cli import main
-from pinchlab.geometry import FamilyConfig, build_chain
+from pinchlab.geometry import CyclicTridiagonal, FamilyConfig, build_chain
 from pinchlab.spectral import full_spectrum
 
 I2 = FamilyConfig(n_components=2)
@@ -71,15 +71,16 @@ def test_worker_factors_a_chain_once_for_all_its_modes(chain, monkeypatch, tmp_p
                                                        fresh_pool):
     # each task unpickles its own copy of the chain; the factor cache is keyed
     # by the forms, so a worker's later modes reuse its first mode's factor
+    # (counted at the elimination kernel: a dense k = n solve counts no inertia)
     log = tmp_path / "factorizations"
-    cholesky = np.linalg.cholesky
+    eliminate = CyclicTridiagonal.eliminate
 
-    def logging_cholesky(*args, **kwargs):
+    def logging_eliminate(form):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return cholesky(*args, **kwargs)
+        return eliminate(form)
 
-    monkeypatch.setattr(np.linalg, "cholesky", logging_cholesky)
+    monkeypatch.setattr(CyclicTridiagonal, "eliminate", logging_eliminate)
     monkeypatch.setattr(spectral, "_FACTOR", None)  # the workers inherit no factor
     full_spectrum(chain, m_max=8, k_per_mode=chain.n_nodes)  # 9 dense modes, k = n
     per_worker = collections.Counter(int(pid) for pid in log.read_text().split())

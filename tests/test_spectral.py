@@ -13,7 +13,7 @@ from pinchlab import spectral
 from pinchlab.configfile import load_config
 from pinchlab.dualgraph import cycle_graph
 from pinchlab.errors import ConvergenceError, StructureError, ValidationError
-from pinchlab.geometry import C_FAT, FamilyConfig, build_chain
+from pinchlab.geometry import C_FAT, CyclicTridiagonal, FamilyConfig, build_chain
 from pinchlab.spectral import (
     assemble_mode_operator,
     correlation_matrix,
@@ -118,11 +118,27 @@ class TestSharedMassFactor:
             assert holds_factor_of(chain)
             assert_matches_generalized_solve(chain, m, lam, vecs)
 
+    def test_factor_matches_lapack_cholesky(self):
+        # the shipped configs, the n = 576 full-basis chain and TestGreenModes' seeded families
+        chains = [config_chain("i2_step"), config_chain("i3_bump"),
+                  config_chain("i2_step", resolution=192)]
+        chains += [random_family_chain(100 * resolution + 10 * m_max + tail_count + seed,
+                                       resolution)
+                   for resolution in (32, 48) for m_max in (8, 16) for tail_count in (24, 20)
+                   for seed in range(3)]
+        for chain in chains:
+            (d, l, r), _, _ = spectral._mass_factor(chain)
+            C = np.linalg.cholesky(chain.operators.mass.toarray())
+            ulp = np.finfo(float).eps * np.abs(C).max()
+            for got, want in ((d, np.diag(C)), (l, np.diag(C, -1)[:-1]), (r, C[-1, :-1])):
+                assert np.max(np.abs(got - want)) <= 4 * ulp
+
     def test_cache_is_exact(self, monkeypatch):
+        # the dense path counts no inertia: every elimination here factors a mass form
         factorizations = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda *args, **kw: factorizations.append(1) or cholesky(*args, **kw))
+        eliminate = CyclicTridiagonal.eliminate
+        monkeypatch.setattr(CyclicTridiagonal, "eliminate",
+                            lambda form: factorizations.append(1) or eliminate(form))
         monkeypatch.setattr(spectral, "_FACTOR", None)
         a, b = config_chain("i2_step", 100.0), config_chain("i2_step", 150.0)
         for chain, count in ((a, 1), (b, 2), (a, 3)):  # one slot: a, b, a all miss
@@ -546,6 +562,20 @@ class TestTruncatedGreen:
         assert math.isfinite(eigsys.certified_below)
         with pytest.raises(ValidationError, match=message):
             truncated_green_min(chain, eigsys, **options(eigsys))
+
+    @pytest.mark.parametrize("options", [{"tail_count": 40}, {"lambda_cutoff": 600.0}])
+    def test_cutoff_past_the_modes_a_green_tail_spectrum_holds_rejected(self, options):
+        # green_tail=24 solves modes 0-2 of i2_step: mode 3's eigenvalues are at least
+        # 9 / c_max^2 = 355.3, below the cutoff tail_count = 40 puts on the full spectrum
+        chain = config_chain("i2_step")
+        reduced = full_spectrum(chain, m_max=8, k_per_mode=32, green_tail=24)
+        assert np.array_equal(np.unique(reduced.modes), [0, 1, 2])
+        with pytest.raises(ValidationError, match="reaches mode 3, which the spectrum lacks"):
+            truncated_green_min(chain, reduced, **options)
+        full = full_spectrum(chain, m_max=8, k_per_mode=32)
+        truncated_green_min(chain, full, **options)  # its certificate covers the cutoff
+        assert truncated_green_min(chain, full, tail_count=40).cutoff == pytest.approx(403.52,
+                                                                                     abs=0.01)
 
 
 def random_family_chain(seed: int, resolution: int):
