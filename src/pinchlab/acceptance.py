@@ -111,7 +111,7 @@ def criterion_3_small_eigenvalues(seed: int) -> CriterionResult:
         errs = []
         for L in (80.0, 120.0, 200.0):
             eigsys = spectral.full_spectrum(geometry.build_chain(cfg, L, resolution=48),
-                                            m_max=2, k_per_mode=8)
+                                            m_max=2, k_per_mode=8, vectors=False)
             lams = eigsys.expanded_eigenvalues()
             small = lams[(lams > 1e-9) & (lams < eigsys.gap_value / 2)]
             pred = spectral.graph_limit_eigs(g, L)
@@ -122,8 +122,8 @@ def criterion_3_small_eigenvalues(seed: int) -> CriterionResult:
             if L == 120.0:  # the coarse end of the refinement check below
                 coarse = lams[1]
         ok = ok and errs[0] > errs[1] > errs[2]
-        fine = spectral.full_spectrum(geometry.build_chain(cfg, 120.0, resolution=96),
-                                      m_max=0, k_per_mode=4).expanded_eigenvalues()[1]
+        fine = spectral.full_spectrum(geometry.build_chain(cfg, 120.0, resolution=96), m_max=0,
+                                      k_per_mode=4, vectors=False).expanded_eigenvalues()[1]
         refine = abs(coarse - fine) / fine
         ok = ok and refine <= 0.005
         detail.append(f"N={cfg.n_components}:rel={errs[-1]:.3f},refine={refine:.1e}")
@@ -135,7 +135,7 @@ def criterion_4_spectral_gap(seed: int) -> CriterionResult:
     gaps = []
     for L in (20.0, 50.0, 110.0, 200.0):
         eigsys = spectral.full_spectrum(geometry.build_chain(I2S, L, resolution=48),
-                                        m_max=2, k_per_mode=8)
+                                        m_max=2, k_per_mode=8, vectors=False)
         gaps.append(eigsys.gap_value)
     gaps = np.asarray(gaps)
     variation = float(gaps.max() / gaps.min() - 1.0)

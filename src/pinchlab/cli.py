@@ -116,41 +116,36 @@ def cmd_kodaira(args) -> int:
     return 0
 
 
-def _spectra(cfg: configfile.ExperimentConfig, L_values, green_tail=None):
-    """(L, chain, eigsys) at each L in ascending order; the chains are built
-    here, the spectra may come from the worker pool, one chain per task."""
+def _spectra(cfg: configfile.ExperimentConfig, L_values, **options):
+    """(L, chain, eigsys) at each L in ascending order; the chains are built here, the
+    spectra (``full_spectrum`` options) may come from the worker pool, one chain per task."""
     solver = _solver(cfg)
     Ls = [float(L) for L in np.sort(L_values)]
     chains = [geometry.build_chain(cfg.family(), L, resolution=solver["resolution"]) for L in Ls]
     spectra = spectral.full_spectra(chains, m_max=solver["m_max"], k_per_mode=solver["k_per_mode"],
-                                    green_tail=green_tail)
+                                    **options)
     return zip(Ls, chains, spectra)
 
 
-def _spectrum_rows(cfg: configfile.ExperimentConfig, L_values):
-    rows = []
-    for L, chain, eigsys in _spectra(cfg, L_values):
+def _spectrum_run(cfg: configfile.ExperimentConfig, L_values, filename: str) -> Run:
+    rows = []  # the rows read no eigenvector, so none is computed
+    for L, chain, eigsys in _spectra(cfg, L_values, vectors=False):
         # one row per eigenvalue counted with multiplicity, in (lam, mode) order
         pairs = np.repeat(eigsys.order, eigsys.multiplicity[eigsys.order])
         s, gap = chain.s, eigsys.gap_value
         rows += [(L, s, i, m, lam, lam * L, gap, ok) for i, (m, lam, ok)
                  in enumerate(zip(eigsys.modes[pairs].tolist(), eigsys.lam[pairs].tolist(),
                                   eigsys.certified[pairs]))]
-    return rows
-
-
-SPECTRUM_COLUMNS = ["L", "s", "k", "m", "lambda", "lambda_times_L", "gap",
-                    "certified"]
+    columns = ["L", "s", "k", "m", "lambda", "lambda_times_L", "gap", "certified"]
+    return Run([Table(filename, columns, rows)])
 
 
 def cmd_spectrum(cfg: configfile.ExperimentConfig, args) -> Run:
-    rows = _spectrum_rows(cfg, [args.L])
-    return Run([Table("spectrum.csv", SPECTRUM_COLUMNS, rows)])
+    return _spectrum_run(cfg, [args.L], "spectrum.csv")
 
 
 def cmd_sweep_spectrum(cfg: configfile.ExperimentConfig, args) -> Run:
-    rows = _spectrum_rows(cfg, args.L_grid)
-    return Run([Table("sweep_spectrum.csv", SPECTRUM_COLUMNS, rows)])
+    return _spectrum_run(cfg, args.L_grid, "sweep_spectrum.csv")
 
 
 def cmd_modelfns(cfg: configfile.ExperimentConfig, args) -> Run:

@@ -90,7 +90,7 @@ def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
     q = chain.load_vector(dens.quad_values)
     used = np.flatnonzero((eigsys.modes == 0) & (eigsys.lam > 1e-9))
     lam = eigsys.lam[used]
-    basis = eigsys.vecs[:, used].T
+    basis = eigsys.eigenvectors(used).T
     b = basis @ q
     phi = geometry.FOUR_PI * ((b / lam) @ basis)
     return PreferredPotential(chain=chain, phi=phi), SpectralCoefficients(b=b)
@@ -105,7 +105,7 @@ def split_low_high(pot: PreferredPotential, eigsys: spectral.EigenSystem):
     M = pot.chain.operators.mass
     Mphi = M @ pot.phi
     low = np.zeros_like(pot.phi)
-    for vec in eigsys.vecs[:, eigsys.low].T:
+    for vec in eigsys.eigenvectors(eigsys.low).T:
         low += float(Mphi @ vec) * vec
     mean = float(np.sum(Mphi) / M.sum())
     high = pot.phi - low - mean

@@ -40,7 +40,7 @@ RESIDUAL_TOL = 1e-8
 _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
 _SIGMA = -1.0          # shift-invert pole, below the spectrum (S >= 0)
-_GAP_RTOL = 1e-8       # Ritz values closer than this count as one cluster
+_GAP_RTOL = 1e-6       # values closer than this count as one cluster (_count_certifies)
 
 # A persistent pool of forked workers, one per usable CPU, each with every
 # loaded OpenBLAS pinned to one thread, solves the modes of a chain with
@@ -119,14 +119,23 @@ def _negative_count(S, M, shift: float) -> int | None:
     return int(np.count_nonzero(form.eliminate()[0] < 0.0))
 
 
+def _count_certifies(S, M, lam: np.ndarray, k: int) -> bool:
+    """Whether S - shift*M has as many negative pivots as ``lam`` (ascending) has values below
+    the shift, in the first gap wider than _GAP_RTOL from the k-th on; False with no gap."""
+    gaps = np.diff(lam[k - 1:]) > _GAP_RTOL * np.abs(lam[k:])
+    if not np.any(gaps):
+        return False
+    top = k - 1 + int(np.argmax(gaps))      # first gap at or above the k-th value
+    return _negative_count(S, M, 0.5 * (lam[top] + lam[top + 1])) == top + 1
+
+
 def _shift_invert(S, M, k: int):
     """k smallest pairs by ARPACK shift-invert, or None if not certified.
 
-    Two more pairs than asked are computed, so that a shift can be placed in
-    a gap above the k-th Ritz value; the inertia of S - shift*M must then
-    count exactly the computed values below it, which rules out a pair the
-    Lanczos iteration skipped (spectrum slicing).  The pole SIGMA is negative
-    because S is singular for m = 0.
+    Two more pairs than asked are computed, so that ``_count_certifies`` can
+    place its shift in a gap above the k-th Ritz value, which rules out a pair
+    the Lanczos iteration skipped.  The pole SIGMA is negative because S is
+    singular for m = 0.
     """
     scipy, n = load_scipy(), S.diag.size
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
@@ -137,11 +146,7 @@ def _shift_invert(S, M, k: int):
         return None
     order = np.argsort(lam)
     lam, vecs = lam[order], vecs[:, order]
-    gaps = np.diff(lam[k - 1:]) > _GAP_RTOL * np.abs(lam[k:])
-    if not np.any(gaps):
-        return None
-    top = k - 1 + int(np.argmax(gaps))      # first gap at or above the k-th value
-    if _negative_count(S, M, 0.5 * (lam[top] + lam[top + 1])) != top + 1:
+    if not _count_certifies(S, M, lam, k):
         return None
     lam, vecs = lam[:k], vecs[:, :k]
     vecs = vecs * _signs(vecs)
@@ -205,7 +210,7 @@ def _mass_factor(chain: geometry.WarpedChain):
     return _FACTOR[1]
 
 
-def solve_modes(chain: geometry.WarpedChain, m, k: int):
+def solve_modes(chain: geometry.WarpedChain, m, k: int, vectors: bool = True):
     """k smallest eigenpairs of the mode-m generalized problem, for one mode or a sequence.
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
@@ -215,10 +220,11 @@ def solve_modes(chain: geometry.WarpedChain, m, k: int):
     call share one back-substitution and one sign fix.  Returns (lam, vecs),
     for a sequence the modes' k-blocks side by side in the order given, with
     vecs[:, j] mass-orthonormal (Fortran order, so each pair's column is
-    contiguous).  A reduced matrix that is not finite (the potential form
-    overflows first, on huge L), a residual bound that is not finite (||v||
-    overflows) and residuals beyond tolerance raise ConvergenceError with
-    diagnostics, mode by mode in the order given.
+    contiguous).  With ``vectors=False`` vecs is None: a dense mode keeps the eigvalsh values
+    ``_count_certifies`` accepts, else (always at k = n) a vector solve's.  A reduced matrix
+    that is not finite (the potential form overflows first, on huge L), a residual bound
+    that is not finite (||v|| overflows) and residuals beyond tolerance raise
+    ConvergenceError with diagnostics, mode by mode in the order given.
     """
     modes = [m] if np.isscalar(m) else list(m)
     ops, n = chain.operators, chain.n_nodes
@@ -227,14 +233,16 @@ def solve_modes(chain: geometry.WarpedChain, m, k: int):
     if not 1 <= k <= n:
         raise ValidationError(f"requested {k} eigenpairs from an n = {n} grid: need 1 <= k <= n")
     lam = np.empty(len(modes) * k)
-    vecs = np.empty((n, lam.size), order="F")
-    X = np.empty((n, lam.size))  # the dense modes' blocks; C order, as _substitute walks rows
+    vecs = np.empty((n, lam.size), order="F") if vectors else None
+    X = np.empty((n, lam.size)) if vectors else None  # dense blocks; C order, as _substitute walks
     sparse = n > _SPARSE_MIN_NODES and _SPARSE_K_RATIO * k <= n
     dense, failure = [], None  # dense: the (slot, mode) of each block of X
     for slot, mode in enumerate(modes):
         found = _shift_invert(ops.stiffness(mode), ops.mass, k) if sparse else None
         if found is not None:
-            lam[slot * k:(slot + 1) * k], vecs[:, slot * k:(slot + 1) * k] = found
+            lam[slot * k:(slot + 1) * k] = found[0]
+            if vectors:
+                vecs[:, slot * k:(slot + 1) * k] = found[1]
             continue
         # the exact dense path; slicing after a full solve keeps the basis LAPACK
         # picks inside degenerate eigenspaces independent of k
@@ -244,10 +252,15 @@ def solve_modes(chain: geometry.WarpedChain, m, k: int):
             failure = ConvergenceError("reduced mode matrix is not finite",
                                        {"mode": mode, "n": n, "L": chain.L})
             break
-        lam_m, y = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
+        if vectors:
+            lam_m, y = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
+            X[:, len(dense) * k:(len(dense) + 1) * k] = y[:, :k]
+            dense.append((slot, mode))
+        else:  # the values alone, if the inertia count certifies them
+            lam_m = np.linalg.eigvalsh(H)
+            if not _count_certifies(ops.stiffness(mode), ops.mass, lam_m, k):
+                lam_m = solve_modes(chain, mode, k)[0]  # a vector solve's, gates included
         lam[slot * k:(slot + 1) * k] = lam_m[:k]
-        X[:, len(dense) * k:(len(dense) + 1) * k] = y[:, :k]
-        dense.append((slot, mode))
     if dense:
         X = X[:, :len(dense) * k]
         with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
@@ -296,12 +309,18 @@ class EigenSystem:
 
     lam: np.ndarray       # (K,)
     modes: np.ndarray     # (K,)
-    vecs: np.ndarray      # (n, K)
+    vecs: np.ndarray | None  # (n, K); None when solved without them: read via eigenvectors()
     low_count: int
     gap_value: float
     certified_below: float
     certification_limited_by_k: bool
     counted_tail: int = 0  # certified pairs, with multiplicity, of modes not solved
+
+    def eigenvectors(self, pairs) -> np.ndarray:
+        """``vecs[:, pairs]``; ValidationError for a spectrum solved without them."""
+        if self.vecs is None:
+            raise ValidationError("spectrum holds no eigenvectors")
+        return self.vecs[:, pairs]
 
     @property
     def multiplicity(self) -> np.ndarray:
@@ -338,8 +357,8 @@ class EigenSystem:
         return [e for e in self.entries if e.mode == 0]
 
 
-def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
-                  k_per_mode: int = 32, green_tail: int | None = None) -> EigenSystem:
+def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16, k_per_mode: int = 32,
+                  green_tail: int | None = None, vectors: bool = True) -> EigenSystem:
     """Solve modes 0..m_max (m_max >= 0), merge, and certify completeness.
 
     Serially, one ``solve_modes`` call solves every mode and its arrays are the
@@ -351,6 +370,8 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
     ``truncated_green_min(chain, eigsys, green_tail)`` can reach are solved
     (_green_modes): the spectrum then holds modes 0..j, with the same
     certificate, and ``counted_tail`` the certified pairs of modes j+1..m_max.
+    With ``vectors=False`` (ignored with ``green_tail``) the modes are solved for
+    their values alone (``solve_modes``), and a pool task returns no vectors.
     """
     if m_max < 0:
         raise ValidationError("m_max must be at least 0")
@@ -363,17 +384,18 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16,
     if green_tail is not None:
         lam, vecs, counted = _green_modes(chain, m_max, k, green_tail)
     elif pool is None:  # one call: the dense modes share one back-substitution
-        lam, vecs = solve_modes(chain, modes, k)
+        lam, vecs = solve_modes(chain, modes, k, vectors)
     else:
         chain.operators  # assembled here, so that each task's pickled chain carries them
-        solved = _solve_in_pool(pool, functools.partial(_solve_mode, chain, k), modes)
+        solved = _solve_in_pool(pool, functools.partial(_solve_mode, chain, k, vectors), modes)
         # each mode's block is copied into place, one contiguous (Fortran) stretch,
         # as it arrives; sorting the columns would hold a second copy of every vector
         lam = np.empty(len(modes) * k)
-        vecs = np.empty((n, lam.size), order="F")
+        vecs = np.empty((n, lam.size), order="F") if vectors else None
         for m, (lam_m, vecs_m) in zip(modes, solved):
             lam[m * k:(m + 1) * k] = lam_m
-            vecs[:, m * k:(m + 1) * k] = vecs_m
+            if vectors:
+                vecs[:, m * k:(m + 1) * k] = vecs_m
     if lam.min() > 1e-8:
         raise ConvergenceError("missing zero eigenvalue", {"lambda0": lam.min()})
     return _eigen_system(chain, lam, vecs, k, m_max, counted)
@@ -438,8 +460,8 @@ def _green_modes(chain: geometry.WarpedChain, m_max: int, k: int, tail_count: in
     return lam, vecs, 0
 
 
-def full_spectra(chains, m_max: int = 16, k_per_mode: int = 32, green_tail: int | None = None):
-    """``full_spectrum`` of each chain, yielded in order.
+def full_spectra(chains, **options):
+    """``full_spectrum(chain, **options)`` of each chain, yielded in order.
 
     With more than one chain and a pool, each chain is one pool task, whose
     modes its worker solves serially; otherwise the chains are solved here,
@@ -447,8 +469,7 @@ def full_spectra(chains, m_max: int = 16, k_per_mode: int = 32, green_tail: int 
     """
     chains = list(chains)
     pool = _pool() if len(chains) > 1 else None
-    solve = functools.partial(full_spectrum, m_max=m_max, k_per_mode=k_per_mode,
-                              green_tail=green_tail)
+    solve = functools.partial(full_spectrum, **options)
     return map(solve, chains) if pool is None else _solve_in_pool(pool, solve, chains)
 
 
@@ -503,11 +524,11 @@ def _exit_with_parent(parent: int):
     os._exit(1)
 
 
-def _solve_mode(chain: geometry.WarpedChain, k: int, m: int):
+def _solve_mode(chain: geometry.WarpedChain, k: int, vectors: bool, m: int):
     # solve_modes is looked up when a task runs: a partial of it would pickle
     # the function object, and a traced or monkeypatched solve_modes is a
     # closure that cannot be pickled
-    return solve_modes(chain, m, k)
+    return solve_modes(chain, m, k, vectors)
 
 
 def _solve_in_pool(pool, fn, items):
@@ -660,7 +681,7 @@ def correlation_matrix(chain: geometry.WarpedChain, eigsys: EigenSystem,
     phi = np.zeros((N, chain.n_nodes))
     phi[0] = 1.0 / np.sqrt(volume)
     low = eigsys.low
-    phi[1 : 1 + low.size] = eigsys.vecs[:, low].T
+    phi[1 : 1 + low.size] = eigsys.eigenvectors(low).T
     C = mfs.functions @ (ops.mass @ phi.T)
     E = C @ C.T - np.eye(N)
     resid = phi[1:] - C[:, 1:].T @ mfs.functions
@@ -748,8 +769,8 @@ def truncated_green_min(chain: geometry.WarpedChain, eigsys: EigenSystem,
     # f0 = V0 diag(1/lam) V0^T over mode 0; each m >= 1 pair adds at worst
     # -2|u u^T|/lam, and |u_i u_j| = |u_i||u_j|, so their envelope is
     # 2|V| diag(1/lam) |V|^T: two GEMMs
-    V0, inv0 = eigsys.vecs[:, zero], 1.0 / lam[zero]
-    V, inv = np.abs(eigsys.vecs[:, rest]), 2.0 / lam[rest]
+    V0, inv0 = eigsys.eigenvectors(zero), 1.0 / lam[zero]
+    V, inv = np.abs(eigsys.eigenvectors(rest)), 2.0 / lam[rest]
     lower = (V0 * inv0) @ V0.T - (V * inv) @ V.T
     diag = (V0**2) @ inv0 + (V**2) @ inv  # actual value at dtheta = 0
     included = V0.shape[1] + 2 * V.shape[1]

@@ -298,13 +298,11 @@ class TestExitContract:
         (["spectrum", "--L", "1.7e308"],
          r"eigen residual bound is not finite mode=0 n=144 L=1\.7e\+308"),
         # green solves modes 0-2 only (see test_green_reads_no_mode_beyond_its_reach)
-        (["sweep-spectrum", "--L-grid", "5e3"],
-         r"eigen residual beyond tolerance mode=6 worst_residual=\S+ n=144"),
         (["green", "--L-grid", "2e4"],
          r"eigen residual beyond tolerance mode=2 worst_residual=\S+ n=144"),
     ], ids=["spectrum-1e200", "spectrum-1e300", "potential-1e200", "green-1e200",
             "pairing-poisson-residual", "spectrum-residual-bound-1.7e308",
-            "sweep-spectrum-5e3-mode-6", "green-2e4-mode-2"])
+            "green-2e4-mode-2"])
     def test_numerical_failure_exits_3_naming_it(self, tmp_path, capsys, argv, message):
         # huge L overflows the reduced potential form, the Poisson residual and,
         # at 1.7e308, the residual bound RESIDUAL_TOL * max(1, ||v||) of mode 0
@@ -314,19 +312,52 @@ class TestExitContract:
         assert re.fullmatch(f"numerical non-convergence: {message}\n", err), err
 
     def test_green_reads_no_mode_beyond_its_reach(self, tmp_path, capsys):
-        # at L = 5e3 mode 6 fails its residual gate (sweep-spectrum exits 3), but
-        # no mode above 2 can hold a pair below green's cutoff: it is only counted
+        # at L = 5e3 mode 6's eigenvectors fail their residual gate, but no mode
+        # above 2 can hold a pair below green's cutoff: it is only counted
         cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
         assert main(["green", "--config", cfg, "--out", str(tmp_path), "--L-grid", "5e3"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_sweep_spectrum_at_large_L_matches_scipy(self, tmp_path, capsys):
+        # the values alone pass their inertia certificate where mode 6's vectors
+        # fail the residual gate (5e3) and mode 2's too (2e4, green-2e4-mode-2)
+        import scipy.linalg
+
+        root = Path(__file__).resolve().parents[1]
+        family = parse_config((root / "configs" / "i2_step.cfg").read_text()).family()
+        argv = ["sweep-spectrum", "--config", str(root / "configs" / "i2_step.cfg"),
+                "--out", str(tmp_path), "--L-grid", "5e3,2e4"]
+        assert main(argv) == 0 and capsys.readouterr().err == ""
+        rows = np.loadtxt(tmp_path / "sweep_spectrum.csv", delimiter=",", skiprows=2,
+                          usecols=(0, 3, 4))
+        for L, rtol in ((5e3, 3.4e-9), (2e4, 4.1e-8)):
+            ops = build_chain(family, L, resolution=48).operators
+            for m in range(9):
+                want = scipy.linalg.eigh(ops.stiffness(m).toarray(), ops.mass.toarray(),
+                                         eigvals_only=True)[:32]
+                got = np.unique(rows[(rows[:, 0] == L) & (rows[:, 1] == m), 2])
+                assert got.size == 32
+                big = np.abs(want) > 1e-9
+                np.testing.assert_allclose(got[big], want[big], rtol=rtol, atol=0)
+
+    def test_values_the_count_rejects_take_the_vector_path_and_its_gate(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        monkeypatch.setattr(spectral, "_negative_count", lambda S, M, shift: -1)
+        monkeypatch.setattr(spectral, "_residuals",
+                            lambda S, M, lam, vecs: (np.ones(lam.size), np.zeros(lam.size)))
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numerical non-convergence: eigen residual beyond "
+                                           "tolerance mode=0 worst_residual=1.0 n=144\n")
+
     def test_nan_residual_exits_3(self, tmp_path, capsys, monkeypatch):
         # NaN passes no comparison, so a gate written as "fail if above the
-        # bound" would let it through and write NaN eigenvalues
+        # bound" would let it through and write NaN eigenvalues; potential reads
+        # mode 0's vectors, so its solve meets the gate
         monkeypatch.setattr(spectral, "_residuals",
                             lambda S, M, lam, vecs: (np.full(lam.size, np.nan), np.ones(lam.size)))
         cfg = str(Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg")
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err == ("numerical non-convergence: eigen residual beyond tolerance "
                        "mode=0 worst_residual=nan n=144\n")

@@ -67,6 +67,25 @@ def test_parallel_matches_serial(chain, monkeypatch, k):
     assert par.certified_below == pytest.approx(ser.certified_below, rel=1e-10)
 
 
+def test_values_only_tasks_return_no_vectors(chain, monkeypatch):
+    solve_in_pool, results = spectral._solve_in_pool, []
+
+    def spy(pool, fn, items):
+        for result in solve_in_pool(pool, fn, items):
+            results.append(result)
+            yield result
+
+    monkeypatch.setattr(spectral, "_solve_in_pool", spy)
+    values = full_spectrum(chain, m_max=2, k_per_mode=32, vectors=False)  # one task per mode
+    assert values.vecs is None and [vecs for _, vecs in results] == [None] * 3
+    full = full_spectrum(chain, m_max=2, k_per_mode=32)
+    np.testing.assert_allclose(values.lam, full.lam, rtol=1e-10, atol=1e-11)
+    results.clear()
+    small = [build_chain(I2, L, resolution=48) for L in (50.0, 100.0)]
+    spectra = list(spectral.full_spectra(small, m_max=2, k_per_mode=32, vectors=False))
+    assert len(results) == 2 and all(s.vecs is None for s in results + spectra)  # one per chain
+
+
 def test_worker_factors_a_chain_once_for_all_its_modes(chain, monkeypatch, tmp_path,
                                                        fresh_pool):
     # each task unpickles its own copy of the chain; the factor cache is keyed
@@ -136,10 +155,11 @@ def test_worker_convergence_error_reaches_cli_as_exit_3(tmp_path, monkeypatch, c
     text = (Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg").read_text()
     cfg.write_text(text.replace("resolution = 48", "resolution = 192")
                    .replace("m_max = 8", "m_max = 2"))
-    # every residual fails: shift-invert falls back to dense, which raises
+    # every residual fails: shift-invert falls back to dense, which raises; potential
+    # reads mode 0's vectors and solves it in a worker at n = 576
     monkeypatch.setattr(spectral, "_residuals",
                         lambda S, M, lam, vecs: (np.ones(lam.size), np.zeros(lam.size)))
-    argv = ["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    argv = ["potential", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert spectral._POOL[1] is not None  # the error came from a worker
     parallel = capsys.readouterr().err

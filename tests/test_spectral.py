@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,15 @@ from pinchlab import spectral
 from pinchlab.configfile import load_config
 from pinchlab.dualgraph import cycle_graph
 from pinchlab.errors import ConvergenceError, StructureError, ValidationError
-from pinchlab.geometry import C_FAT, CyclicTridiagonal, FamilyConfig, build_chain
+from pinchlab.geometry import (
+    C_FAT,
+    CyclicTridiagonal,
+    FamilyConfig,
+    build_chain,
+    density_from_spec,
+    step_density_spec,
+)
+from pinchlab.potential import solve_direct, solve_spectral, split_low_high
 from pinchlab.spectral import (
     assemble_mode_operator,
     correlation_matrix,
@@ -672,3 +683,168 @@ class TestGreenModes:
         for m in range(1, 9):
             block = lam[m * chain.n_nodes:(m + 1) * chain.n_nodes]
             assert block.min() >= m * m / c_max**2 * (1.0 - 1e-12)
+
+
+def step_density(chain):
+    return density_from_spec(step_density_spec([2.0, -2.0]), chain)
+
+
+def assert_values_match(values, full):
+    """A ``vectors=False`` spectrum against the vector path's: the same pairs, modes and
+    flags, eigenvalues to 1e-10 relative (1e-11 absolute at zero), and no vectors."""
+    assert values.vecs is None
+    assert np.array_equal(values.modes, full.modes)
+    assert values.certification_limited_by_k == full.certification_limited_by_k
+    assert (values.low_count, values.counted_tail) == (full.low_count, full.counted_tail)
+    big = np.abs(full.lam) > 1e-9
+    np.testing.assert_allclose(values.lam[big], full.lam[big], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(values.lam[~big], full.lam[~big], rtol=0, atol=1e-11)
+    for name in ("certified_below", "gap_value"):
+        assert getattr(values, name) == pytest.approx(getattr(full, name), rel=1e-10), name
+    assert np.array_equal(values.certified, full.certified)
+
+
+class TestValuesOnly:
+    """``vectors=False`` solves a dense mode with eigvalsh, certified by the O(n)
+    inertia count; a mode the count cannot certify takes the vector path."""
+
+    @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
+    def test_shipped_grids(self, name):
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        for L in cfg.get_grid("sweep", "L_grid", ""):
+            chain = build_chain(cfg.family(), float(L), cfg.get_int("solver", "resolution", ""))
+            options = {"m_max": cfg.get_int("solver", "m_max", ""), "k_per_mode": 32}
+            assert_values_match(full_spectrum(chain, **options, vectors=False),
+                                full_spectrum(chain, **options))
+
+    @pytest.mark.parametrize("resolution", [32, 48])
+    @pytest.mark.parametrize("m_max", [8, 16])
+    @pytest.mark.parametrize("tail_count", [24, 20])
+    def test_seeded_families(self, resolution, m_max, tail_count):
+        # TestGreenModes' chains
+        for seed in range(3):
+            chain = random_family_chain(100 * resolution + 10 * m_max + tail_count + seed,
+                                        resolution)
+            assert_values_match(full_spectrum(chain, m_max=m_max, k_per_mode=32, vectors=False),
+                                full_spectrum(chain, m_max=m_max, k_per_mode=32))
+
+    def test_certified_modes_skip_the_vector_path(self, monkeypatch):
+        chain = config_chain("i2_step")
+        _, vecs = solve_modes(chain, range(9), 32, vectors=False)
+        assert vecs is None
+        monkeypatch.setattr(np.linalg, "eigh", None)  # calling it would raise
+        monkeypatch.setattr(spectral, "_substitute", None)
+        monkeypatch.setattr(spectral, "_residuals", None)
+        solve_modes(chain, range(9), 32, vectors=False)
+
+    @pytest.mark.parametrize("k", [32, "n"])
+    def test_a_miscount_falls_back_to_the_vector_path(self, monkeypatch, k):
+        # k = n leaves no gap above the k-th value: the vector path, always
+        chain = config_chain("i3_bump")
+        k = chain.n_nodes if k == "n" else k
+        want, _ = solve_modes(chain, range(9), k)
+        if k < chain.n_nodes:
+            monkeypatch.setattr(spectral, "_negative_count", lambda S, M, shift: -1)
+        lam, vecs = solve_modes(chain, range(9), k, vectors=False)
+        assert np.array_equal(lam, want) and vecs is None
+
+    def test_full_basis_beyond_the_sparse_threshold(self):
+        chain = config_chain("i2_step", resolution=192)
+        options = {"m_max": 2, "k_per_mode": chain.n_nodes}
+        values = full_spectrum(chain, **options, vectors=False)
+        full = full_spectrum(chain, **options)
+        assert values.vecs is None and np.array_equal(values.lam, full.lam)
+
+    def test_a_green_tail_spectrum_keeps_its_vectors(self):
+        chain = config_chain("i2_step")
+        eigsys = full_spectrum(chain, m_max=8, k_per_mode=32, green_tail=24, vectors=False)
+        assert eigsys.vecs is not None
+        truncated_green_min(chain, eigsys, 24)
+
+    def test_loads_no_scipy(self):
+        # n <= _SPARSE_MIN_NODES: the dense values and their count are numpy's
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from pinchlab import configfile, geometry, spectral\n"
+            f"cfg = configfile.load_config({str(CONFIGS / 'i3_bump.cfg')!r})\n"
+            "chains = [geometry.build_chain(cfg.family(), L, 48) for L in (40.0, 220.0)]\n"
+            "spectra = spectral.full_spectra(chains, m_max=8, k_per_mode=32, vectors=False)\n"
+            "assert all(s.vecs is None for s in spectra)\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == "['scipy']\n"  # the blocked entry alone
+
+    def test_spectrum_pickle_carries_no_vectors(self):
+        eigsys = full_spectrum(config_chain("i3_bump"), m_max=8, k_per_mode=32, vectors=False)
+        assert len(pickle.dumps(eigsys)) <= eigsys.lam.nbytes + eigsys.modes.nbytes + 4096
+
+
+class TestCertificateGap:
+    """Every certificate places its shift at least _GAP_RTOL/2 from every computed value,
+    past the inertia count's measured accuracy near a multiple eigenvalue (5e-9)."""
+
+    @staticmethod
+    def shifts_and_values(monkeypatch):
+        seen, count, certifies = [], spectral._negative_count, spectral._count_certifies
+
+        def recording_count(S, M, shift):
+            seen[-1][0] = shift
+            return count(S, M, shift)
+
+        def recording_certifies(S, M, lam, k):
+            seen.append([None, lam])
+            return certifies(S, M, lam, k)
+
+        monkeypatch.setattr(spectral, "_negative_count", recording_count)
+        monkeypatch.setattr(spectral, "_count_certifies", recording_certifies)
+        return seen
+
+    @staticmethod
+    def assert_clear(seen):
+        for shift, lam in seen:
+            assert shift is not None
+            assert np.min(np.abs(lam - shift)) >= 5e-7 * abs(shift)
+
+    @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
+    def test_shift_invert_certificates(self, monkeypatch, name):
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        seen = self.shifts_and_values(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", None)  # every certificate must pass
+        solves = 0
+        for L in (45.0, 100.0, 220.0):
+            chain = build_chain(cfg.family(), L, resolution=192)
+            assert chain.n_nodes > spectral._SPARSE_MIN_NODES
+            for m in range(9):
+                solve_modes(chain, m, 32)
+                solves += 1
+        solve_modes(build_chain(cfg.family(), 100.0, resolution=768), 0, 32)
+        assert len(seen) == solves + 1
+        self.assert_clear(seen)
+
+    @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
+    def test_values_only_certificates(self, monkeypatch, name):
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        seen = self.shifts_and_values(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        for L in cfg.get_grid("sweep", "L_grid", ""):
+            chain = build_chain(cfg.family(), float(L), cfg.get_int("solver", "resolution", ""))
+            solve_modes(chain, range(9), 32, vectors=False)
+        assert len(seen) == 9 * 12
+        self.assert_clear(seen)
+
+
+@pytest.mark.parametrize("read", [
+    lambda chain, eigsys: truncated_green_min(chain, eigsys, 24),
+    lambda chain, eigsys: correlation_matrix(chain, eigsys, model_functions(chain)),
+    lambda chain, eigsys: split_low_high(solve_direct(chain, step_density(chain)), eigsys),
+    lambda chain, eigsys: solve_spectral(chain, step_density(chain), eigsys),
+], ids=["truncated_green_min", "correlation_matrix", "split_low_high", "solve_spectral"])
+def test_vector_readers_reject_a_spectrum_without_vectors(read):
+    chain = config_chain("i2_step")
+    read(chain, full_spectrum(chain, m_max=8, k_per_mode=32))  # accepted with its vectors
+    with pytest.raises(ValidationError, match="^spectrum holds no eigenvectors$"):
+        read(chain, full_spectrum(chain, m_max=8, k_per_mode=32, vectors=False))
