@@ -103,16 +103,10 @@ class ExperimentConfig:
 
     def family(self) -> geometry.FamilyConfig:
         n = self.get_int("family", "n_components")
-        areas = None
-        if self.has("family", "areas"):
-            areas = self.get_floats("family", "areas")
-        fields = dict(
-            n_components=n,
-            areas=areas,
-            neck_length=self.get_float("family", "neck_length", "1.0"),
-        )
+        areas = self.get_floats("family", "areas") if self.has("family", "areas") else None
+        neck_length = self.get_float("family", "neck_length", "1.0")
         try:
-            return geometry.FamilyConfig(**fields)
+            return geometry.FamilyConfig(n, areas, neck_length)
         except ValidationError as exc:
             raise ValidationError(f"[family] {exc}") from None
 

@@ -80,23 +80,11 @@ class DualGraph:
 
 
 def _is_connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        if i != j:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    """Whether every vertex is reached from vertex 0 along the edges."""
+    linked, reached = edge_counts(n, edges) > 0, np.arange(n) == 0
+    for _ in range(n):  # each pass adds the neighbours of the vertices reached so far
+        reached |= linked[reached].any(axis=0)
+    return bool(reached.all())
 
 
 def edge_counts(n: int, edges) -> np.ndarray:

@@ -358,10 +358,6 @@ class DensityField:
     quad_values: np.ndarray = field(repr=False)  # samples on the chain's quad table
     profile: object = field(repr=False, default=None)  # raw callable, pre-shift
 
-    def norm_scale(self) -> float:
-        vmax = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        return max(1.0, vmax)
-
 
 def density_from_callable(f, chain: WarpedChain) -> DensityField:
     """Sample a profile a(x) on a chain and enforce zero total integral.

@@ -25,7 +25,7 @@ from .errors import ConvergenceError, ValidationError
 
 
 def _require_mean_zero(dens: geometry.DensityField):
-    if abs(dens.total_integral) > 1e-10 * dens.norm_scale():
+    if abs(dens.total_integral) > 1e-10 * max(1.0, np.max(np.abs(dens.values), initial=0.0)):
         raise ValidationError(
             "density must integrate to zero on the fiber "
             "(integrability on general fibers)"

@@ -31,11 +31,11 @@ from .errors import ConvergenceError, StructureError, ValidationError
 
 RESIDUAL_TOL = 1e-8
 # Shift-invert replaces the dense O(n^3) solve when n > _SPARSE_MIN_NODES and
-# k * _SPARSE_K_RATIO <= n.  Measured on a 2-core Xeon with OpenBLAS: at
-# k = n/12 shift-invert takes 0.2-0.6x the dense time for n = 576-1152 and
-# m = 0-5, at k = n/8 0.6-1.3x, at k = n/4 2-6x.  Every other solve is
-# dense, and the dense solves of a chain share one O(n) factorization of M
-# (_mass_factor), in a pool worker as in the caller's process.  Only the
+# k * _SPARSE_K_RATIO <= n.  Measured on a 2-core Xeon, one OpenBLAS thread: at k = n/12
+# shift-invert takes 0.13-0.47x the dense time for n = 576-1152 and m = 0-5, at k = n/8
+# 0.3-1.0x, at k = n/4 1.4-4.5x.  Both paths use the O(n) factor M = F F^T (_cholesky):
+# the dense solves of a chain share one reduction by it (_mass_factor), in a pool worker
+# as in the caller's process, and shift-invert applies F to vectors.  Only the
 # shift-invert path loads scipy; its inertia count reads the cyclic forms.
 _SPARSE_MIN_NODES = 384
 _SPARSE_K_RATIO = 12
@@ -95,17 +95,12 @@ def _signs(vecs: np.ndarray) -> np.ndarray:
 def _residuals(S, M, lam: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual norms ||S v - lam M v|| and their bounds RESIDUAL_TOL * max(1, ||v||).
 
-    On a huge L these overflow to infinity without a warning; ``_within``
-    then fails them, and ``solve_modes`` names a bound that is not finite.
+    On a huge L these overflow to infinity without a warning; the gates
+    then fail them, and ``solve_modes`` names a bound that is not finite.
     """
     with np.errstate(over="ignore"):
         resid = np.linalg.norm(S @ vecs - (M @ vecs) * lam[None, :], axis=0)
         return resid, RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(vecs, axis=0))
-
-
-def _within(resid: np.ndarray, bound: np.ndarray) -> bool:
-    """Every residual within a finite bound; NaN and infinity fail."""
-    return bool(np.all((resid <= bound) & np.isfinite(bound)))
 
 
 def _negative_count(S, M, shift: float) -> int | None:
@@ -129,29 +124,39 @@ def _count_certifies(S, M, lam: np.ndarray, k: int) -> bool:
     return _negative_count(S, M, 0.5 * (lam[top] + lam[top + 1])) == top + 1
 
 
-def _shift_invert(S, M, k: int):
-    """k smallest pairs by ARPACK shift-invert, or None if not certified.
+def _shift_invert(S, M, k: int, vectors: bool):
+    """k smallest pairs by ARPACK shift-invert (vecs None without ``vectors``), or None if
+    not certified.
 
-    Two more pairs than asked are computed, so that ``_count_certifies`` can
-    place its shift in a gap above the k-th Ritz value, which rules out a pair
-    the Lanczos iteration skipped.  The pole SIGMA is negative because S is
-    singular for m = 0.
+    ARPACK runs in its standard mode on F^T (S - SIGMA*M)^-1 F, M = F F^T (``_cholesky``),
+    whose eigenvalues are 1/(lam - SIGMA); x = F^-T y is (S - SIGMA*M)^-1 F y (lam - SIGMA),
+    one block solve.  Two more pairs than asked are computed, so that ``_count_certifies``
+    can place its shift in a gap above the k-th value, which rules out a pair the Lanczos
+    iteration skipped.  The pole SIGMA is negative because S is singular for m = 0.
     """
-    scipy, n = load_scipy(), S.diag.size
+    linalg, n, F = load_scipy().sparse.linalg, S.diag.size, _cholesky(M)
+    shifted = geometry.CyclicTridiagonal(S.diag - _SIGMA * M.diag, S.off - _SIGMA * M.off)
+    lu = linalg.splu(shifted.tocsr().T)  # symmetric: the CSR form's transpose is its CSC
+    op = linalg.LinearOperator((n, n), dtype=float, matvec=lambda y: _times_factor(
+        F, lu.solve(_times_factor(F, y.reshape(n, 1))), transpose=True))
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
-    try:  # eigsh factors S - SIGMA*M itself, with SuperLU
-        lam, vecs = scipy.sparse.linalg.eigsh(S.tocsr(), min(k + 2, n - 1), M.tocsr(),
-                                              sigma=_SIGMA, which="LM", v0=start)
-    except scipy.sparse.linalg.ArpackError:
+    try:
+        found = linalg.eigsh(op, min(k + 2, n - 1), which="LM", v0=start,
+                             return_eigenvectors=vectors)
+    except linalg.ArpackError:
         return None
+    theta, Y = found if vectors else (found, None)
+    lam = _SIGMA + 1.0 / theta
     order = np.argsort(lam)
-    lam, vecs = lam[order], vecs[:, order]
-    if not _count_certifies(S, M, lam, k):
+    if not _count_certifies(S, M, lam[order], k):
         return None
-    lam, vecs = lam[:k], vecs[:, :k]
-    vecs = vecs * _signs(vecs)
+    lam = lam[order[:k]]
+    if not vectors:
+        return lam, None
+    vecs = lu.solve(_times_factor(F, Y[:, order[:k]])) * (lam - _SIGMA)
+    vecs *= _signs(vecs)
     resid, bound = _residuals(S, M, lam, vecs)
-    return (lam, vecs) if _within(resid, bound) else None
+    return (lam, vecs) if np.all((resid <= bound) & np.isfinite(bound)) else None
 
 
 def _forms_key(ops) -> tuple:
@@ -181,14 +186,33 @@ def _substitute(F, X: np.ndarray, transpose: bool = False) -> np.ndarray:
     return X
 
 
+def _cholesky(M):
+    """F = (d, l, r) with M = F F^T, M cyclic tridiagonal and positive definite: F is lower
+    bidiagonal plus a dense last row, and (d, l, r) hold its diagonal, its subdiagonal above
+    the last row and its last row left of d, from the pivots and fill of ``M.eliminate()``."""
+    pivots, fill = M.eliminate()
+    d = np.sqrt(pivots)
+    return d, M.off[:-2] / d[:-2], fill / d[:-1]
+
+
+def _times_factor(F, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """F Y, or F^T Y, for the factor F = (d, l, r) of ``_cholesky`` and a block Y."""
+    d, l, r = F
+    Z = d[:, None] * Y
+    if transpose:
+        Z[:-2] += l[:, None] * Y[1:-1]
+        Z[:-1] += r[:, None] * Y[-1]
+    else:
+        Z[1:-1] += l[:, None] * Y[:-2]
+        Z[-1] += r @ Y[:-1]
+    return Z
+
+
 def _mass_factor(chain: geometry.WarpedChain):
     """(F, A, B) with M = F F^T, A = F^-1 gradient F^-T and B = F^-1 potential F^-T.
 
     Every mode of a chain shares them: mode m is the standard problem
-    A + m^2 B, whose eigenvector y gives x = F^-T y.  M is cyclic
-    tridiagonal, so its Cholesky factor is lower bidiagonal plus a dense last
-    row: F = (d, l, r) holds its diagonal, the subdiagonal above the last row
-    and the last row left of d, from the pivots and fill of ``M.eliminate()``.
+    A + m^2 B, whose eigenvector y gives x = F^-T y, F of ``_cholesky``.
     One slot keeps the factor of the last forms asked, keyed by the bytes of
     their diagonals, so a pool worker that gets each mode as a fresh copy of
     the chain factors it once; the slot keeps 2n^2 doubles resident (5 MB at
@@ -200,9 +224,7 @@ def _mass_factor(chain: geometry.WarpedChain):
     if _FACTOR is None or _FACTOR[0] != key:
         _FACTOR = None  # freed first: the old and new factors would peak at 4n^2 doubles
         n = chain.n_nodes
-        pivots, fill = ops.mass.eliminate()
-        d = np.sqrt(pivots)
-        F = (d, ops.mass.off[:-2] / d[:-2], fill / d[:-1])
+        F = _cholesky(ops.mass)
         with np.errstate(over="ignore", invalid="ignore"):
             W = _substitute(F, np.hstack([ops.gradient.toarray(), ops.potential.toarray()]))
             W = _substitute(F, np.hstack([W[:, :n].T, W[:, n:].T]))
@@ -238,7 +260,7 @@ def solve_modes(chain: geometry.WarpedChain, m, k: int, vectors: bool = True):
     sparse = n > _SPARSE_MIN_NODES and _SPARSE_K_RATIO * k <= n
     dense, failure = [], None  # dense: the (slot, mode) of each block of X
     for slot, mode in enumerate(modes):
-        found = _shift_invert(ops.stiffness(mode), ops.mass, k) if sparse else None
+        found = _shift_invert(ops.stiffness(mode), ops.mass, k, vectors) if sparse else None
         if found is not None:
             lam[slot * k:(slot + 1) * k] = found[0]
             if vectors:
@@ -274,7 +296,7 @@ def solve_modes(chain: geometry.WarpedChain, m, k: int, vectors: bool = True):
         if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
             raise ConvergenceError("eigen residual bound is not finite",
                                    {"mode": mode, "n": n, "L": chain.L})
-        if not _within(resid, bound):
+        if not np.all(resid <= bound):  # NaN fails
             raise ConvergenceError(
                 "eigen residual beyond tolerance",
                 {"mode": mode, "worst_residual": float(resid.max()), "n": n},
@@ -641,10 +663,7 @@ def model_functions(chain: geometry.WarpedChain) -> ModelFunctionSet:
     ops = chain.operators
     energies = _quadratic_forms(ops.gradient, funcs)
     norms = _quadratic_forms(ops.mass, funcs)
-    overlap_sup = 0.0
-    for i in range(N):
-        for j in range(i + 1, N):
-            overlap_sup = max(overlap_sup, float(np.max(funcs[i] * funcs[j])))
+    overlap_sup = max(float(np.max(f * g)) for f, g in itertools.combinations(funcs, 2))
     return ModelFunctionSet(
         functions=funcs,
         energies=energies,

@@ -103,15 +103,17 @@ class TestShiftInvert:
         np.testing.assert_allclose(vecs.T @ M @ vecs, np.eye(10), atol=1e-10)
 
     def test_dropped_pair_trips_inertia_and_falls_back(self, fine_chain, monkeypatch):
-        eigsh, eigh = scipy.sparse.linalg.eigsh, np.linalg.eigh
+        eigsh, eigh, count = scipy.sparse.linalg.eigsh, np.linalg.eigh, spectral._negative_count
         calls = {"eigsh": 0, "eigh": 0}
+        dropped, shifts = [], []
 
         def lossy_eigsh(*args, **kwargs):
             calls["eigsh"] += 1
-            lam, vecs = eigsh(*args, **kwargs)
-            order = np.argsort(lam)
-            keep = np.delete(order, 3)  # lose the fourth pair
-            return lam[keep], vecs[:, keep]
+            theta, vecs = eigsh(*args, **kwargs)  # theta = 1/(lam - SIGMA)
+            order = np.argsort(theta)
+            dropped.append(spectral._SIGMA + 1.0 / theta[order[3]])
+            keep = np.delete(order, 3)  # lose the fourth pair in theta order
+            return theta[keep], vecs[:, keep]
 
         def counting_eigh(*args, **kwargs):
             calls["eigh"] += 1
@@ -119,8 +121,11 @@ class TestShiftInvert:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lossy_eigsh)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(spectral, "_negative_count",
+                            lambda S, M, shift: shifts.append(shift) or count(S, M, shift))
         lam, _ = solve_modes(fine_chain, 0, 8)
         assert calls == {"eigsh": 1, "eigh": 1}
+        assert dropped[0] < shifts[0]  # the count sees the lost pair below its shift
         S, M = assemble_mode_operator(fine_chain, 0)
         np.testing.assert_allclose(lam, scipy.linalg.eigh(S, M, eigvals_only=True)[:8],
                                    rtol=1e-12, atol=1e-9)

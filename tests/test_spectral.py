@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from pinchlab import spectral
 from pinchlab.configfile import load_config
@@ -781,6 +782,81 @@ class TestValuesOnly:
     def test_spectrum_pickle_carries_no_vectors(self):
         eigsys = full_spectrum(config_chain("i3_bump"), m_max=8, k_per_mode=32, vectors=False)
         assert len(pickle.dumps(eigsys)) <= eigsys.lam.nbytes + eigsys.modes.nbytes + 4096
+
+
+class TestStandardShiftInvert:
+    """``_shift_invert`` runs ARPACK in its standard mode on F^T (S - SIGMA M)^-1 F, F the
+    O(n) mass factor, and recovers every vector x = F^-T y with one block LU solve."""
+
+    @staticmethod
+    def recorded_eigsh(monkeypatch):
+        """The calls to ARPACK, as (args, kwargs, result), with the result passed on."""
+        calls, eigsh = [], scipy.sparse.linalg.eigsh
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, eigsh(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
+    def test_matches_the_generalized_solve(self, monkeypatch, name):
+        monkeypatch.setattr(np.linalg, "eigh", None)  # every solve certified, none dense
+        for resolution, modes in ((192, range(9)), (768, [0])):  # n = 576 and 2304
+            chain = config_chain(name, resolution=resolution)
+            M = chain.operators.mass.toarray()
+            for m in modes:
+                lam, vecs = solve_modes(chain, m, 32)
+                ref = scipy.linalg.eigh(chain.operators.stiffness(m).toarray(), M,
+                                        eigvals_only=True, subset_by_index=[0, 31])
+                # the dense reference errs by about eps times the pencil's largest eigenvalue,
+                # 5e-10 on the smallest nonzero value at n = 2304: each value is checked to
+                # 1e-10 of the larger of itself and 1% of the 32nd value
+                scale = np.maximum(np.abs(ref), 1e-2 * ref[-1])
+                assert np.max(np.abs(lam - ref) / scale) <= 1e-10
+                np.testing.assert_allclose(vecs.T @ M @ vecs, np.eye(32), rtol=0, atol=1e-10)
+
+    def test_arpack_gets_no_mass_and_no_pole(self, monkeypatch):
+        calls = self.recorded_eigsh(monkeypatch)
+        solve_modes(config_chain("i2_step", resolution=192), 3, 32)
+        (args, kwargs, _), = calls
+        assert len(args) == 2 and kwargs.get("M") is None and kwargs.get("sigma") is None
+
+    def test_vectors_are_the_back_substituted_ritz_vectors(self, monkeypatch):
+        calls = self.recorded_eigsh(monkeypatch)
+        chain = config_chain("i3_bump", resolution=192)
+        for m in (0, 4):
+            _, vecs = solve_modes(chain, m, 32)
+            theta, Y = calls[-1][2]
+            order = np.argsort(spectral._SIGMA + 1.0 / theta)[:32]
+            F = spectral._cholesky(chain.operators.mass)
+            want = spectral._substitute(F, Y[:, order].copy(), transpose=True)
+            # the sign convention's largest entry ties in magnitude on this symmetric
+            # chain, so rounding can flip a column: compare up to sign
+            want *= np.sign(np.sum(want * vecs, axis=0))
+            assert np.max(np.abs(vecs - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
+    def test_values_only_skips_the_ritz_vectors(self, monkeypatch, name):
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        grid = cfg.get_grid("sweep", "L_grid", "")
+        calls = self.recorded_eigsh(monkeypatch)
+        for L in grid:
+            chain = build_chain(cfg.family(), float(L), resolution=192)
+            want, _ = solve_modes(chain, range(9), 32)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", None)  # certified by the count alone:
+                patch.setattr(np.linalg, "eigvalsh", None)  # no dense fallback,
+                patch.setattr(spectral, "_residuals", None)  # no vector, no residual
+                lam, vecs = solve_modes(chain, range(9), 32, vectors=False)
+            assert vecs is None
+            big = np.abs(want) > 1e-8
+            np.testing.assert_allclose(lam[big], want[big], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(lam[~big], want[~big], rtol=0, atol=1e-12)
+        assert ([kwargs["return_eigenvectors"] for _, kwargs, _ in calls]
+                == ([True] * 9 + [False] * 9) * len(grid))
+        assert full_spectrum(chain, m_max=8, k_per_mode=32, vectors=False).vecs is None
 
 
 class TestCertificateGap:
