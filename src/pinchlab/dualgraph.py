@@ -265,7 +265,7 @@ def random_reduced_graph(n: int, seed: int) -> DualGraph:
 
 
 # ---------------------------------------------------------------------------
-# Plain text exchange format
+# Plain text format
 # ---------------------------------------------------------------------------
 
 def format_graph(g: DualGraph) -> str:
@@ -276,34 +276,6 @@ def format_graph(g: DualGraph) -> str:
     ]
     lines += [f"edge {i} {j}" for i, j in g.edges]
     return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> DualGraph:
-    comps: list[Component] = []
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "component":
-            if len(fields) != 4:
-                raise ValidationError(f"line {lineno}: malformed component line")
-            label = fields[1]
-            kv = {}
-            for item in fields[2:]:
-                key, _, val = item.partition("=")
-                kv[key] = val
-            if set(kv) != {"area", "mult"}:
-                raise ValidationError(f"line {lineno}: expected area=<r> mult=<n>")
-            comps.append(Component(label, float(kv["area"]), int(kv["mult"])))
-        elif fields[0] == "edge":
-            if len(fields) != 3:
-                raise ValidationError(f"line {lineno}: malformed edge line")
-            edges.append((int(fields[1]), int(fields[2])))
-        else:
-            raise ValidationError(f"line {lineno}: unknown directive {fields[0]!r}")
-    return DualGraph(tuple(comps), tuple(edges))
 
 
 def format_matrix(M: np.ndarray) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import atexit
 import functools
 import itertools
-import math
 import os
 import time
 from collections import deque
@@ -46,7 +45,7 @@ _GAP_RTOL = 1e-6       # values closer than this count as one cluster (_count_ce
 # loaded OpenBLAS pinned to one thread, solves the modes of a chain with
 # n > _SPARSE_MIN_NODES (full_spectrum) and the chains of a sweep, one task
 # per chain (full_spectra).  A green task solves only the modes its cutoff
-# can reach, one after another (_green_modes), and a single chain's green
+# can reach, one after another (_green_counted), and a single chain's green
 # modes never go to the pool.  A loaded BLAS library that blas.blas_threads
 # cannot pin keeps the solves serial, since its threads would compete with
 # the other workers.
@@ -232,79 +231,50 @@ def _mass_factor(chain: geometry.WarpedChain):
     return _FACTOR[1]
 
 
-def solve_modes(chain: geometry.WarpedChain, m, k: int, vectors: bool = True):
-    """k smallest eigenpairs of the mode-m generalized problem, for one mode or a sequence.
+def solve_modes(chain: geometry.WarpedChain, m: int, k: int, vectors: bool = True):
+    """k smallest eigenpairs of the mode-m generalized problem.
 
     Large grids asked for few pairs use ARPACK shift-invert, certified by an
     inertia count, with the dense solver as fallback when the certificate
     fails; every other case uses the dense solver, which reduces the
-    problem with the chain's shared mass factor.  The dense modes of one
-    call share one back-substitution and one sign fix.  Returns (lam, vecs),
-    for a sequence the modes' k-blocks side by side in the order given, with
+    problem with the chain's shared mass factor.  Returns (lam, vecs), with
     vecs[:, j] mass-orthonormal (Fortran order, so each pair's column is
     contiguous).  With ``vectors=False`` vecs is None: a dense mode keeps the eigvalsh values
     ``_count_certifies`` accepts, else (always at k = n) a vector solve's.  A reduced matrix
     that is not finite (the potential form overflows first, on huge L), a residual bound
     that is not finite (||v|| overflows) and residuals beyond tolerance raise
-    ConvergenceError with diagnostics, mode by mode in the order given.
+    ConvergenceError with diagnostics.
     """
-    modes = [m] if np.isscalar(m) else list(m)
     ops, n = chain.operators, chain.n_nodes
-    if not modes:
-        raise ValidationError("solve_modes needs at least one mode")
+    where = {"mode": m, "n": n, "L": chain.L}  # a ConvergenceError's diagnostics
     if not 1 <= k <= n:
         raise ValidationError(f"requested {k} eigenpairs from an n = {n} grid: need 1 <= k <= n")
-    lam = np.empty(len(modes) * k)
-    vecs = np.empty((n, lam.size), order="F") if vectors else None
-    X = np.empty((n, lam.size)) if vectors else None  # dense blocks; C order, as _substitute walks
-    sparse = n > _SPARSE_MIN_NODES and _SPARSE_K_RATIO * k <= n
-    dense, failure = [], None  # dense: the (slot, mode) of each block of X
-    for slot, mode in enumerate(modes):
-        found = _shift_invert(ops.stiffness(mode), ops.mass, k, vectors) if sparse else None
+    if n > _SPARSE_MIN_NODES and _SPARSE_K_RATIO * k <= n:
+        found = _shift_invert(ops.stiffness(m), ops.mass, k, vectors)
         if found is not None:
-            lam[slot * k:(slot + 1) * k] = found[0]
-            if vectors:
-                vecs[:, slot * k:(slot + 1) * k] = found[1]
-            continue
-        # the exact dense path; slicing after a full solve keeps the basis LAPACK
-        # picks inside degenerate eigenspaces independent of k
-        F, A, B = _mass_factor(chain)
-        H = A if mode == 0 else A + (mode * mode) * B  # mode 0 reads no B: 0 * inf is NaN
-        if not np.all(np.isfinite(H)):  # raised when its mode's turn comes, below
-            failure = ConvergenceError("reduced mode matrix is not finite",
-                                       {"mode": mode, "n": n, "L": chain.L})
-            break
-        if vectors:
-            lam_m, y = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
-            X[:, len(dense) * k:(len(dense) + 1) * k] = y[:, :k]
-            dense.append((slot, mode))
-        else:  # the values alone, if the inertia count certifies them
-            lam_m = np.linalg.eigvalsh(H)
-            if not _count_certifies(ops.stiffness(mode), ops.mass, lam_m, k):
-                lam_m = solve_modes(chain, mode, k)[0]  # a vector solve's, gates included
-        lam[slot * k:(slot + 1) * k] = lam_m[:k]
-    if dense:
-        X = X[:, :len(dense) * k]
-        with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
-            _substitute(F, X, transpose=True)
-            signs = _signs(X)
-    for i, (slot, mode) in enumerate(dense):
-        cols, block = slice(slot * k, (slot + 1) * k), slice(i * k, (i + 1) * k)
-        # the gates read X, not the Fortran-order vecs: a sign fix leaves the norms
-        # unchanged, and summed along X's rows they do not depend on X's width
-        resid, bound = _residuals(ops.stiffness(mode), ops.mass, lam[cols], X[:, block])
-        if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
-            raise ConvergenceError("eigen residual bound is not finite",
-                                   {"mode": mode, "n": n, "L": chain.L})
-        if not np.all(resid <= bound):  # NaN fails
-            raise ConvergenceError(
-                "eigen residual beyond tolerance",
-                {"mode": mode, "worst_residual": float(resid.max()), "n": n},
-            )
-        np.multiply(X[:, block], signs[block], out=vecs[:, cols])
-    if failure is not None:
-        raise failure
-    return lam, vecs
+            return found
+    # the exact dense path; slicing after a full solve keeps the basis LAPACK
+    # picks inside degenerate eigenspaces independent of k
+    F, A, B = _mass_factor(chain)
+    H = A if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
+    if not np.all(np.isfinite(H)):
+        raise ConvergenceError("reduced mode matrix is not finite", where)
+    if not vectors:  # the values alone, if the inertia count certifies them
+        lam = np.linalg.eigvalsh(H)
+        if _count_certifies(ops.stiffness(m), ops.mass, lam, k):
+            return lam[:k], None
+        return solve_modes(chain, m, k)[0], None  # a vector solve's, gates included
+    lam, y = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
+    lam, X = lam[:k], y[:, :k].copy()  # C order, as _substitute walks
+    with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
+        _substitute(F, X, transpose=True)
+    resid, bound = _residuals(ops.stiffness(m), ops.mass, lam, X)
+    if not np.all(np.isfinite(bound)):  # ||v|| overflowed: no residual can be judged
+        raise ConvergenceError("eigen residual bound is not finite", where)
+    if not np.all(resid <= bound):  # NaN fails
+        raise ConvergenceError("eigen residual beyond tolerance",
+                               {"mode": m, "worst_residual": float(resid.max()), "n": n})
+    return lam, np.multiply(X, _signs(X), order="F")
 
 
 @dataclass(frozen=True)
@@ -360,8 +330,13 @@ class EigenSystem:
 
     @property
     def low(self) -> np.ndarray:
-        """Indices of the N-1 small positive eigenpairs (all in mode 0)."""
-        return np.flatnonzero(self.modes == 0)[1 : 1 + self.low_count]
+        """Indices of the N-1 small positive eigenpairs (all in mode 0); ValidationError when
+        mode 0 holds fewer than N pairs."""
+        low = np.flatnonzero(self.modes == 0)[1 : 1 + self.low_count]
+        if low.size < self.low_count:
+            raise ValidationError(f"k_per_mode = {low.size + 1} is below n_components = "
+                                  f"{self.low_count + 1}: mode 0 needs every collapsing pair")
+        return low
 
     def expanded_eigenvalues(self) -> np.ndarray:
         """Sorted eigenvalues, each repeated by its multiplicity."""
@@ -383,17 +358,16 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16, k_per_mode: int 
                   green_tail: int | None = None, vectors: bool = True) -> EigenSystem:
     """Solve modes 0..m_max (m_max >= 0), merge, and certify completeness.
 
-    Serially, one ``solve_modes`` call solves every mode and its arrays are the
-    spectrum's; a chain with n > _SPARSE_MIN_NODES sends one pool task per mode.
-    Excluded modes m > m_max have lambda >= (m_max+1)^2 / c_max^2; within a
-    solved mode everything up to its k-th eigenvalue is known.  The
-    certificate is the minimum of the two, and a flag records when k_per_mode
-    (not m_max) is the binding constraint.  With ``green_tail``, only the modes
-    ``truncated_green_min(chain, eigsys, green_tail)`` can reach are solved
-    (_green_modes): the spectrum then holds modes 0..j, with the same
-    certificate, and ``counted_tail`` the certified pairs of modes j+1..m_max.
-    With ``vectors=False`` (ignored with ``green_tail``) the modes are solved for
-    their values alone (``solve_modes``), and a pool task returns no vectors.
+    Each mode is one ``solve_modes`` call, here or, for a chain with n > _SPARSE_MIN_NODES,
+    one pool task; its k-block is copied into place as it arrives.  Excluded modes m > m_max
+    have lambda >= (m_max+1)^2 / c_max^2; within a solved mode everything up to its k-th
+    eigenvalue is known.  The certificate is the minimum of the two, and a flag records
+    when k_per_mode (not m_max) is the binding constraint.  With ``green_tail`` (which
+    keeps the vectors and the modes here), a mode is solved only if the cutoff of
+    ``truncated_green_min(chain, eigsys, green_tail)`` can reach it (_green_counted): the
+    spectrum then holds modes 0..j, with the same certificate, and ``counted_tail`` the
+    certified pairs of modes j+1..m_max.  With ``vectors=False`` the modes are solved for
+    their values alone, and a pool task returns no vectors.
     """
     if m_max < 0:
         raise ValidationError("m_max must be at least 0")
@@ -401,26 +375,31 @@ def full_spectrum(chain: geometry.WarpedChain, m_max: int = 16, k_per_mode: int 
         raise ValidationError("k_per_mode must be at least 1")
     n = chain.n_nodes
     k = min(k_per_mode, n)
-    modes, counted = range(m_max + 1), 0
+    vectors = vectors or green_tail is not None
+    solve, modes = functools.partial(_solve_mode, chain, k, vectors), range(m_max + 1)
     pool = _pool() if n > _SPARSE_MIN_NODES and green_tail is None else None
-    if green_tail is not None:
-        lam, vecs, counted = _green_modes(chain, m_max, k, green_tail)
-    elif pool is None:  # one call: the dense modes share one back-substitution
-        lam, vecs = solve_modes(chain, modes, k, vectors)
-    else:
+    if pool is not None:
         chain.operators  # assembled here, so that each task's pickled chain carries them
-        solved = _solve_in_pool(pool, functools.partial(_solve_mode, chain, k, vectors), modes)
-        # each mode's block is copied into place, one contiguous (Fortran) stretch,
-        # as it arrives; sorting the columns would hold a second copy of every vector
-        lam = np.empty(len(modes) * k)
-        vecs = np.empty((n, lam.size), order="F") if vectors else None
-        for m, (lam_m, vecs_m) in zip(modes, solved):
-            lam[m * k:(m + 1) * k] = lam_m
-            if vectors:
-                vecs[:, m * k:(m + 1) * k] = vecs_m
+    blocks = map(solve, modes) if pool is None else _solve_in_pool(pool, solve, modes)
+    # one contiguous (Fortran) stretch per block; sorting the columns would hold a
+    # second copy of every vector
+    lam = np.empty(len(modes) * k)
+    vecs = np.empty((n, lam.size), order="F") if vectors else None
+    counted = None
+    for m, (lam_m, vecs_m) in enumerate(blocks):  # a serial block is solved when taken
+        top = (m + 1) * k
+        lam[m * k:top] = lam_m
+        if vectors:
+            vecs[:, m * k:top] = vecs_m
+        if green_tail is not None and m < m_max:  # the stop rule, before mode m + 1
+            solved = _eigen_system(chain, lam[:top], vecs[:, :top], k, m_max)
+            counted = _green_counted(chain, solved, k, m_max, green_tail)
+            if counted is not None:
+                lam, vecs = lam[:top], vecs[:, :top]
+                break
     if lam.min() > 1e-8:
         raise ConvergenceError("missing zero eigenvalue", {"lambda0": lam.min()})
-    return _eigen_system(chain, lam, vecs, k, m_max, counted)
+    return _eigen_system(chain, lam, vecs, k, m_max, counted or 0)
 
 
 def _eigen_system(chain: geometry.WarpedChain, lam: np.ndarray, vecs: np.ndarray, k: int,
@@ -446,40 +425,34 @@ def _eigen_system(chain: geometry.WarpedChain, lam: np.ndarray, vecs: np.ndarray
     )
 
 
-def _green_modes(chain: geometry.WarpedChain, m_max: int, k: int, tail_count: int):
-    """(lam, vecs, counted) of modes 0..j: the modes the Green cutoff can reach.
+def _green_counted(chain: geometry.WarpedChain, eigsys: EigenSystem, k: int, m_max: int,
+                   tail_count: int) -> int | None:
+    """The Rayleigh stop rule for the Green solve: None if the next mode m can reach the
+    Green cutoff of ``eigsys``'s modes 0..m-1, else the pairs of modes m..m_max counted.
 
-    Mode 0 is solved, then modes 1, 2, ... one at a time, until the Rayleigh
-    bound m^2/c_max^2 of the next mode lies above the pair just past the
-    cutoff of the modes solved so far (and above their gap value).  Every
-    eigenvalue of modes m..m_max is at least that bound (potential >= M/c_max^2),
-    so the cutoff, the used pairs, the certificate and the gap value are those
-    of all modes, and every column is that of a one-mode call.  Modes m..m_max
-    are only counted: 2 min(k, eigenvalues below certified_below) pairs each,
-    by the O(n) inertia count.  Without a cutoff every mode is solved, so
-    ``truncated_green_min`` raises what it raises on the full spectrum.
+    Mode m cannot reach it when its bound m^2/c_max^2 lies above the pair just past the
+    cutoff (and above the gap value).  Every eigenvalue of modes m..m_max is at least that
+    bound (potential >= M/c_max^2), so the cutoff, the used pairs, the certificate and
+    the gap value are those of all modes.  Modes m..m_max are then only counted:
+    2 min(k, eigenvalues below certified_below) pairs each, by the O(n) inertia count.
+    Without a cutoff every mode is solved, so ``truncated_green_min`` raises what it
+    raises on the full spectrum.
     """
-    ops, n = chain.operators, chain.n_nodes
+    ops, m = chain.operators, int(eigsys.modes[-1]) + 1
     c_max = max(seg.c for seg in chain.segments)
-    lam = np.empty((m_max + 1) * k)
-    vecs = np.empty((n, lam.size), order="F")  # the layout of a one-call solve
-    lam[:k], vecs[:, :k] = solve_modes(chain, 0, k)
-    for m in range(1, m_max + 1):
-        eigsys = _eigen_system(chain, lam[:m * k], vecs[:, :m * k], k, m_max)
-        expanded = _green_tail(eigsys)[1]
-        try:
-            reach = max(expanded[_green_cutoff(expanded, tail_count) + 1], eigsys.gap_value)
-        except ValidationError:  # no cutoff yet
-            reach = math.inf
-        if m * m / c_max**2 > reach:
-            counts = [_negative_count(ops.stiffness(j), ops.mass, eigsys.certified_below)
-                      for j in range(m, m_max + 1)]
-            if None in counts:
-                raise ConvergenceError("mode form is not finite",
-                                       {"mode": m + counts.index(None), "n": n, "L": chain.L})
-            return lam[:m * k], vecs[:, :m * k], sum(2 * min(k, c) for c in counts)
-        lam[m * k:(m + 1) * k], vecs[:, m * k:(m + 1) * k] = solve_modes(chain, m, k)
-    return lam, vecs, 0
+    expanded = _green_tail(eigsys)[1]
+    try:
+        reach = max(expanded[_green_cutoff(expanded, tail_count) + 1], eigsys.gap_value)
+    except ValidationError:  # no cutoff yet
+        return None
+    if not m * m / c_max**2 > reach:  # a NaN reach keeps solving too
+        return None
+    counts = [_negative_count(ops.stiffness(j), ops.mass, eigsys.certified_below)
+              for j in range(m, m_max + 1)]
+    if None in counts:
+        raise ConvergenceError("mode form is not finite",
+                               {"mode": m + counts.index(None), "n": chain.n_nodes, "L": chain.L})
+    return sum(2 * min(k, c) for c in counts)
 
 
 def full_spectra(chains, **options):
@@ -547,9 +520,9 @@ def _exit_with_parent(parent: int):
 
 
 def _solve_mode(chain: geometry.WarpedChain, k: int, vectors: bool, m: int):
-    # solve_modes is looked up when a task runs: a partial of it would pickle
-    # the function object, and a traced or monkeypatched solve_modes is a
-    # closure that cannot be pickled
+    # solve_modes is looked up at each call, in this process or a pool task: a
+    # partial of it would pickle the function object, and a traced or
+    # monkeypatched solve_modes is a closure that cannot be pickled
     return solve_modes(chain, m, k, vectors)
 
 

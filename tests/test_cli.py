@@ -276,6 +276,9 @@ class TestExitContract:
         # |t|^2 underflows below sqrt of the smallest normal float
         ("node-integral", None, ["--t-grid", "1e-200:1e-2:9"],
          "|t| = 5.62e-176 is below 1.49e-154"),
+        # the low/high split needs the zero pair and the N-1 collapsing ones of mode 0
+        ("potential", ("k_per_mode = 16", "k_per_mode = 1"), [],
+         "k_per_mode = 1 is below n_components = 2"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG

@@ -279,7 +279,6 @@ def unreferenced_definitions(modules: dict[str, str], users: list[str]) -> list[
 
 # public definitions kept for the ROADMAP item that will use them
 AWAITING_USE = {
-    "dualgraph.parse_graph": "item 10, the [family] graph key",
     "nodeintegral.check_quadrature_convergence": "item 8, the run records",
     "nodeintegral.gap_to_limit": "item 2, c_fit's L-remainder bar",
 }

@@ -67,6 +67,17 @@ def test_parallel_matches_serial(chain, monkeypatch, k):
     assert par.certified_below == pytest.approx(ser.certified_below, rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [32, None])  # None: a full basis, k = n
+def test_pool_blocks_equal_one_call_per_mode(chain, k):
+    # each block is a worker's one-mode solve_modes call, copied into place bit for bit
+    k = k or chain.n_nodes
+    eigsys = full_spectrum(chain, m_max=3, k_per_mode=k)
+    for m in range(4):
+        lam_m, vecs_m = spectral._pool().submit(spectral.solve_modes, chain, m, k).result()
+        assert np.array_equal(eigsys.lam[m * k:(m + 1) * k], lam_m)
+        assert np.array_equal(eigsys.vecs[:, m * k:(m + 1) * k], vecs_m)
+
+
 def test_values_only_tasks_return_no_vectors(chain, monkeypatch):
     solve_in_pool, results = spectral._solve_in_pool, []
 

@@ -236,6 +236,17 @@ class TestSplit:
         recomb = low + high + mean - pot.phi
         assert np.max(np.abs(recomb)) <= 1e-12 * max(1.0, pot.sup_norm())
 
+    @pytest.mark.parametrize("family, k", [(I2, 1), (I3, 2)])
+    def test_too_few_mode0_pairs_rejected(self, family, k):
+        # k pairs of mode 0 hold the zero one and k - 1 collapsing ones, fewer than N - 1
+        chain = build_chain(family, 60.0, resolution=24)
+        eigsys = full_spectrum(chain, m_max=0, k_per_mode=k)
+        steps = step_density_spec([1.0, -1.0, 0.0][:family.n_components])
+        pot = solve_direct(chain, density_from_spec(steps, chain))
+        message = f"k_per_mode = {k} is below n_components = {family.n_components}"
+        with pytest.raises(ValidationError, match=message):
+            split_low_high(pot, eigsys)
+
 
 class TestEstimateReport:
     def test_condition1_step_density(self):

@@ -212,29 +212,22 @@ def substitute_by_rows(F, X, transpose=False):
 
 
 class TestBatchedModes:
-    """``solve_modes`` over a sequence of modes shares one back-substitution and
-    one sign fix between the dense modes, with the bits of one call per mode."""
+    """``full_spectrum`` fills its k-blocks from one-mode ``solve_modes`` calls, with the
+    bits of each call; the pool's blocks are checked in test_pool.py."""
 
     @DENSE_CHAINS
     @pytest.mark.parametrize("k", [32, "n"])
     def test_blocks_equal_one_call_per_mode(self, make, k):
         chain = make()
         k = chain.n_nodes if k == "n" else k
-        lam, vecs = solve_modes(chain, range(9), k)
-        assert lam.shape == (9 * k,) and vecs.shape == (chain.n_nodes, 9 * k)
-        assert vecs.flags.f_contiguous
+        eigsys = full_spectrum(chain, m_max=8, k_per_mode=k)
+        assert eigsys.lam.shape == (9 * k,) and eigsys.vecs.shape == (chain.n_nodes, 9 * k)
+        assert eigsys.vecs.flags.f_contiguous
         for m in range(9):
             lam_m, vecs_m = solve_modes(chain, m, k)
-            assert np.array_equal(lam[m * k:(m + 1) * k], lam_m)
-            assert np.array_equal(vecs[:, m * k:(m + 1) * k], vecs_m)
-
-    def test_blocks_follow_the_order_given(self):
-        chain = config_chain("i2_step")
-        lam, vecs = solve_modes(chain, [3, 0, 3], 8)
-        for slot, m in enumerate([3, 0, 3]):
-            lam_m, vecs_m = solve_modes(chain, m, 8)
-            assert np.array_equal(lam[slot * 8:(slot + 1) * 8], lam_m)
-            assert np.array_equal(vecs[:, slot * 8:(slot + 1) * 8], vecs_m)
+            assert vecs_m.flags.f_contiguous
+            assert np.array_equal(eigsys.lam[m * k:(m + 1) * k], lam_m)
+            assert np.array_equal(eigsys.vecs[:, m * k:(m + 1) * k], vecs_m)
 
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("width", [1, 32, "2n"])
@@ -255,10 +248,6 @@ class TestBatchedModes:
         with pytest.raises(ValidationError, match=rf"requested {k} eigenpairs .* 1 <= k <= n"):
             solve_modes(chain, 0, k)
 
-    def test_empty_mode_sequence_rejected(self):
-        with pytest.raises(ValidationError, match="at least one mode"):
-            solve_modes(build_chain(I2, 60.0, resolution=8), [], 4)
-
     @staticmethod
     def _overflowing_b(monkeypatch, chain, corrupt):
         """Mode 1's reduced matrix not finite; with ``corrupt``, mode 0's residual gate fails."""
@@ -274,13 +263,13 @@ class TestBatchedModes:
         chain = config_chain("i2_step")
         self._overflowing_b(monkeypatch, chain, corrupt=True)
         with pytest.raises(ConvergenceError, match="eigen residual beyond tolerance mode=0"):
-            solve_modes(chain, range(3), 32)
+            full_spectrum(chain, m_max=2, k_per_mode=32)
 
     def test_a_later_mode_matrix_that_is_not_finite_is_named(self, monkeypatch):
         chain = config_chain("i2_step")
         self._overflowing_b(monkeypatch, chain, corrupt=False)
         with pytest.raises(ConvergenceError, match="reduced mode matrix is not finite mode=1"):
-            solve_modes(chain, range(3), 32)
+            full_spectrum(chain, m_max=2, k_per_mode=32)
 
 
 class TestFlatTorusSpectrum:
@@ -643,10 +632,9 @@ class TestGreenModes:
     def test_i2_step_solves_modes_0_to_2(self, monkeypatch):
         chain = config_chain("i2_step")
         assert chain.n_nodes == 144
-        solved = []
-        solve = spectral.solve_modes
+        solved, solve = [], spectral.solve_modes
         monkeypatch.setattr(spectral, "solve_modes",
-                            lambda chain, m, k: solved.append(m) or solve(chain, m, k))
+                            lambda chain, m, *args: solved.append(m) or solve(chain, m, *args))
         eigsys = full_spectrum(chain, m_max=8, k_per_mode=32, green_tail=24)
         assert solved == [0, 1, 2]
         assert np.array_equal(np.unique(eigsys.modes), [0, 1, 2])
@@ -680,10 +668,9 @@ class TestGreenModes:
         # the stop rule: no mode-m eigenvalue lies below m^2 / c_max^2
         chain = random_family_chain(seed, 16)
         c_max = max(seg.c for seg in chain.segments)
-        lam, _ = solve_modes(chain, range(9), chain.n_nodes)
         for m in range(1, 9):
-            block = lam[m * chain.n_nodes:(m + 1) * chain.n_nodes]
-            assert block.min() >= m * m / c_max**2 * (1.0 - 1e-12)
+            lam, _ = solve_modes(chain, m, chain.n_nodes)
+            assert lam.min() >= m * m / c_max**2 * (1.0 - 1e-12)
 
 
 def step_density(chain):
@@ -731,23 +718,24 @@ class TestValuesOnly:
 
     def test_certified_modes_skip_the_vector_path(self, monkeypatch):
         chain = config_chain("i2_step")
-        _, vecs = solve_modes(chain, range(9), 32, vectors=False)
-        assert vecs is None
+        spectral._mass_factor(chain)  # factored before the patches: the factor substitutes
         monkeypatch.setattr(np.linalg, "eigh", None)  # calling it would raise
         monkeypatch.setattr(spectral, "_substitute", None)
         monkeypatch.setattr(spectral, "_residuals", None)
-        solve_modes(chain, range(9), 32, vectors=False)
+        for m in range(9):
+            assert solve_modes(chain, m, 32, vectors=False)[1] is None
 
     @pytest.mark.parametrize("k", [32, "n"])
     def test_a_miscount_falls_back_to_the_vector_path(self, monkeypatch, k):
         # k = n leaves no gap above the k-th value: the vector path, always
         chain = config_chain("i3_bump")
         k = chain.n_nodes if k == "n" else k
-        want, _ = solve_modes(chain, range(9), k)
+        want = [solve_modes(chain, m, k)[0] for m in range(9)]
         if k < chain.n_nodes:
             monkeypatch.setattr(spectral, "_negative_count", lambda S, M, shift: -1)
-        lam, vecs = solve_modes(chain, range(9), k, vectors=False)
-        assert np.array_equal(lam, want) and vecs is None
+        for m in range(9):
+            lam, vecs = solve_modes(chain, m, k, vectors=False)
+            assert np.array_equal(lam, want[m]) and vecs is None
 
     def test_full_basis_beyond_the_sparse_threshold(self):
         chain = config_chain("i2_step", resolution=192)
@@ -844,13 +832,14 @@ class TestStandardShiftInvert:
         calls = self.recorded_eigsh(monkeypatch)
         for L in grid:
             chain = build_chain(cfg.family(), float(L), resolution=192)
-            want, _ = solve_modes(chain, range(9), 32)
+            want = np.concatenate([solve_modes(chain, m, 32)[0] for m in range(9)])
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", None)  # certified by the count alone:
                 patch.setattr(np.linalg, "eigvalsh", None)  # no dense fallback,
                 patch.setattr(spectral, "_residuals", None)  # no vector, no residual
-                lam, vecs = solve_modes(chain, range(9), 32, vectors=False)
-            assert vecs is None
+                solved = [solve_modes(chain, m, 32, vectors=False) for m in range(9)]
+            assert all(vecs is None for _, vecs in solved)
+            lam = np.concatenate([lam for lam, _ in solved])
             big = np.abs(want) > 1e-8
             np.testing.assert_allclose(lam[big], want[big], rtol=1e-12, atol=0)
             np.testing.assert_allclose(lam[~big], want[~big], rtol=0, atol=1e-12)
@@ -908,7 +897,8 @@ class TestCertificateGap:
         monkeypatch.setattr(np.linalg, "eigh", None)
         for L in cfg.get_grid("sweep", "L_grid", ""):
             chain = build_chain(cfg.family(), float(L), cfg.get_int("solver", "resolution", ""))
-            solve_modes(chain, range(9), 32, vectors=False)
+            for m in range(9):
+                solve_modes(chain, m, 32, vectors=False)
         assert len(seen) == 9 * 12
         self.assert_clear(seen)
 
