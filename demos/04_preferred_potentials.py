@@ -27,10 +27,10 @@ step = density_from_spec(step_density_spec([2.0, -2.0]), chain)
 print("== direct vs spectral route ==")
 eigsys = full_spectrum(chain, m_max=1, k_per_mode=chain.n_nodes)
 direct = solve_direct(chain, step)
-spectral, coeffs = solve_spectral(chain, step, eigsys)
+spectral, b = solve_spectral(chain, step, eigsys)
 print("sup|phi| =", direct.sup_norm(), " (circuit oracle: L/2 = 50)")
 print("max route difference:", np.abs(direct.phi - spectral.phi).max())
-print("first expansion coefficients b_i:", np.round(coeffs.b[:4], 6))
+print("first expansion coefficients b_i:", np.round(b[:4], 6))
 
 print("\n== growth of the two density classes ==")
 table = estimate_report(

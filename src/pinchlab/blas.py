@@ -11,6 +11,7 @@ _BLAS_LIBRARY = re.compile(r"lib.*(blas|mkl|blis)", re.IGNORECASE)
 _OPENBLAS_THREADS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),  # numpy wheels
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),        # scipy wheels
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),              # numpy 1.x wheels
     ("openblas_set_num_threads", "openblas_get_num_threads"),                    # a plain OpenBLAS
 )
 

@@ -129,16 +129,13 @@ def fiber_poisson(rhs_values: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(phi_hat).real
 
 
-def _check_periodicity(func, s: complex):
-    probes = [(0.31, 0.67), (0.05, 0.93)]
-    for a, b in probes:
-        base = np.asarray(func(s, np.array([[a]]), np.array([[b]])))
-        for da, db in ((1.0, 0.0), (0.0, 1.0)):
-            shifted = np.asarray(func(s, np.array([[a + da]]), np.array([[b + db]])))
-            if abs(float(shifted[0, 0] - base[0, 0])) > 1e-9:
-                raise ValidationError(
-                    "fiber function is not periodic across the lattice seam"
-                )
+def _check_periodicity(func, s: complex, A: np.ndarray, B: np.ndarray):
+    """ValidationError unless ``func`` at s takes the same values, to 1e-9, on the fiber
+    grid (A, B) as on that grid shifted by one period along either lattice direction."""
+    base = np.asarray(func(s, A, B))
+    for shifted in (func(s, A + 1.0, B), func(s, A, B + 1.0)):
+        if np.max(np.abs(np.asarray(shifted) - base)) > 1e-9:
+            raise ValidationError("fiber function is not periodic across the lattice seam")
 
 
 # -- Birkhoff limit potentials ----------------------------------------------
@@ -159,7 +156,7 @@ def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
     """Build f = pi^*u + phi - T_*phi, the observable with limit potential u.
 
     Returns (f_callable, sup_phi_estimate).  The Birkhoff sums of f telescope
-    to k*u + phi - T^k_*phi exactly.
+    to k*u + phi - T^k_*phi exactly.  f pushes phi forward by ``translate``, on whole fiber grids.
     """
     A, B = fib.grid()
     sup_phi = 0.0
@@ -168,13 +165,7 @@ def synthesize_invariant_observable(fib: TorusFibration, u_func, phi_func):
 
     def f(s, Agrid, Bgrid):
         phi_here = np.asarray(phi_func(s, Agrid, Bgrid), dtype=float)
-        t = fib.T(s)
-        if phi_here.shape == Agrid.shape and Agrid.shape == (fib.fiber_n, fib.fiber_n):
-            pushed = translate(phi_here, t)
-        else:
-            # pointwise evaluation path (periodicity probes)
-            pushed = np.asarray(phi_func(s, Agrid - t.real, Bgrid - t.imag), dtype=float)
-        return float(np.real(u_func(s))) + phi_here - pushed
+        return float(np.real(u_func(s))) + phi_here - translate(phi_here, fib.T(s))
 
     return f, sup_phi
 
@@ -190,7 +181,7 @@ def birkhoff_limit(fib: TorusFibration, f, k_max: int, u_ref) -> LimitPotentialR
         raise ValidationError("k_max must be positive")
     ks = sorted({max(1, k_max // 100), max(1, k_max // 10), k_max})
     A, B = fib.grid()
-    _check_periodicity(f, fib.s_samples[0])
+    _check_periodicity(f, fib.s_samples[0], A, B)
     n_s = len(fib.s_samples)
     u = np.zeros(n_s)
     defects = np.zeros((len(ks), n_s))
@@ -244,7 +235,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
     if not n_list or n_list[0] < 1:
         raise ValidationError("n_list must hold positive iteration counts")
     A, B = fib.grid()
-    _check_periodicity(rho, s0)
+    _check_periodicity(rho, s0, A, B)
 
     def pushed_values(s: complex, n: int) -> np.ndarray:
         vals = np.asarray(rho(s, A, B), dtype=float)
@@ -313,7 +304,7 @@ def flat_potential_identity(fib: TorusFibration, rho) -> float:
     increment must reproduce T_* rho - rho up to its mean.
     """
     A, B = fib.grid()
-    _check_periodicity(rho, fib.s_samples[0])
+    _check_periodicity(rho, fib.s_samples[0], A, B)
     defects = []
     scale = 0.0
     for s in fib.s_samples:
@@ -352,8 +343,8 @@ def limit_potential_relation(fib: TorusFibration, alpha, rho,
     are then evaluated independently on every base sample.
     """
     A, B = fib.grid()
-    _check_periodicity(alpha, fib.s_samples[0])
-    _check_periodicity(rho, fib.s_samples[0])
+    _check_periodicity(alpha, fib.s_samples[0], A, B)
+    _check_periodicity(rho, fib.s_samples[0], A, B)
     lhs = []
     rhs = []
     defect = 0.0

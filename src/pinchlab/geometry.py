@@ -235,7 +235,7 @@ class CyclicTridiagonal:
             p, r = a[i + 1] - b[i] * b[i] / p, -r * b[i] / p
         return np.array(pivots + [last or tiny]), np.array(fill)
 
-    def _entries(self):
+    def entries(self):
         """Values and (row, column) indices of the entries; those that meet when n < 3 add up."""
         i = np.arange(self.diag.size)
         j = (i + 1) % i.size
@@ -243,16 +243,10 @@ class CyclicTridiagonal:
                 (np.concatenate([i, i, j]), np.concatenate([i, j, i])))
 
     def toarray(self) -> np.ndarray:
-        values, index = self._entries()
+        values, index = self.entries()
         A = np.zeros((self.diag.size,) * 2)
         np.add.at(A, index, values)
         return A
-
-    def tocsr(self):
-        """This form as a scipy CSR array; it loads scipy."""
-        from .spectral import load_scipy
-        coo = load_scipy().sparse.coo_array(self._entries(), shape=(self.diag.size,) * 2)
-        return coo.tocsr()  # sums the entries that meet
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,6 @@ class PreferredPotential:
         return float(np.max(np.abs(self.phi)))
 
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Raw expansion data b_i = (Phi_i, a); the potential's coefficients are b_i / lambda_i."""
-
-    b: np.ndarray
-
-
 def solve_direct(chain: geometry.WarpedChain, dens: geometry.DensityField) -> PreferredPotential:
     """Weighted Poisson solve S phi + mu w = rhs, w^T phi = 0 with w = M 1, in O(n).
 
@@ -84,7 +77,7 @@ def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
 
     phi = 4*pi * sum_i (b_i / lambda_i) Phi_i over every positive mode-0
     eigenvalue of ``eigsys``; with the full basis this reproduces the direct
-    solve.  Returns (PreferredPotential, SpectralCoefficients).
+    solve.  Returns (PreferredPotential, b), b_i = (Phi_i, a) the raw expansion data.
     """
     _require_mean_zero(dens)
     q = chain.load_vector(dens.quad_values)
@@ -93,7 +86,7 @@ def solve_spectral(chain: geometry.WarpedChain, dens: geometry.DensityField,
     basis = eigsys.eigenvectors(used).T
     b = basis @ q
     phi = geometry.FOUR_PI * ((b / lam) @ basis)
-    return PreferredPotential(chain=chain, phi=phi), SpectralCoefficients(b=b)
+    return PreferredPotential(chain=chain, phi=phi), b
 
 
 def split_low_high(pot: PreferredPotential, eigsys: spectral.EigenSystem):

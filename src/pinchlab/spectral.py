@@ -50,8 +50,7 @@ _GAP_RTOL = 1e-6       # values closer than this count as one cluster (_count_ce
 # cannot pin keeps the solves serial, since its threads would compete with
 # the other workers.
 _FACTOR = None      # (key of a chain's forms, their _mass_factor): one slot
-_POOL = None        # (owner pid, executor or None when this process stays serial)
-_IN_WORKER = False  # set in the workers: they never fork a pool of their own
+_POOL = None        # (owner pid, executor, or None when this process stays serial: a worker)
 _TASKS_PER_WORKER = 2  # pool tasks outstanding per worker; results wait for the caller
 _PARENT_POLL_S = 0.5   # a worker checks this often whether its parent is gone
 
@@ -133,16 +132,16 @@ def _shift_invert(S, M, k: int, vectors: bool):
     can place its shift in a gap above the k-th value, which rules out a pair the Lanczos
     iteration skipped.  The pole SIGMA is negative because S is singular for m = 0.
     """
-    linalg, n, F = load_scipy().sparse.linalg, S.diag.size, _cholesky(M)
+    sparse, n, F = load_scipy().sparse, S.diag.size, _cholesky(M)
     shifted = geometry.CyclicTridiagonal(S.diag - _SIGMA * M.diag, S.off - _SIGMA * M.off)
-    lu = linalg.splu(shifted.tocsr().T)  # symmetric: the CSR form's transpose is its CSC
-    op = linalg.LinearOperator((n, n), dtype=float, matvec=lambda y: _times_factor(
+    lu = sparse.linalg.splu(sparse.csc_array(shifted.entries(), shape=(n, n)))  # sums what meets
+    op = sparse.linalg.LinearOperator((n, n), dtype=float, matvec=lambda y: _times_factor(
         F, lu.solve(_times_factor(F, y.reshape(n, 1))), transpose=True))
     start = np.random.default_rng(n).uniform(-1.0, 1.0, n)  # generic, deterministic
     try:
-        found = linalg.eigsh(op, min(k + 2, n - 1), which="LM", v0=start,
-                             return_eigenvectors=vectors)
-    except linalg.ArpackError:
+        found = sparse.linalg.eigsh(op, min(k + 2, n - 1), which="LM", v0=start,
+                                    return_eigenvectors=vectors)
+    except sparse.linalg.ArpackError:
         return None
     theta, Y = found if vectors else (found, None)
     lam = _SIGMA + 1.0 / theta
@@ -240,7 +239,8 @@ def solve_modes(chain: geometry.WarpedChain, m: int, k: int, vectors: bool = Tru
     problem with the chain's shared mass factor.  Returns (lam, vecs), with
     vecs[:, j] mass-orthonormal (Fortran order, so each pair's column is
     contiguous).  With ``vectors=False`` vecs is None: a dense mode keeps the eigvalsh values
-    ``_count_certifies`` accepts, else (always at k = n) a vector solve's.  A reduced matrix
+    ``_count_certifies`` accepts when k < n (at k = n no gap lies above the k-th value), else
+    the eigh values, gates included.  A reduced matrix
     that is not finite (the potential form overflows first, on huge L), a residual bound
     that is not finite (||v|| overflows) and residuals beyond tolerance raise
     ConvergenceError with diagnostics.
@@ -259,11 +259,10 @@ def solve_modes(chain: geometry.WarpedChain, m: int, k: int, vectors: bool = Tru
     H = A if m == 0 else A + (m * m) * B  # mode 0 reads no B: 0 * inf is NaN
     if not np.all(np.isfinite(H)):
         raise ConvergenceError("reduced mode matrix is not finite", where)
-    if not vectors:  # the values alone, if the inertia count certifies them
+    if not vectors and k < n:  # the values alone, if the inertia count certifies them
         lam = np.linalg.eigvalsh(H)
         if _count_certifies(ops.stiffness(m), ops.mass, lam, k):
             return lam[:k], None
-        return solve_modes(chain, m, k)[0], None  # a vector solve's, gates included
     lam, y = np.linalg.eigh(H)  # the lower triangle, as LAPACK's syevd
     lam, X = lam[:k], y[:, :k].copy()  # C order, as _substitute walks
     with np.errstate(over="ignore", invalid="ignore"):  # huge L: the gates below fail
@@ -274,7 +273,7 @@ def solve_modes(chain: geometry.WarpedChain, m: int, k: int, vectors: bool = Tru
     if not np.all(resid <= bound):  # NaN fails
         raise ConvergenceError("eigen residual beyond tolerance",
                                {"mode": m, "worst_residual": float(resid.max()), "n": n})
-    return lam, np.multiply(X, _signs(X), order="F")
+    return lam, np.multiply(X, _signs(X), order="F") if vectors else None
 
 
 @dataclass(frozen=True)
@@ -479,7 +478,7 @@ def _pool():
     """This process's solver pool, made on first use; None to run serially."""
     global _POOL
     cpus = _usable_cpus()
-    if _IN_WORKER or cpus < 2:
+    if cpus < 2:
         return None
     if _POOL is None or _POOL[0] != os.getpid():  # none yet, or inherited through a fork
         _POOL = (os.getpid(), _make_pool(cpus))
@@ -502,10 +501,10 @@ def _make_pool(workers: int):
 
 
 def _init_worker(parent: int):
-    global _IN_WORKER
+    global _POOL
     import threading
 
-    _IN_WORKER = True
+    _POOL = (os.getpid(), None)  # a worker never forks a pool of its own
     blas_threads(1)
     keep_freed_memory()
     # a worker holds its own end of the call queue, so it never sees EOF

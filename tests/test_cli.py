@@ -635,6 +635,18 @@ def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
     assert blas.keep_freed_memory() is None
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no mapped-library list")
+def test_numpy_1x_ilp64_openblas_is_pinned(monkeypatch):
+    # numpy 1.22-1.26 wheels map an ILP64 libopenblas64_p-*.so, whose thread calls end in 64_
+    count = [4]
+    lib = types.SimpleNamespace(openblas_set_num_threads64_=lambda n: count.__setitem__(0, n),
+                                openblas_get_num_threads64_=lambda: count[0])
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    before = blas.blas_threads(1)
+    assert before and set(before.values()) == {4}
+    assert count == [1]
+
+
 NO_SCIPY_PROBE = """
 import contextlib, io, json, sys
 import pinchlab.cli

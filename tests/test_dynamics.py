@@ -38,6 +38,11 @@ def u_re(s):
     return s.real
 
 
+def seam_only(s, A, B):
+    """Not 1-periodic in A, but only on a band around A = 1/2."""
+    return A * (abs(A - 0.5) < 0.1)
+
+
 class TestSpectralPrimitives:
     def test_translation_preserves_fiber_integral(self):
         rng = np.random.default_rng(0)
@@ -79,11 +84,16 @@ class TestSpectralPrimitives:
         with pytest.raises(ValidationError, match="constant"):
             make_fib(t_coeffs=(0.5,))
 
-    def test_nonperiodic_function_rejected(self):
-        fib = make_fib(n=16)
-        bad = lambda s, A, B: A  # not 1-periodic
+    @pytest.mark.parametrize("run", [
+        lambda fib: birkhoff_limit(fib, lambda s, A, B: A, 10, u_ref=u_re),  # not 1-periodic
+        lambda fib: pushforward_growth(fib, seam_only, [1, 2], 1.0 + 0.0j),
+        lambda fib: flat_potential_identity(fib, seam_only),
+        lambda fib: limit_potential_relation(fib, seam_only, lambda s, A, B: 0.0 * A,
+                                             f_fiber_mean=lambda s: 0.0),
+    ], ids=["birkhoff", "growth", "flat-identity", "limit-potential"])
+    def test_nonperiodic_function_rejected(self, run):
         with pytest.raises(ValidationError, match="seam"):
-            birkhoff_limit(fib, bad, 10, u_ref=u_re)
+            run(make_fib(n=16))
 
 
 class TestBirkhoffLimit:

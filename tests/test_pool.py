@@ -185,7 +185,7 @@ def test_dead_worker_raises_and_next_call_forks_anew(chain, monkeypatch, fresh_p
     solve = spectral.solve_modes
 
     def dying(*args, **kwargs):
-        if spectral._IN_WORKER:
+        if spectral._POOL == (os.getpid(), None):  # a worker's slot
             os._exit(1)
         return solve(*args, **kwargs)
 

@@ -184,8 +184,7 @@ class TestSpectralSolve:
         chain = torus_setup(resolution=64)
         eigsys = full_spectrum(chain, m_max=1, k_per_mode=20)
         dens = density_from_callable(lambda x: np.cos(2 * PI * np.asarray(x)), chain)
-        _, coeffs = solve_spectral(chain, dens, eigsys)
-        b = np.abs(coeffs.b)
+        b = np.abs(solve_spectral(chain, dens, eigsys)[1])
         # only the matching eigenpair picks up weight
         assert np.sum(b > 1e-8 * b.max()) == 1
 

@@ -694,7 +694,7 @@ def assert_values_match(values, full):
 
 class TestValuesOnly:
     """``vectors=False`` solves a dense mode with eigvalsh, certified by the O(n)
-    inertia count; a mode the count cannot certify takes the vector path."""
+    inertia count; a mode the count cannot certify, and every mode at k = n, takes eigh."""
 
     @pytest.mark.parametrize("name", ["i2_step", "i3_bump"])
     def test_shipped_grids(self, name):
@@ -727,12 +727,15 @@ class TestValuesOnly:
 
     @pytest.mark.parametrize("k", [32, "n"])
     def test_a_miscount_falls_back_to_the_vector_path(self, monkeypatch, k):
-        # k = n leaves no gap above the k-th value: the vector path, always
+        # k = n leaves no gap above the k-th value, so no count could certify eigvalsh's
+        # values: eigh alone, always
         chain = config_chain("i3_bump")
         k = chain.n_nodes if k == "n" else k
         want = [solve_modes(chain, m, k)[0] for m in range(9)]
         if k < chain.n_nodes:
             monkeypatch.setattr(spectral, "_negative_count", lambda S, M, shift: -1)
+        else:
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)  # calling it would raise
         for m in range(9):
             lam, vecs = solve_modes(chain, m, k, vectors=False)
             assert np.array_equal(lam, want[m]) and vecs is None
@@ -846,6 +849,19 @@ class TestStandardShiftInvert:
         assert ([kwargs["return_eigenvectors"] for _, kwargs, _ in calls]
                 == ([True] * 9 + [False] * 9) * len(grid))
         assert full_spectrum(chain, m_max=8, k_per_mode=32, vectors=False).vecs is None
+
+    def test_a_values_only_miscount_runs_arpack_once(self, monkeypatch):
+        # the failed certificate sends the mode to the dense eigh, not to a second
+        # ARPACK run with vectors, whose certificate would fail the same way
+        chain = config_chain("i2_step", resolution=192)
+        monkeypatch.setattr(spectral, "_negative_count", lambda S, M, shift: -1)
+        calls = self.recorded_eigsh(monkeypatch)
+        for m in (0, 4):
+            want = solve_modes(chain, m, 32)[0]  # no count certifies: the dense eigh's
+            del calls[:]
+            lam, vecs = solve_modes(chain, m, 32, vectors=False)
+            assert np.array_equal(lam, want) and vecs is None
+            assert [kwargs["return_eigenvectors"] for _, kwargs, _ in calls] == [False]
 
 
 class TestCertificateGap:
