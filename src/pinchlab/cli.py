@@ -425,7 +425,10 @@ def run_command(command: Command, args) -> int:
         comments = [f"{key}={value}" for key, value in table.comments.items()]
         text = reporting.render_csv(table.columns, table.rows, config_hash=cfg.hash(),
                                     comments=comments, precision=precision)
-        reporting.write_text(path, text)
+        try:
+            reporting.write_text(path, text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
         print(f"wrote {path}")
     for line in run.summary:
         print(line)

@@ -220,5 +220,5 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc

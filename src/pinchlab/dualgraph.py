@@ -156,20 +156,13 @@ def validate_zariski(M: np.ndarray, mult: np.ndarray) -> ZariskiReport:
 
 
 def pseudoinverse(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via symmetric eigendecomposition.
-
-    Eigenvalues below ``PINV_CUTOFF * max(|eigenvalue|)`` are treated as zero so
-    that rank decisions stay stable against rounding.
-    """
+    """Moore-Penrose pseudoinverse of a symmetric matrix: ``np.linalg.pinv`` on its
+    eigendecomposition, with eigenvalues at or below ``PINV_CUTOFF * max(|eigenvalue|)``
+    taken as zero so that rank decisions stay stable against rounding."""
     M = np.asarray(M, dtype=float)
     if not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
         raise ValidationError("pseudoinverse requires a symmetric matrix")
-    w, V = np.linalg.eigh(M)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax == 0.0:
-        return np.zeros_like(M)
-    inv = np.where(np.abs(w) > PINV_CUTOFF * wmax, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (V * inv) @ V.T
+    return np.linalg.pinv(M, rcond=PINV_CUTOFF, hermitian=True)
 
 
 def pairing_constant(m_plus: np.ndarray, v_alpha: np.ndarray, v_beta: np.ndarray) -> float:

@@ -46,16 +46,12 @@ class TorusFibration:
             raise ValidationError("translation section is constant")
 
     def T(self, s: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.t_coeffs):
-            acc = acc * s + c
-        return acc
+        """T(s) by Horner's recurrence: ``np.polyval`` on ``t_coeffs`` in descending order."""
+        return np.polyval(self.t_coeffs[::-1], s)
 
     def dT(self, s: complex) -> complex:
-        acc = 0j
-        for k in range(len(self.t_coeffs) - 1, 0, -1):
-            acc = acc * s + k * self.t_coeffs[k]
-        return acc
+        """T'(s), ``np.polyval`` on the descending coefficients ``np.polyder`` gives."""
+        return np.polyval(np.polyder(self.t_coeffs[::-1]), s)
 
     def grid(self):
         n = self.fiber_n
@@ -83,11 +79,16 @@ def _freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies
 
 
+def _multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The real fiber function whose Fourier coefficients are those of ``values`` times
+    ``symbol``."""
+    return np.fft.ifft2(np.fft.fft2(values) * symbol).real
+
+
 def translate(values: np.ndarray, t: complex) -> np.ndarray:
     """z -> f(z - t) (pushforward by +t), exact on the Fourier modes."""
     k = _freqs(values.shape[0])
-    phase = np.exp(-math.tau * 1j * (k[:, None] * t.real + k[None, :] * t.imag))
-    return np.fft.ifft2(np.fft.fft2(values) * phase).real
+    return _multiply(values, np.exp(-math.tau * 1j * (k[:, None] * t.real + k[None, :] * t.imag)))
 
 
 def birkhoff_hat(fhat: np.ndarray, t: complex, k_iters: int) -> np.ndarray:
@@ -112,11 +113,6 @@ def _dzdzbar_symbol(n: int) -> np.ndarray:
     """Fourier multiplier of d/dz d/dzbar on the n x n fiber grid."""
     k = _freqs(n)
     return -(math.pi**2) * np.abs(k[None, :] - 1j * k[:, None]) ** 2
-
-
-def dzdzbar_hat(fhat: np.ndarray) -> np.ndarray:
-    """Spectral d/dz d/dzbar (one quarter of the flat fiber Laplacian)."""
-    return fhat * _dzdzbar_symbol(fhat.shape[0])
 
 
 def fiber_poisson(rhs_values: np.ndarray) -> np.ndarray:
@@ -270,8 +266,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
         exponent = float(np.polyfit(logs_n, np.log(sups[usable]), 1)[0])
     else:
         exponent = 0.0   # nothing measurably above the finite-difference floor
-    rho0_hat = np.fft.fft2(np.asarray(rho(s0, A, B), dtype=float))
-    curv = np.fft.ifft2(dzdzbar_hat(rho0_hat)).real
+    curv = _multiply(np.asarray(rho(s0, A, B), dtype=float), _dzdzbar_symbol(fib.fiber_n))
     expected = abs(fib.dT(s0)) ** 2 * float(np.max(np.abs(curv)))
     coefficient = float(sups[-1]) / n_list[-1] ** 2
     return GrowthReport(
@@ -289,7 +284,7 @@ def pushforward_growth(fib: TorusFibration, rho, n_list, s0: complex) -> GrowthR
 
 def _perturbed_density(rho_vals: np.ndarray) -> np.ndarray:
     """Density of omega = omega_flat - ddc(rho) against the flat area form."""
-    lap = 4.0 * np.fft.ifft2(dzdzbar_hat(np.fft.fft2(rho_vals))).real
+    lap = 4.0 * _multiply(rho_vals, _dzdzbar_symbol(rho_vals.shape[0]))
     w = 1.0 - lap / (2 * math.tau)
     if w.min() <= 0:
         raise ValidationError("rho is too large: the perturbed fiber density is not positive")

@@ -86,7 +86,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class WarpedChain:
-    """Discretized model fiber at a single value of L = log(1/|s|)."""
+    """Discretized model fiber at a single value of L = log(1/|s|), with the nodes and
+    cell lengths ``build_chain`` lays out."""
 
     cfg: FamilyConfig
     L: float
@@ -94,6 +95,7 @@ class WarpedChain:
     total_length: float
     nodes: np.ndarray          # strictly increasing, nodes[0] = 0, last < P
     cell_segment: np.ndarray   # segment index per cyclic cell
+    cell_lengths: np.ndarray   # cell i runs from nodes[i] to nodes[i+1], or to P
 
     # per-cell quadrature tables, one row per cell
     quad_x: np.ndarray = field(repr=False)
@@ -107,11 +109,6 @@ class WarpedChain:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    @property
-    def cell_lengths(self) -> np.ndarray:
-        ext = np.append(self.nodes, self.total_length)
-        return np.diff(ext)
 
     def segment_at(self, x) -> np.ndarray:
         """Index into ``segments`` of the [x0, x1) segment holding each x mod P."""
@@ -171,7 +168,8 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
             segments.append(Segment("neck", i, x1, x2, c_thin))
             x = x2
     P = x
-    if min(s.length for s in segments) <= 0:
+    # the gradient form divides by each cell's length squared, which must be a normal float
+    if min(s.length for s in segments) < math.sqrt(np.finfo(float).tiny):
         raise ValidationError("degenerate segment length in chain layout")
 
     nodes: list[float] = []
@@ -186,7 +184,7 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
     cells = np.asarray(cell_segment, dtype=int)
     h = np.diff(nodes_arr, append=P)
     return WarpedChain(cfg=cfg, L=float(L), segments=tuple(segments), total_length=P,
-                       nodes=nodes_arr, cell_segment=cells,
+                       nodes=nodes_arr, cell_segment=cells, cell_lengths=h,
                        quad_x=nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None],
                        quad_w=(0.5 * GL_W)[None, :] * h[:, None],
                        cell_c=np.array([seg.c for seg in segments])[cells, None])

@@ -279,6 +279,10 @@ class TestExitContract:
         # the low/high split needs the zero pair and the N-1 collapsing ones of mode 0
         ("potential", ("k_per_mode = 16", "k_per_mode = 1"), [],
          "k_per_mode = 1 is below n_components = 2"),
+        # a cell length squared below the smallest normal float divides the gradient form
+        ("spectrum", ("n_components = 2", "n_components = 2\nareas = 1e-300, 1"), [],
+         "degenerate segment length"),
+        ("modelfns", None, ["--out", "/dev/null/out"], "cannot write /dev/null/out/"),
     ])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, edit, extra, named):
         text = BASE_CFG.replace(*edit) if edit else BASE_CFG
@@ -286,6 +290,12 @@ class TestExitContract:
         assert main([command, "--config", cfg_path, *extra]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"# \xff\xfe\n" + BASE_CFG.format(out=tmp_path / "out").encode())
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert f"cannot read config {path}" in capsys.readouterr().err
 
     OVERFLOW = r"reduced mode matrix is not finite mode=1 n=144 L=1e\+"
 

@@ -80,6 +80,26 @@ class TestSpectralPrimitives:
         # laplace(phi) = -4 pi cos  =>  phi = cos/(pi) with laplace -> -4pi^2
         np.testing.assert_allclose(phi, np.cos(TWO_PI * A) / PI, atol=1e-12)
 
+    def test_section_and_its_derivative_follow_horner(self):
+        """Against Python's complex Horner loops: exact for T(s) = s, and within Horner's
+        rounding bound on random complex cubics (numpy's array loops may fuse a multiply-add)."""
+        def horner(c, s):
+            acc = 0j
+            for x in reversed(c):
+                acc = acc * s + x
+            return acc
+
+        rng = np.random.default_rng(5)
+        identity = make_fib(t_coeffs=(0, 1))
+        for s in rng.normal(size=(50, 2)) @ [1, 1j]:
+            assert (identity.T(s), identity.dT(s)) == (s, 1)
+            c = tuple(rng.normal(size=(4, 2)) @ [1, 1j])
+            fib = make_fib(t_coeffs=c)
+            d = tuple(k * x for k, x in enumerate(c))[1:]
+            for value, coeffs in ((fib.T(s), c), (fib.dT(s), d)):
+                bound = 16 * np.finfo(float).eps * horner(np.abs(coeffs), abs(s)).real
+                assert abs(value - horner(coeffs, s)) <= bound
+
     def test_constant_t_rejected_without_flag(self):
         with pytest.raises(ValidationError, match="constant"):
             make_fib(t_coeffs=(0.5,))
