@@ -80,8 +80,13 @@ class Run:
 
 
 def _solver(cfg: configfile.ExperimentConfig):
+    resolution, family = cfg.get_int("solver", "resolution", "48"), cfg.family()
+    try:  # the node count depends on the family alone: bounded before any chain is built
+        geometry.chain_layout(family, resolution)
+    except ValidationError as exc:
+        raise ValidationError(f"[solver] {exc}") from None
     return {
-        "resolution": cfg.get_int("solver", "resolution", "48"),
+        "resolution": resolution,
         "m_max": cfg.get_int("solver", "m_max", "16"),
         "k_per_mode": cfg.get_int("solver", "k_per_mode", "32"),
     }

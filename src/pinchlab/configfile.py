@@ -8,7 +8,6 @@ explicit seed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -43,6 +42,7 @@ class ExperimentConfig:
     sections: dict[str, dict[str, str]]
 
     def hash(self) -> str:
+        import hashlib  # here, not at the top: a command's set-up path does not load it
         normalized = []
         for sec in sorted(self.sections):
             for key in sorted(self.sections[sec]):

@@ -29,10 +29,15 @@ FOUR_PI = 2.0 * TWO_PI
 # circumference of every fat segment
 C_FAT = 1.0 / TWO_PI
 
-# 4-point Gauss-Legendre rule on [-1, 1]; exact for the piecewise-constant
-# data used here and far beyond tolerance for the low trigonometric terms.
-# The node integrals use the same rule on their radial panels.
-GL_X, GL_W = np.polynomial.legendre.leggauss(4)
+# 4-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(4) written out so
+# that numpy.polynomial is not imported; exact for the piecewise-constant data used here, far
+# beyond tolerance for the low trigonometric terms, and the node integrals' radial panel rule.
+GL_X = np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
+                 0.8611363115940526])
+GL_W = np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464,
+                 0.34785484513745357])
+# the most nodes a chain may have: at that size its O(n) tables alone hold about 0.1 GB
+MAX_NODES = 2**20
 
 
 def line_fit(x, y) -> tuple[float, float, float]:
@@ -115,15 +120,19 @@ class WarpedChain:
         starts = [seg.x0 for seg in self.segments]
         return np.searchsorted(starts, np.mod(x, self.total_length), side="right") - 1
 
+    @property
+    def segment_position(self) -> dict[tuple[str, int], int]:
+        """Index into ``segments`` of each (kind, index)."""
+        return {(s.kind, s.index): k for k, s in enumerate(self.segments)}
+
     def integrate_area(self, values_at_quad: np.ndarray) -> float:
         """Integral against dA = 2*pi*c(x) dx of samples on the quad table."""
         return TWO_PI * float(np.sum(values_at_quad * self.cell_c * self.quad_w))
 
-    @functools.cached_property
-    def _p1_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hat functions of node i and node i+1 mod n at cell i's quadrature points."""
-        xi = (self.quad_x - self.nodes[:, None]) / self.cell_lengths[:, None]
-        return 1.0 - xi, xi
+    def segment_integrals(self, values_at_quad: np.ndarray) -> np.ndarray:
+        """Integral against dA of samples on the quad table over each segment."""
+        cells = np.sum(values_at_quad * self.cell_c * self.quad_w, axis=1)
+        return TWO_PI * np.bincount(self.cell_segment, cells)
 
     @functools.cached_property
     def operators(self) -> ChainOperators:
@@ -132,9 +141,31 @@ class WarpedChain:
 
     def load_vector(self, values_at_quad: np.ndarray) -> np.ndarray:
         """q[v] = integral(a * hat_v dA) of samples a on the quad table."""
-        psi_l, psi_r = self._p1_basis
+        xi = (self.quad_x - self.nodes[:, None]) / self.cell_lengths[:, None]  # hat of node i+1
         common = TWO_PI * values_at_quad * self.cell_c * self.quad_w
-        return np.sum(common * psi_l, axis=1) + np.roll(np.sum(common * psi_r, axis=1), 1)
+        return np.sum(common * (1.0 - xi), axis=1) + np.roll(np.sum(common * xi, axis=1), 1)
+
+
+def chain_layout(cfg: FamilyConfig, resolution: int) -> tuple[list[tuple], list[int]]:
+    """(kind, index, x0, x1) of each segment, fat and neck alternating, and its cell count.
+
+    The counts are Python ints, checked against ``MAX_NODES`` before any array of
+    size n is built; they depend on the family and the resolution alone.
+    """
+    if resolution < 8:
+        raise ValidationError("resolution must be at least 8 nodes per unit length")
+    ends, x = [], 0.0
+    for i, fat_length in enumerate((cfg.area_vector() / (TWO_PI * C_FAT)).tolist()):
+        for kind, length in (("fat", fat_length), ("neck", cfg.neck_length))[:2 - cfg.no_neck]:
+            x0, x = x, x + length
+            ends.append((kind, i, x0, x))
+    # past 2**1000 any segment build_chain admits is alone over the cap; min keeps this finite
+    counts = [max(1, math.ceil(min(resolution, 2.0**1000) * (x1 - x0) - 1e-9))
+              for _, _, x0, x1 in ends]
+    if sum(counts) > MAX_NODES:
+        raise ValidationError(f"resolution = {resolution} lays out {sum(counts)} nodes, "
+                              f"above the cap of {MAX_NODES}")
+    return ends, counts
 
 
 def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChain:
@@ -143,49 +174,27 @@ def build_chain(cfg: FamilyConfig, L: float, resolution: int = 64) -> WarpedChai
     Every interface lands exactly on a grid node, so piecewise data is smooth
     within each cell.  Model validity requires ``c_thin = 1/L < C_FAT``.
     """
-    if resolution < 8:
-        raise ValidationError("resolution must be at least 8 nodes per unit length")
+    ends, counts = chain_layout(cfg, resolution)
     if not 0 < L < math.inf:
         raise ValidationError(f"L must be positive and finite, got {L}")
     c_thin = cfg.neck_length / L
     if not cfg.no_neck and c_thin >= C_FAT:
-        raise ValidationError(
-            f"model validity requires L > "
-            f"{cfg.neck_length / C_FAT:.6g} "
-            f"(neck weight must stay below the fat circumference); got L = {L}"
-        )
-    areas = cfg.area_vector()
-    fat_lengths = areas / (TWO_PI * C_FAT)
-
-    segments: list[Segment] = []
-    x = 0.0
-    for i in range(cfg.n_components):
-        x1 = x + float(fat_lengths[i])
-        segments.append(Segment("fat", i, x, x1, C_FAT))
-        x = x1
-        if not cfg.no_neck:
-            x2 = x1 + cfg.neck_length
-            segments.append(Segment("neck", i, x1, x2, c_thin))
-            x = x2
-    P = x
-    # the gradient form divides by each cell's length squared, which must be a normal float
+        raise ValidationError(f"model validity requires L > {cfg.neck_length / C_FAT:.6g} (neck "
+                              f"weight must stay below the fat circumference); got L = {L}")
+    segments = tuple(Segment(kind, i, x0, x1, C_FAT if kind == "fat" else c_thin)
+                     for kind, i, x0, x1 in ends)
+    P = segments[-1].x1
+    # the forms' entries scale as h and 1/h, and the elimination squares them
     if min(s.length for s in segments) < math.sqrt(np.finfo(float).tiny):
         raise ValidationError("degenerate segment length in chain layout")
 
-    nodes: list[float] = []
-    cell_segment: list[int] = []
-    for si, seg in enumerate(segments):
-        ncell = max(1, int(math.ceil(resolution * seg.length - 1e-9)))
-        step = seg.length / ncell
-        for k in range(ncell):
-            nodes.append(seg.x0 + k * step)
-            cell_segment.append(si)
-    nodes_arr = np.asarray(nodes)
-    cells = np.asarray(cell_segment, dtype=int)
-    h = np.diff(nodes_arr, append=P)
-    return WarpedChain(cfg=cfg, L=float(L), segments=tuple(segments), total_length=P,
-                       nodes=nodes_arr, cell_segment=cells, cell_lengths=h,
-                       quad_x=nodes_arr[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None],
+    nodes = np.concatenate([seg.x0 + np.arange(nc) * (seg.length / nc)
+                            for seg, nc in zip(segments, counts)])
+    cells = np.repeat(np.arange(len(segments)), counts)
+    h = np.diff(nodes, append=P)
+    return WarpedChain(cfg=cfg, L=float(L), segments=segments, total_length=P,
+                       nodes=nodes, cell_segment=cells, cell_lengths=h,
+                       quad_x=nodes[:, None] + (0.5 * (GL_X + 1.0))[None, :] * h[:, None],
                        quad_w=(0.5 * GL_W)[None, :] * h[:, None],
                        cell_c=np.array([seg.c for seg in segments])[cells, None])
 
@@ -269,28 +278,21 @@ class ChainOperators:
         return g if m == 0 else CyclicTridiagonal(g.diag + m * m * p.diag, g.off + m * m * p.off)
 
 
-def _cyclic_tridiagonal(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray) -> CyclicTridiagonal:
-    """Sum of the cell matrices [[ll, lr], [lr, rr]] over cells (i, i+1 mod n)."""
-    return CyclicTridiagonal(ll + np.roll(rr, 1), lr)
+def _cyclic_tridiagonal(diag: np.ndarray, off: np.ndarray) -> CyclicTridiagonal:
+    """Sum of the cell matrices [[diag, off], [off, diag]] over cells (i, i+1 mod n)."""
+    return CyclicTridiagonal(diag + np.roll(diag, 1), off)
 
 
 def chain_operators(chain: WarpedChain) -> ChainOperators:
-    """Assemble the gradient, potential and mass forms cell by cell."""
-    h = chain.cell_lengths
-    psi_l, psi_r = chain._p1_basis
-    w = chain.quad_w
-    c = chain.cell_c
-
-    g = TWO_PI * np.sum(c * w, axis=1) / h**2        # gradient coupling per cell
-
-    def cell_form(weight):
-        return _cyclic_tridiagonal(TWO_PI * np.sum(weight * psi_l * psi_l, axis=1),
-                                   TWO_PI * np.sum(weight * psi_l * psi_r, axis=1),
-                                   TWO_PI * np.sum(weight * psi_r * psi_r, axis=1))
-
-    return ChainOperators(gradient=_cyclic_tridiagonal(g, -g, g),
-                          potential=cell_form(w / c),
-                          mass=cell_form(c * w))
+    """Assemble the gradient, potential and mass forms from the P1 element matrices
+    2*pi*c/h [[1, -1], [-1, 1]], 2*pi*h/c [[1/3, 1/6], [1/6, 1/3]] and
+    2*pi*c*h [[1/3, 1/6], [1/6, 1/3]] of a cell of length h: exact, as c is
+    constant on each cell."""
+    h, c = chain.cell_lengths, chain.cell_c[:, 0]
+    g, p, m = TWO_PI * c / h, TWO_PI * h / c, TWO_PI * c * h
+    return ChainOperators(gradient=_cyclic_tridiagonal(g, -g),
+                          potential=_cyclic_tridiagonal(p / 3, p / 6),
+                          mass=_cyclic_tridiagonal(m / 3, m / 6))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,7 @@ class DensitySpec:
     waves: tuple[tuple[str, int, float], ...] = ()
 
     def profile(self, chain: WarpedChain):
-        position = {(s.kind, s.index): k for k, s in enumerate(chain.segments)}
+        position = chain.segment_position
         levels = np.zeros(len(chain.segments))  # the constant terms, per segment
         for kind, values in (("fat", self.fat_values), ("neck", self.neck_values)):
             for i, v in values:
@@ -361,17 +363,12 @@ def density_from_callable(f, chain: WarpedChain) -> DensityField:
     raw_quad = np.asarray(f(chain.quad_x.ravel()), dtype=float).reshape(chain.quad_x.shape)
     shift = chain.integrate_area(raw_quad) / chain.integrate_area(np.ones_like(chain.quad_w))
     quad_vals = raw_quad - shift
-    comp = np.zeros(chain.cfg.n_components)
-    for seg_idx, seg in enumerate(chain.segments):
-        if seg.kind == "fat":
-            mask = chain.cell_segment == seg_idx
-            comp[seg.index] += TWO_PI * float(
-                np.sum(quad_vals[mask] * chain.cell_c[mask] * chain.quad_w[mask]))
+    fats = [chain.segment_position["fat", i] for i in range(chain.cfg.n_components)]
     return DensityField(
         chain=chain,
         values=np.asarray(f(chain.nodes), dtype=float) - shift,
         total_integral=float(chain.integrate_area(quad_vals)),
-        component_integrals=comp,
+        component_integrals=chain.segment_integrals(quad_vals)[fats],
         quad_values=quad_vals,
         profile=f,
     )
@@ -403,15 +400,15 @@ def random_step_spec(n: int, areas, rng: np.random.Generator) -> DensitySpec:
 
 def _segment_wave(chain: WarpedChain, kind: str, index: int, amplitude: float, wave):
     """amplitude * wave(2*pi*t), t in [0, 1) across one segment, else 0."""
-    position = {(s.kind, s.index): k for k, s in enumerate(chain.segments)}
-    if (kind, index) not in position:
+    position = chain.segment_position.get((kind, index))
+    if position is None:
         raise ValidationError(f"no {kind} segment {index}")
-    seg = chain.segments[position[kind, index]]
+    seg = chain.segments[position]
 
     def f(x):
         x = np.mod(np.asarray(x, dtype=float), chain.total_length)
         out = np.zeros_like(x)
-        mask = chain.segment_at(x) == position[kind, index]
+        mask = chain.segment_at(x) == position
         out[mask] = amplitude * wave(TWO_PI * (x[mask] - seg.x0) / seg.length)
         return out
 

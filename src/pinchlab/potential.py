@@ -139,26 +139,15 @@ def estimate_report(cfg, L_values, density_builder, resolution: int = 48) -> Est
         chain = geometry.build_chain(cfg, L, resolution=resolution)
         dens = density_builder(chain)
         eigsys = spectral.full_spectrum(chain, m_max=0, k_per_mode=8)  # the split reads mode 0
-        pot = solve_direct(chain, dens)
-        low, high = split_low_high(pot, eigsys)
+        low, high = split_low_high(solve_direct(chain, dens), eigsys)
         sup_low = float(np.max(np.abs(low)))
-        sup_high = float(np.max(np.abs(high)))
-        sup_a = float(np.max(np.abs(dens.values))) if dens.values.size else 0.0
-        quad_abs = np.abs(dens.quad_values)
-        fat_cell = np.array([seg.kind == "fat" for seg in chain.segments])[chain.cell_segment]
-        weights = geometry.TWO_PI * chain.cell_c * chain.quad_w
-        l1_fat = float(np.sum(quad_abs * weights * fat_cell[:, None]))
-        l1_full = float(np.sum(quad_abs * weights))
+        l1 = chain.segment_integrals(np.abs(dens.quad_values))
+        fats = [chain.segment_position["fat", i] for i in range(cfg.n_components)]
         rows.append(EstimateRow(
-            L=L,
-            sup_high=sup_high,
-            sup_low=sup_low,
-            sup_low_over_L=sup_low / L,
-            sup_low_over_sqrtL=sup_low / math.sqrt(L),
-            sup_a=sup_a,
-            l1_a_fat=l1_fat,
-            l1_a_full=l1_full,
-        ))
+            L=L, sup_high=float(np.max(np.abs(high))), sup_low=sup_low,
+            sup_low_over_L=sup_low / L, sup_low_over_sqrtL=sup_low / math.sqrt(L),
+            sup_a=float(np.max(np.abs(dens.values))),
+            l1_a_fat=float(l1[fats].sum()), l1_a_full=float(l1.sum())))
 
     def ratio(get):
         a, b = get(rows[0]), get(rows[-1])

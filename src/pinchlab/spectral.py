@@ -616,11 +616,11 @@ def model_functions(chain: geometry.WarpedChain) -> ModelFunctionSet:
             "model functions need at least two components; with N = 1 the "
             "ramps at both neck ends would overlap"
         )
-    position = {(s.kind, s.index): k for k, s in enumerate(chain.segments)}
+    position = chain.segment_position
     areas = chain.cfg.area_vector()
     P = chain.total_length
     x = chain.nodes
-    at = chain.segment_at(x)
+    at = chain.cell_segment
     funcs = np.zeros((N, chain.n_nodes))
     supports = []
     for i in range(N):

@@ -8,13 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pinchlab import acceptance, blas, spectral
+from pinchlab import acceptance, blas, geometry, spectral
 from pinchlab.cli import COMMANDS, main
 from pinchlab.configfile import parse_config, parse_grid
 from pinchlab.errors import ConvergenceError, ValidationError
@@ -291,6 +292,25 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "pairing", "potential", "modelfns"])
+    def test_a_grid_past_the_node_cap_exits_2_before_any_node_is_built(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the node count is summed from Python ints: neither a per-node loop nor an
+        # array of nodes is started, either of which would run until the memory ran out
+        def fail(*args, **kwargs):
+            raise AssertionError("a node was built")
+        monkeypatch.setattr(geometry, "range", fail, raising=False)
+        for name in ("arange", "repeat", "concatenate"):
+            monkeypatch.setattr(np, name, fail)
+        text = BASE_CFG.replace("resolution = 24", "resolution = 1000000000000")
+        cfg_path, _ = write_cfg(tmp_path, text)
+        start = time.perf_counter()
+        assert main([command, "--config", cfg_path]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert ("[solver] resolution = 1000000000000 lays out 3000000000000 nodes, "
+                "above the cap of 1048576") in err and "Traceback" not in err
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin.cfg"
         path.write_bytes(b"# \xff\xfe\n" + BASE_CFG.format(out=tmp_path / "out").encode())
@@ -413,6 +433,17 @@ def run_python(*args) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_set_up_path_loads_neither_numpy_polynomial_nor_hashlib():
+    # the benchmark's set-up: import the CLI, load a config and build the first chain
+    code = ("import sys, pinchlab.cli\nfrom pinchlab import configfile, geometry\n"
+            "cfg = configfile.load_config(sys.argv[1])\n"
+            "geometry.build_chain(cfg.family(), 100.0, resolution=48)\n"
+            "print(sorted({'numpy.polynomial', 'hashlib'} & set(sys.modules)))")
+    config = Path(__file__).resolve().parents[1] / "configs" / "i2_step.cfg"
+    proc = run_python("-c", code, str(config))
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 @pytest.mark.parametrize("code, expected", [
